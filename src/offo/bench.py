@@ -17,14 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .problems import NoisyOracle, default_suite, make_problem
+from .problems import CapabilityError, NoisyOracle, make_problem
 from .scaling import rule_from_name
 from .solver import Astr1Config, astr1_run, sdba_run
 
-
-def make_default_problem_list() -> list[tuple]:
-    """The desk suite as (name, n) pairs."""
-    return default_suite()
 
 #: problems whose Lipschitz constant is known exactly (quadratics)
 EXACT_L_PROBLEMS = (("tridia", 10), ("hilbert", 10), ("arglina", 10), ("arglinb", 10))
@@ -89,10 +85,15 @@ def run_one(
     eps: float,
     max_iter: int = 100_000,
 ) -> RunRecord:
-    """One benchmark run; never raises, failures land in the status field."""
+    """One benchmark run; failures land in the status field.
+
+    A problem lacking what the method needs (an analytic Hessian for the
+    ``adagH`` family) gives status ``unsupported`` and zero counts.
+    """
     spec = METHODS[method]
     problem = make_problem(problem_name, n)
     target = problem if noise == 0.0 else NoisyOracle(problem, noise, seed)
+    record = dict(method=method, problem=problem.name, n=problem.n, noise=noise, seed=seed, eps=eps)
     if spec.is_sdba:
         trace = sdba_run(target, eps=eps, max_iter=max_iter)
         effort = trace.g_evals + trace.f_evals
@@ -104,15 +105,14 @@ def run_one(
             eps=eps,
             max_iter=max_iter,
         )
-        trace = astr1_run(target, cfg)
+        try:
+            trace = astr1_run(target, cfg)
+        except CapabilityError:
+            return RunRecord(**record, status="unsupported", iterations=0, final_normg=np.nan,
+                             f_evals=0, g_evals=0, h_evals=0)
         effort = trace.g_evals
     return RunRecord(
-        method=method,
-        problem=problem.name,
-        n=problem.n,
-        noise=noise,
-        seed=seed,
-        eps=eps,
+        **record,
         status=trace.status,
         iterations=effort,
         final_normg=float(trace.final_normg),

@@ -10,7 +10,7 @@ import click
 from . import bench as bench_mod
 from . import sharpness as sharp_mod
 from . import theory as theory_mod
-from .problems import NoisyOracle, make_problem
+from .problems import NoisyOracle, default_suite, make_problem
 from .scaling import rule_from_name
 from .solver import Astr1Config, astr1_run, sdba_run
 
@@ -114,7 +114,7 @@ def sharpness_cmd(kind, mu, eta, sigma, nu, omega, iters, out_path, replay):
 
 def _parse_problems(spec: str):
     if spec == "all":
-        return bench_mod.make_default_problem_list()
+        return default_suite()
     out = []
     for token in spec.split(","):
         token = token.strip()

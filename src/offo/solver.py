@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hessian import MODEL_KINDS, make_model
+from .hessian import make_model
 from .problems import NonFiniteError, base_problem
 from .scaling import ScalingRule, new_state, update, weights
 
@@ -38,7 +38,6 @@ class Astr1Config:
     cg_abs: float = 1e-12
     instrument_f: bool = False
     record_vectors: bool = False
-    lbfgs_memory: int = 3
 
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
@@ -365,7 +364,7 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
     n = base.n
     rule = cfg.scaling
     state = new_state(rule, n)
-    model = make_model(cfg.model, kappa_B=cfg.kappa_B, memory=cfg.lbfgs_memory)
+    model = make_model(cfg.model, kappa_B=cfg.kappa_B)
     tr = _TraceBuilder(cfg.record_vectors)
     prev_g = None
     prev_s = None
@@ -390,7 +389,7 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
             break
         if prev_g is not None:
             model = model.update(prev_s, g - prev_g)
-        if cfg.model == "exact":
+        if model.needs_hessian:
             try:
                 model = model.with_matrix(oracle.hess(x))
             except NonFiniteError:

@@ -210,8 +210,6 @@ def envelope_constant(p: TheoryParams, mu: float) -> float:
     """
     if not 0.01 <= mu <= 0.99:
         raise ValueError("mu must lie in [0.01, 0.99]")
-    if p.L is None:
-        raise CapabilityError("envelope constant requires a Lipschitz constant")
     s, th, vth = p.sigma, p.theta, p.vartheta
     kBL = p.kappa_B + p.L
     if abs(mu - 0.5) < 1e-12:

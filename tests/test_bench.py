@@ -164,3 +164,15 @@ def test_emit_files_and_json_roundtrip(tmp_path):
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         run_matrix(["notamethod"], [("cube", 2)], [0.0], [0])
+
+
+def test_capability_gap_gives_unsupported_record_not_exception():
+    r = run_one("adagH", "helix", None, 0.0, 0, 1e-3)
+    assert r.status == "unsupported" and not r.converged
+    assert (r.problem, r.n, r.iterations, r.g_evals) == ("helix", 3, 0, 0)
+    records = run_matrix(["adagH", "adagrad"], [("helix", None), ("tridia", 10)], [0.0], [],
+                         eps=1e-3, max_iter=50)
+    status = {(r.method, r.problem): r.status for r in records}
+    assert status[("adagH", "helix")] == "unsupported"
+    assert status[("adagH", "tridia")] != "unsupported"
+    assert status[("adagrad", "helix")] != "unsupported"

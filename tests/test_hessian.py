@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from offo.hessian import BBDiagModel, ExactModel, LbfgsModel, ZeroModel, make_model, power_norm
+from offo.hessian import BBDiagModel, ExactModel, LbfgsModel, ZeroModel, make_model
 from offo.problems import make_problem
+from offo.scaling import rule_from_name
+from offo.solver import Astr1Config, astr1_run
+from offo.theory import params_for_run
 
 
 def dense_bfgs(scale, pairs, n):
@@ -141,9 +144,75 @@ def test_exact_model_symmetrizes_noisy_matrix():
     assert np.allclose(m.H, 0.5 * (H + H.T))
 
 
-def test_power_norm_on_known_matrix():
-    A = np.diag([3.0, -7.0, 1.0])
-    assert power_norm(lambda v: A @ v, 3) == pytest.approx(7.0, rel=1e-10)
+def test_exact_model_update_drops_stale_hessian():
+    H = np.diag([1.0, 2.0])
+    m = make_model("exact").with_matrix(H)
+    assert m.H is H  # already symmetric: bound without a copy
+    m = m.update(np.ones(2), np.ones(2))
+    assert m.H is None and m.norm_estimate() == 0.0
+    with pytest.raises(RuntimeError):
+        m.matvec(np.ones(2))
+
+
+def test_exact_model_norm_is_largest_absolute_eigenvalue():
+    m = make_model("exact").with_matrix(np.diag([3.0, -7.0, 1.0]))
+    assert m.norm_estimate() == 7.0
+
+
+def test_exact_model_cap_certified_at_large_n():
+    p = make_problem("tridia", 1000)
+    m = ExactModel(kappa_B=1000.0).with_matrix(p.hess(p.x0))
+    capped = m.matvec(np.eye(p.n))
+    assert np.abs(np.linalg.eigvalsh(capped)).max() <= 1000.0 * (1 + 1e-12)
+    assert m.norm_estimate() == 1000.0
+
+
+def _positive_pairs(rng, n, count):
+    pairs = []
+    for _ in range(count):
+        s = rng.normal(size=n)
+        y = s + 0.2 * rng.normal(size=n)
+        if y @ s <= 0:
+            y = s.copy()
+        pairs.append((s, y))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [2, 6, 1000])
+def test_lbfgs_norm_matches_dense_eigensolve(n):
+    m = make_model("lbfgs3")
+    pairs = _positive_pairs(np.random.default_rng(6), n, 3)
+    for s, y in pairs:
+        m = m.update(s, y)
+    dense = np.abs(np.linalg.eigvalsh(dense_bfgs(m.scale, pairs, n))).max()
+    assert m.norm_estimate() == pytest.approx(dense, rel=1e-12)
+
+
+def test_lbfgs_cap_certified_against_dense_operator():
+    n = 6
+    m = LbfgsModel(kappa_B=1.0)
+    for s, y in _positive_pairs(np.random.default_rng(7), n, 3):
+        m = m.update(s, 3.0 * y)
+    assert m.raw_norm > 1.0
+    capped = np.column_stack([m.matvec(e) for e in np.eye(n)])
+    assert np.abs(np.linalg.eigvalsh(capped)).max() <= 1.0 + 1e-12
+    assert m.norm_estimate() == 1.0
+
+
+@pytest.mark.parametrize("kappa_B", [1e5, 50.0])
+def test_exact_model_trace_norms_are_exact(kappa_B):
+    prob = make_problem("tridia", 10)
+    rule = rule_from_name("adagrad")
+    cfg = Astr1Config(scaling=rule, model="exact", kappa_B=kappa_B, eps=1e-3,
+                      max_iter=50, record_vectors=True)
+    trace = astr1_run(prob, cfg)
+    assert trace.steps > 0
+    truth = np.array([
+        min(kappa_B, np.abs(np.linalg.eigvalsh(prob.hess(x))).max())
+        for x in trace.x_hist[: trace.steps]
+    ])
+    assert np.allclose(trace.norm_B, truth, rtol=1e-12, atol=0.0)
+    assert params_for_run(prob, rule, cfg.tau, trace).kappa_B >= truth.max()
 
 
 def test_make_model_parsing():
@@ -151,5 +220,6 @@ def test_make_model_parsing():
     assert isinstance(make_model("bb"), BBDiagModel)
     assert isinstance(make_model("lbfgs5"), LbfgsModel)
     assert make_model("lbfgs5").memory == 5
+    assert make_model("lbfgs").memory == 3
     with pytest.raises(ValueError):
         make_model("sr1")
