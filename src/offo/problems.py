@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -184,6 +184,15 @@ def base_problem(target) -> ProblemInstance:
     return target.inner if isinstance(target, NoisyOracle) else target
 
 
+def fresh_stream(target):
+    """The target itself, or a copy of a noisy oracle whose stream starts at 0.
+
+    A run draws its noise from such a copy, so it replays identically however
+    often one oracle is reused, and the caller's oracle is left as it was.
+    """
+    return replace(target, _position=0) if isinstance(target, NoisyOracle) else target
+
+
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
@@ -286,17 +295,20 @@ def _broyden3d(n):
         g[1:] += -4.0 * r[:-1]
         return g
 
-    def jac(x):
-        J = np.zeros((n, n))
-        np.fill_diagonal(J, 3.0 - 4.0 * x)
-        J[np.arange(1, n), np.arange(n - 1)] = -1.0
-        J[np.arange(n - 1), np.arange(1, n)] = -2.0
-        return J
-
     def hess(x):
-        r = residual(x)
-        J = jac(x)
-        return 2.0 * J.T @ J - 8.0 * np.diag(r)
+        # 2 J^T J - 8 diag(r) from its five bands; J has 3 - 4x on the
+        # diagonal, -1 below it and -2 above it
+        d = 3.0 - 4.0 * x
+        diag = d * d
+        diag[1:] += 4.0
+        diag[:-1] += 1.0
+        off = 2.0 * (-2.0 * d[:-1] - d[1:])
+        i = np.arange(n)
+        H = np.zeros((n, n))
+        H[i, i] = 2.0 * diag - 8.0 * residual(x)
+        H[i[:-1], i[1:]] = H[i[1:], i[:-1]] = off
+        H[i[:-2], i[2:]] = H[i[2:], i[:-2]] = 4.0
+        return H
 
     x0 = -np.ones(n)
     return ProblemInstance("broyden3d", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)

@@ -147,31 +147,31 @@ class HermiteInterpolant:
     def _locate(self, t: float) -> int:
         return int(np.searchsorted(self.xs, t, side="right")) - 1
 
-    def evaluate(self, t: float, order: int = 1):
-        """Value, slope and curvature at t: returns (f, g, H) up to ``order``."""
+    def evaluate(self, t: float):
+        """Value, slope and curvature at t, as (f, g, H)."""
         xs, fs, gs = self.xs, self.fs, self.gs
         K = len(xs) - 1
         if t < xs[0]:
             d = t - xs[0]
             c = self.c2[0]
-            return self._quad(fs[0], gs[0], c, d, order)
+            return self._quad(fs[0], gs[0], c, d)
         if t >= xs[K]:
             d = t - xs[K]
             h = xs[K] - xs[K - 1]
             c_end = self.c2[K - 1] + 3.0 * self.c3[K - 1] * h
-            return self._quad(fs[K], gs[K], c_end, d, order)
+            return self._quad(fs[K], gs[K], c_end, d)
         i = self._locate(t)
         d = t - xs[i]
         f = fs[i] + d * (gs[i] + d * (self.c2[i] + d * self.c3[i]))
         g = gs[i] + d * (2.0 * self.c2[i] + 3.0 * self.c3[i] * d)
         H = 2.0 * self.c2[i] + 6.0 * self.c3[i] * d
-        return (f, g, H)[: order + 2] if order < 1 else (f, g, H)
+        return f, g, H
 
     @staticmethod
-    def _quad(f0, g0, c, d, order):
+    def _quad(f0, g0, c, d):
         f = f0 + g0 * d + c * d * d
         g = g0 + 2.0 * c * d
-        return (f, g, 2.0 * c)
+        return f, g, 2.0 * c
 
     def second_derivative_bound(self) -> float:
         """Upper bound on |f''| over all cubic pieces (checked at the ends)."""

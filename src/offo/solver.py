@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .hessian import make_model
-from .problems import NonFiniteError, base_problem
+from .problems import NonFiniteError, base_problem, fresh_stream
 from .scaling import ScalingRule, new_state, update, weights
 
 Array = np.ndarray
@@ -223,68 +223,125 @@ def cauchy_step(g: Array, matvec, radii, geometry: str) -> CauchyStep:
 
 
 def _max_feasible(s, p, delta, free):
-    """Largest step along p keeping |s_i| <= delta_i; returns (alpha, binding mask)."""
+    """Breakpoints of the ray s + t p against the box |s_i| <= delta_i.
+
+    Returns ``(a_bd, a_last, binding, bound)``: the first and the last step
+    length at which a free coordinate reaches its bound (inf when none
+    moves), the mask of coordinates reaching it first, and each
+    coordinate's bound in the direction of p.
+    """
     n = s.size
     alphas = np.full(n, np.inf)
     moving = free & (p != 0.0)
     bound = np.where(p > 0.0, delta, -delta)
     alphas[moving] = (bound[moving] - s[moving]) / p[moving]
     alphas = np.maximum(alphas, 0.0)
-    a_bd = float(alphas.min()) if moving.any() else np.inf
+    if not moving.any():
+        return np.inf, np.inf, moving, bound
+    a_bd = float(alphas.min())
     binding = moving & (alphas <= a_bd * (1.0 + 1e-12))
-    return a_bd, binding, bound
+    return a_bd, float(alphas[moving].max()), binding, bound
+
+
+#: halvings of the projected search before it settles for the truncated point
+_MAX_HALVINGS = 30
+#: rounds of releasing frozen coordinates after CG has converged on the free ones
+_MAX_RELEASES = 3
+
+
+def _projected_search(g, matvec, s, p, delta, t, a_bd, q_bd, free):
+    """Projected backtracking along P(s + t p), P = clip(., -delta, delta).
+
+    Halves t while t > a_bd, at most ``_MAX_HALVINGS`` times.  Returns
+    ``(y, active)`` for the first projected point y whose model value is at
+    most ``q_bd``, the value at the truncated point s + a_bd p; ``active``
+    marks the free coordinates y leaves on their bounds with the model
+    gradient pointing outward.  None if no trial does.
+    """
+    for _ in range(_MAX_HALVINGS + 1):
+        if not t > a_bd:
+            break
+        y = np.clip(s + t * p, -delta, delta)
+        By = matvec(y)
+        if float(g @ y + 0.5 * (y @ By)) <= q_bd:
+            return y, free & (np.abs(y) == delta) & (y * (g + By) <= 0.0)
+        t *= 0.5
+    return None
 
 
 def _cg_box(g, matvec, delta, tol):
     """Truncated conjugate gradients on the quadratic model inside the box.
 
-    Plain CG in the free subspace; when an iterate would leave the box the
-    step is truncated, the binding coordinates are frozen at their bounds and
-    CG restarts in the reduced subspace (at most n restarts).
+    CG runs on the free coordinates.  A CG step that would leave the box
+    starts a projected search from its step length (from the last breakpoint
+    under nonpositive curvature).  An accepted search point freezes at once
+    every coordinate it leaves on its bound with an outward gradient (the
+    first-binding ones when there is none); otherwise the step is truncated
+    at the first breakpoint, freezing the binding coordinates.  CG then
+    restarts on the rest.  Once it converges, frozen coordinates whose
+    gradient points back inside are released, at most ``_MAX_RELEASES`` times.
     """
     n = g.size
     s = np.zeros(n)
     fixed = delta <= 0.0
-    for _ in range(n + 1):
-        free = ~fixed
-        if not free.any():
+    releases = _MAX_RELEASES
+    settled = False
+    for _ in range((_MAX_RELEASES + 1) * (n + 1)):
+        done = settled or fixed.all()
+        # the frozen coordinates are the fixed ones with s_i != 0 (delta_i > 0)
+        if done and not (releases and np.any(fixed & (s != 0.0))):
             break
-        r = -(g + matvec(s))
+        Bs = matvec(s)
+        grad = g + Bs
+        if done:
+            back = fixed & (s * grad > 0.0)
+            if not back.any():
+                break
+            fixed = fixed & ~back
+            releases -= 1
+        free = ~fixed
+        q = float(g @ s + 0.5 * (s @ Bs))
+        r = -grad
         r[fixed] = 0.0
         rr = float(r @ r)
+        settled = True
         if np.sqrt(rr) <= tol:
-            break
+            continue
         p = r.copy()
-        truncated = False
         for _ in range(2 * n + 5):
             Bp = matvec(p)
             Bp[fixed] = 0.0
             pBp = float(p @ Bp)
-            a_bd, binding, bound = _max_feasible(s, p, delta, free)
+            a_bd, a_last, binding, bound = _max_feasible(s, p, delta, free)
             if pBp <= 0.0:
-                # negative curvature: ride p to the boundary
+                # negative curvature: search back from the last breakpoint
                 if not np.isfinite(a_bd):
                     break
+                t = a_last
+            else:
+                alpha = rr / pBp
+                if alpha < a_bd:
+                    s = s + alpha * p
+                    q -= alpha * rr - 0.5 * alpha * alpha * pBp
+                    r = r - alpha * Bp
+                    rr_new = float(r @ r)
+                    if np.sqrt(rr_new) <= tol:
+                        break
+                    p = r + (rr_new / rr) * p
+                    rr = rr_new
+                    continue
+                t = alpha
+            q_bd = q - a_bd * rr + 0.5 * a_bd * a_bd * pBp
+            found = _projected_search(g, matvec, s, p, delta, t, a_bd, q_bd, free)
+            if found is None:
                 s = s + a_bd * p
                 s[binding] = bound[binding]
-                fixed = fixed | binding
-                truncated = True
-                break
-            alpha = rr / pBp
-            if alpha >= a_bd:
-                s = s + a_bd * p
-                s[binding] = bound[binding]
-                fixed = fixed | binding
-                truncated = True
-                break
-            s = s + alpha * p
-            r = r - alpha * Bp
-            rr_new = float(r @ r)
-            if np.sqrt(rr_new) <= tol:
-                break
-            p = r + (rr_new / rr) * p
-            rr = rr_new
-        if not truncated:
+            else:
+                s, active = found
+                if active.any():
+                    binding = active
+            fixed = fixed | binding
+            settled = False
             break
     np.clip(s, -delta, delta, out=s)
     return s
@@ -359,7 +416,7 @@ def _sbound_residual(s, radii, geometry):
 def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
     """Run the adaptively scaled trust-region iteration on a problem or oracle."""
     base = base_problem(problem)
-    oracle = _CountingOracle(problem)
+    oracle = _CountingOracle(fresh_stream(problem))
     x = np.array(base.x0, dtype=float)
     n = base.n
     rule = cfg.scaling
@@ -438,7 +495,7 @@ def sdba_run(
     the backtracks yields a ``linesearch_failure`` status.
     """
     base = base_problem(problem)
-    oracle = _CountingOracle(problem)
+    oracle = _CountingOracle(fresh_stream(problem))
     x = np.array(base.x0, dtype=float)
     tr = _TraceBuilder(record_vectors)
     status = "max_iter"

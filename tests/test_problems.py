@@ -163,6 +163,30 @@ def test_problem_json_dump():
     assert d["x0"] == [1.0, 1.0] and d["f_low"] == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 10, 1000])
+def test_broyden3d_hessian_equals_dense_formula(n):
+    p = make_problem("broyden3d", n)
+
+    def dense(x):
+        J = np.zeros((n, n))
+        np.fill_diagonal(J, 3.0 - 4.0 * x)
+        J[np.arange(1, n), np.arange(n - 1)] = -1.0
+        J[np.arange(n - 1), np.arange(1, n)] = -2.0
+        xm = np.concatenate(([0.0], x[:-1]))
+        xp = np.concatenate((x[1:], [0.0]))
+        r = (3.0 - 2.0 * x) * x - xm - 2.0 * xp + 1.0
+        return 2.0 * J.T @ J - 8.0 * np.diag(r)
+
+    rng = np.random.default_rng(n)
+    x = p.x0 + 1e-3 * rng.standard_normal(n)
+    assert np.array_equal(p.hess(x), dense(x))
+    # far from x0 the matrix product may round differently
+    x = rng.standard_normal(n)
+    H, D = p.hess(x), dense(x)
+    assert np.max(np.abs(H - D)) <= 1e-15 * np.max(np.abs(D))
+    assert np.array_equal(H, H.T)
+
+
 def test_noise_level_zero_is_identity():
     p = make_problem("cube", 2)
     oracle = NoisyOracle(p, 0.0, seed=42)

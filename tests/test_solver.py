@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from offo.hessian import make_model
+from offo import solver
+from offo.hessian import BBDiagModel, make_model
 from offo.problems import NoisyOracle, ProblemInstance, make_problem
 from offo.scaling import ScalingRule, rule_from_name
 from offo.solver import (
@@ -26,6 +29,24 @@ def quad1d(x0=1.0):
 
 def matrix_model(B, kappa_B=1e5):
     return make_model("exact", kappa_B=kappa_B).with_matrix(np.atleast_2d(B))
+
+
+class CountingModel:
+    """A curvature model whose matvec calls are counted."""
+
+    is_zero = False
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = 0
+
+    def matvec(self, v):
+        self.calls += 1
+        return self.model.matvec(v)
+
+
+def model_value(g, B, s):
+    return float(g @ s + 0.5 * (s @ B @ s))
 
 
 def test_trust_radius_box():
@@ -131,6 +152,96 @@ def test_subproblem_respects_box_and_gcp_under_negative_curvature():
     assert np.all(np.abs(s) <= radii * (1 + 1e-14) + 1e-300)
     assert q <= 0.1 * cs.q_Q + 1e-12
     assert cs.q_Q <= 0.0
+
+
+def test_box_corner_of_diagonal_model_in_a_few_matvecs():
+    # B = c I with every coordinate's minimizer -g_i / c outside its bound:
+    # the box minimizer is the corner, reached by one projected search
+    rng = np.random.default_rng(11)
+    n, c = 1000, 2.5
+    g = rng.normal(size=n)
+    radii = np.abs(g) / (c * rng.uniform(1.5, 3.0, n))
+    model = CountingModel(BBDiagModel(scale=c))
+    cs = cauchy_step(g, model.model.matvec, radii, "box")
+    s, q = solve_subproblem(g, model, radii, "box", cs, tau=0.1,
+                            tol=1e-5 * np.linalg.norm(g))
+    assert np.array_equal(s, np.clip(-g / c, -radii, radii))
+    assert model.calls <= 8
+
+
+def test_box_subproblem_matches_bvls_on_diagonal_models():
+    optimize = pytest.importorskip("scipy.optimize")
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        b = rng.uniform(0.1, 10.0, n)
+        g = rng.normal(size=n)
+        radii = np.abs(g) / rng.uniform(0.05, 20.0, n)
+        model = matrix_model(np.diag(b))
+        cs = cauchy_step(g, model.matvec, radii, "box")
+        s, q = solve_subproblem(g, model, radii, "box", cs, tau=0.1,
+                                tol=1e-14 * np.linalg.norm(g))
+        ref = optimize.lsq_linear(np.diag(np.sqrt(b)), -g / np.sqrt(b),
+                                  bounds=(-radii, radii), method="bvls", tol=1e-15).x
+        q_ref = model_value(g, np.diag(b), ref)
+        assert abs(q - q_ref) <= 1e-12 * (1.0 + abs(q_ref)), seed
+
+
+@pytest.mark.parametrize("kind", ["spd", "lowrank", "indefinite"])
+def test_box_cg_step_is_inside_and_beats_cauchy(kind):
+    n = 40
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        if kind == "spd":
+            A = rng.normal(size=(n, n))
+            B = A @ A.T / n + 0.1 * np.eye(n)
+        elif kind == "lowrank":
+            U = rng.normal(size=(n, 3))
+            B = np.diag(rng.uniform(0.5, 2.0, n)) + U @ U.T
+        else:
+            Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            B = Q @ np.diag(rng.uniform(-3.0, 3.0, n)) @ Q.T
+        g = rng.normal(size=n)
+        radii = np.abs(g) / rng.uniform(0.2, 5.0, n)
+        model = matrix_model(B)
+        cs = cauchy_step(g, model.matvec, radii, "box")
+        # the CG step itself, before the Cauchy fallback could mask a miss
+        s = solver._cg_box(g, model.matvec, radii, 1e-10)
+        assert np.all(np.abs(s) <= radii), (kind, seed)
+        assert model_value(g, B, s) <= 0.1 * cs.q_Q, (kind, seed)
+
+
+def test_box_subproblem_matvec_budget_at_large_n(monkeypatch):
+    # four adagbfgs3 steps on broyden3d at n=1000 from a perturbed x0; one
+    # CG restart per bound hit took about 7900 matvecs here
+    p = make_problem("broyden3d", 1000)
+    p = dataclasses.replace(p, x0=p.x0 + 1e-3 * np.random.default_rng(0).standard_normal(p.n))
+    counted = []
+    original = solver.solve_subproblem
+
+    def counting(g, model, *args):
+        model = CountingModel(model)
+        out = original(g, model, *args)
+        counted.append(model.calls)
+        return out
+
+    monkeypatch.setattr(solver, "solve_subproblem", counting)
+    cfg = Astr1Config(scaling=rule_from_name("adagrad"), model="lbfgs3", max_iter=4)
+    tr = astr1_run(p, cfg)
+    assert tr.steps == len(counted) == 4
+    assert sum(counted) <= 1000
+
+
+def test_noisy_runs_own_their_stream():
+    p = make_problem("rosenbr", 4)
+    oracle = NoisyOracle(p, 0.15, seed=7)
+    cfg = Astr1Config(scaling=rule_from_name("adagrad"), eps=1e-3, max_iter=300)
+    for run in (lambda: astr1_run(oracle, cfg), lambda: sdba_run(oracle, eps=1e-3, max_iter=300)):
+        t1, t2 = run(), run()
+        assert np.array_equal(t1.normg, t2.normg)
+        assert np.array_equal(t1.x_final, t2.x_final)
+        assert np.array_equal(t1.step_norm, t2.step_norm)
+    assert oracle._position == 0
 
 
 def test_first_iterate_hand_value_on_quadratic():
