@@ -12,7 +12,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -135,7 +135,11 @@ def run_matrix(
     max_iter: int = 100_000,
     jobs: int = 1,
 ) -> list[RunRecord]:
-    """One record per (method, problem, noise, seed), order-independent."""
+    """One record per (method, problem, noise, seed), order-independent.
+
+    A noise-free run does not depend on its seed, so it runs once, for the
+    first seed, and its record is copied to the others.
+    """
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method '{m}'; known: {', '.join(sorted(METHODS))}")
@@ -147,13 +151,16 @@ def run_matrix(
         for m in methods
         for (name, n) in problems
         for noise in noise_levels
-        for seed in seeds
+        for seed in (seeds[:1] if noise == 0.0 else seeds)
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_spec, specs, chunksize=1))
+            ran = list(pool.map(_run_spec, specs, chunksize=1))
     else:
-        records = [_run_spec(sp) for sp in specs]
+        ran = [_run_spec(sp) for sp in specs]
+    records = []
+    for r in ran:
+        records += [replace(r, seed=s) for s in seeds] if r.noise == 0.0 else [r]
     records.sort(key=lambda r: (r.method, r.problem, r.n, r.noise, r.seed))
     return records
 

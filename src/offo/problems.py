@@ -35,7 +35,7 @@ class CapabilityError(RuntimeError):
 
 
 def _check_finite(value, what: str, name: str):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NonFiniteError(f"non-finite {what} evaluating problem '{name}'")
     return value
 

@@ -13,9 +13,13 @@ trust radii.  Three families are provided:
 
 ``aggregated`` rules accumulate the Euclidean norm of the whole gradient and
 give every coordinate the same weight (the "norm" variants).
+
+A :class:`ScalingState` is mutable: :func:`update` changes its accumulator in
+place and returns the same object, so a run allocates its state once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -88,49 +92,61 @@ class ScalingRule:
         return float(np.min(np.atleast_1d(np.asarray(self.sigma, dtype=float))))
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScalingState:
-    """Accumulator state; ``k`` is the index of the last absorbed gradient."""
+    """Accumulator state; ``k`` is the index of the last absorbed gradient.
+
+    ``sig`` is the rule's sigma vector at the accumulator's width, fixed by
+    :func:`new_state`.
+    """
 
     k: int
     acc: Array
     n: int
     theta: float
+    sig: Array
 
 
 def new_state(rule: ScalingRule, n: int) -> ScalingState:
     width = 1 if rule.aggregated else n
     theta = float(np.sqrt(n)) if rule.theta_auto else rule.theta
-    return ScalingState(k=-1, acc=np.zeros(width), n=n, theta=theta)
+    return ScalingState(k=-1, acc=np.zeros(width), n=n, theta=theta, sig=rule.sigma_vector(width))
 
 
 def update(state: ScalingState, rule: ScalingRule, g_k: Array) -> ScalingState:
-    """Absorb the current gradient (the accumulators include g_k itself)."""
+    """Absorb the current gradient in place (the accumulators include g_k itself).
+
+    Returns ``state``.  A non-finite or misshapen gradient raises before the
+    state changes.
+    """
     g_k = np.asarray(g_k, dtype=float)
-    if not np.all(np.isfinite(g_k)):
+    if not np.isfinite(g_k).all():
         raise FloatingPointError("non-finite gradient passed to scaling update")
     if g_k.shape != (state.n,):
         raise ValueError(f"gradient has shape {g_k.shape}, expected ({state.n},)")
     if rule.aggregated:
-        mag = np.array([np.linalg.norm(g_k)])
+        mag = np.array([math.sqrt(float(g_k @ g_k))])
     else:
         mag = np.abs(g_k)
+    acc = state.acc
     if rule.variant == "adagrad-like":
-        acc = state.acc + mag**2
+        acc += mag * mag
     elif rule.variant == "adam-like":
-        acc = rule.beta2 * state.acc + mag**2
+        acc *= rule.beta2
+        acc += mag * mag
     elif rule.variant == "diminishing-max":
-        acc = np.maximum(state.acc, mag)
+        np.maximum(acc, mag, out=acc)
     else:  # diminishing-avg
-        acc = state.acc + mag
-    return replace(state, k=state.k + 1, acc=acc)
+        acc += mag
+    state.k += 1
+    return state
 
 
 def weights(state: ScalingState, rule: ScalingRule) -> Array:
     """Current weight vector w_k (length n; identical entries when aggregated)."""
     if state.k < 0:
         raise ValueError("weights requested before any scaling update")
-    sig = rule.sigma_vector(state.acc.size)
+    sig = state.sig
     if rule.variant == "adagrad-like":
         w = state.theta * np.sqrt(rule.vartheta) * (sig + state.acc) ** rule.mu
     elif rule.variant == "adam-like":

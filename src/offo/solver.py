@@ -11,6 +11,8 @@ backtracking baseline (:func:`sdba_run`) and, purely for verification, when
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -148,15 +150,21 @@ class IterationTrace:
 
 
 class _TraceBuilder:
+    """Collects a run's trace; scalar columns grow as ``array("d")`` buffers.
+
+    A buffer stores 8 bytes per value and no float object, and becomes the
+    trace's numpy column without a copy.
+    """
+
     _STEP_COLS = (
         "w_min", "w_max", "delta_min", "delta_max", "gamma", "q_step",
         "q_cauchy", "norm_B", "sbound_resid", "gcp_resid", "step_norm",
     )
 
     def __init__(self, record_vectors: bool):
-        self.normg: list = []
-        self.f: list = []
-        self.cols = {c: [] for c in self._STEP_COLS}
+        self.normg = array("d")
+        self.f = array("d")
+        self.cols = {c: array("d") for c in self._STEP_COLS}
         self.record_vectors = record_vectors
         self.x_hist: Optional[list] = [] if record_vectors else None
         self.g_hist: Optional[list] = [] if record_vectors else None
@@ -174,8 +182,11 @@ class _TraceBuilder:
         for c in self._STEP_COLS:
             self.cols[c].append(kw.get(c, np.nan))
         if self.record_vectors:
-            self.w_hist.append(None if w is None else np.array(w, copy=True))
-            self.s_hist.append(None if s is None else np.array(s, copy=True))
+            self.add_vectors(w, s)
+
+    def add_vectors(self, w, s):
+        self.w_hist.append(None if w is None else np.array(w, copy=True))
+        self.s_hist.append(None if s is None else np.array(s, copy=True))
 
     def finish(self, status, eps, x_final, oracle) -> IterationTrace:
         return IterationTrace(
@@ -204,15 +215,22 @@ def trust_radius(g: Array, w: Array, geometry: str):
 
 
 def cauchy_step(g: Array, matvec, radii, geometry: str) -> CauchyStep:
-    """Scaled steepest-descent step and its model minimizer along that ray."""
+    """Scaled steepest-descent step and its model minimizer along that ray.
+
+    ``matvec=None`` stands for the zero model, whose step has the closed form
+    gamma = 1, s_Q = s_L and q_Q = g.s_L.
+    """
     if geometry == "box":
         s_L = -np.sign(g) * radii
     else:
         normg = np.linalg.norm(g)
         s_L = -(radii / normg) * g if normg > 0 else np.zeros_like(g)
+    gs = float(g @ s_L)
+    if matvec is None:
+        # gs plus the curvature term s_L.(0 s_L) = +0.0, as the matvec path adds it
+        return CauchyStep(s_L=s_L, gamma=1.0, s_Q=s_L, q_Q=gs + 0.0)
     Bs = matvec(s_L)
     curv = float(s_L @ Bs)
-    gs = float(g @ s_L)
     if curv > 0.0:
         gamma = min(1.0, abs(gs) / curv)
     else:
@@ -396,7 +414,7 @@ def solve_subproblem(g, model, radii, geometry, cauchy: CauchyStep, tau: float, 
     decrease contract unconditional.
     """
     if model.is_zero:
-        return cauchy.s_L.copy(), float(g @ cauchy.s_L)
+        return cauchy.s_L, float(g @ cauchy.s_L)
     if geometry == "box":
         s = _cg_box(g, model.matvec, radii, tol)
     else:
@@ -407,10 +425,10 @@ def solve_subproblem(g, model, radii, geometry, cauchy: CauchyStep, tau: float, 
     return s, q_s
 
 
-def _sbound_residual(s, radii, geometry):
+def _sbound_residual(s, radii, geometry, step_norm):
     if geometry == "box":
-        return float(np.max((np.abs(s) - radii) / (1.0 + radii)))
-    return float((np.linalg.norm(s) - radii) / (1.0 + radii))
+        return float(((np.abs(s) - radii) / (1.0 + radii)).max())
+    return (step_norm - radii) / (1.0 + radii)
 
 
 def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
@@ -420,9 +438,11 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
     x = np.array(base.x0, dtype=float)
     n = base.n
     rule = cfg.scaling
+    geometry = cfg.geometry
     state = new_state(rule, n)
     model = make_model(cfg.model, kappa_B=cfg.kappa_B)
     tr = _TraceBuilder(cfg.record_vectors)
+    cols = tr.cols
     prev_g = None
     prev_s = None
     status = "max_iter"
@@ -432,7 +452,7 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
         except NonFiniteError:
             status = "overflow"
             break
-        normg = float(np.linalg.norm(g))
+        normg = math.sqrt(float(g @ g))
         f_val = None
         if cfg.instrument_f:
             try:
@@ -452,30 +472,30 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
             except NonFiniteError:
                 status = "overflow"
                 break
-        state = update(state, rule, g)
+        update(state, rule, g)
         w = weights(state, rule)
-        radii = trust_radius(g, w, cfg.geometry)
-        cs = cauchy_step(g, model.matvec, radii, cfg.geometry)
+        radii = trust_radius(g, w, geometry)
+        cs = cauchy_step(g, None if model.is_zero else model.matvec, radii, geometry)
         tol = max(cfg.cg_abs, cfg.cg_rel * normg)
-        s, q_s = solve_subproblem(g, model, radii, cfg.geometry, cs, cfg.tau, tol)
-        if not np.all(np.isfinite(s)):
+        s, q_s = solve_subproblem(g, model, radii, geometry, cs, cfg.tau, tol)
+        if not np.isfinite(s).all():
             status = "overflow"
             break
-        tr.add_step(
-            w=w,
-            s=s,
-            w_min=float(w.min()),
-            w_max=float(w.max()),
-            delta_min=float(np.min(radii)),
-            delta_max=float(np.max(radii)),
-            gamma=cs.gamma,
-            q_step=q_s,
-            q_cauchy=cs.q_Q,
-            norm_B=model.norm_estimate(),
-            sbound_resid=_sbound_residual(s, radii, cfg.geometry),
-            gcp_resid=q_s - cfg.tau * cs.q_Q,
-            step_norm=float(np.linalg.norm(s)),
-        )
+        if tr.record_vectors:
+            tr.add_vectors(w, s)
+        step_norm = math.sqrt(float(s @ s))
+        # one append per column of _TraceBuilder._STEP_COLS; a ball radius is a float
+        cols["w_min"].append(w.min())
+        cols["w_max"].append(w.max())
+        cols["delta_min"].append(radii.min() if geometry == "box" else radii)
+        cols["delta_max"].append(radii.max() if geometry == "box" else radii)
+        cols["gamma"].append(cs.gamma)
+        cols["q_step"].append(q_s)
+        cols["q_cauchy"].append(cs.q_Q)
+        cols["norm_B"].append(model.norm_estimate())
+        cols["sbound_resid"].append(_sbound_residual(s, radii, geometry, step_norm))
+        cols["gcp_resid"].append(q_s - cfg.tau * cs.q_Q)
+        cols["step_norm"].append(step_norm)
         x = x + s
         prev_g, prev_s = g, s
     return tr.finish(status, cfg.eps, x, oracle)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from offo import bench
 from offo.bench import (
     METHODS,
     ProfileReport,
@@ -13,6 +14,7 @@ from offo.bench import (
     run_one,
     success_rate,
 )
+from offo.solver import astr1_run
 
 
 def rec(method, problem, iters, status="converged", seed=0, noise=0.0):
@@ -48,6 +50,26 @@ def test_matrix_determinism_and_parallel_equivalence():
     assert a == b
     c = run_matrix(*args, **kw, jobs=2)
     assert a == c
+
+
+def test_noise_free_run_is_computed_once_and_copied_per_seed(monkeypatch):
+    calls = []
+
+    def counted(problem, cfg):
+        calls.append(problem.name)
+        return astr1_run(problem, cfg)
+
+    monkeypatch.setattr(bench, "astr1_run", counted)
+    problems = [("cube", 2), ("tridia", 4)]
+    kw = dict(eps=1e-3, max_iter=300)
+    records = run_matrix(["adagrad"], problems, [0.0], range(5), **kw)
+    assert sorted(calls) == ["cube", "tridia"]
+    calls.clear()
+    expected = [run_one("adagrad", name, n, 0.0, seed, **kw)
+                for name, n in problems for seed in range(5)]
+    assert len(calls) == 10
+    assert records == expected
+    assert run_matrix(["adagrad"], problems, [0.0], range(5), **kw, jobs=2) == expected
 
 
 def test_noisy_runs_differ_by_seed_but_replay_identically():

@@ -167,6 +167,52 @@ def test_update_rejects_nonfinite_gradient():
         update(state, rule, np.array([np.nan, 0.0]))
 
 
+def _functional_acc(rule, acc, g):
+    """The accumulator recurrence written out of place, as a fresh array."""
+    mag = np.array([np.linalg.norm(g)]) if rule.aggregated else np.abs(g)
+    if rule.variant == "adagrad-like":
+        return acc + mag**2
+    if rule.variant == "adam-like":
+        return rule.beta2 * acc + mag**2
+    if rule.variant == "diminishing-max":
+        return np.maximum(acc, mag)
+    return acc + mag
+
+
+@pytest.mark.parametrize("rule", [
+    rule_from_name("adagrad"),
+    rule_from_name("adagnorm"),
+    rule_from_name("adam"),
+    rule_from_name("maxg"),
+    ScalingRule("diminishing-avg", mu=0.1, nu=0.1),
+], ids=["adagrad", "adagnorm", "adam", "maxg", "avg"])
+def test_update_in_place_matches_functional_recurrence_bitwise(rule):
+    rng = np.random.default_rng(3)
+    state = new_state(rule, 5)
+    acc = state.acc.copy()
+    for k in range(50):
+        g = rng.normal(size=5) * 10.0 ** rng.integers(-8, 8, size=5)
+        held = state.acc
+        assert update(state, rule, g) is state
+        assert state.acc is held
+        acc = _functional_acc(rule, acc, g)
+        assert state.acc.tobytes() == acc.tobytes()
+        assert state.k == k
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_gradient_leaves_state_unchanged(bad):
+    for name in ("adagrad", "adagnorm", "adam", "maxg"):
+        rule = rule_from_name(name)
+        state = new_state(rule, 2)
+        update(state, rule, np.array([1.0, -2.0]))
+        acc = state.acc.copy()
+        with pytest.raises(FloatingPointError):
+            update(state, rule, np.array([bad, 0.5]))
+        assert state.k == 0
+        assert state.acc.tobytes() == acc.tobytes()
+
+
 def test_weights_before_any_update_raise():
     rule = rule_from_name("adagrad")
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from offo import solver
 from offo.hessian import BBDiagModel, make_model
-from offo.problems import NoisyOracle, ProblemInstance, make_problem
+from offo.problems import NoisyOracle, ProblemInstance, base_problem, fresh_stream, make_problem
 from offo.scaling import ScalingRule, rule_from_name
 from offo.solver import (
     Astr1Config,
@@ -95,6 +95,37 @@ def test_subproblem_zero_model_returns_full_cauchy():
     s, q = solve_subproblem(g, model, radii, "box", cs, tau=0.1, tol=1e-10)
     assert np.array_equal(s, cs.s_L)
     assert q == pytest.approx(g @ cs.s_L)
+
+
+def _same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("geometry", ["box", "ball"])
+def test_zero_model_closed_form_cauchy_matches_matvec_path_bitwise(geometry):
+    rng = np.random.default_rng(11)
+    zero = make_model("none")
+    cases = [np.zeros(3), np.array([1e-300, -1e-300]), np.array([-0.0, 2.0])]
+    for _ in range(200):
+        n = int(rng.integers(1, 20))
+        g = rng.normal(size=n) * 10.0 ** rng.integers(-100, 100, size=n)
+        g[rng.random(n) < 0.2] = 0.0
+        cases.append(g)
+    for g in cases:
+        w = 10.0 ** rng.uniform(-3, 3, size=g.size)
+        if geometry == "ball":
+            w[:] = w[0]
+        radii = trust_radius(g, w, geometry)
+        closed = cauchy_step(g, None, radii, geometry)
+        product = cauchy_step(g, zero.matvec, radii, geometry)
+        assert closed.s_L.tobytes() == product.s_L.tobytes()
+        assert closed.s_Q.tobytes() == product.s_Q.tobytes()
+        assert _same_float(closed.gamma, product.gamma)
+        assert _same_float(closed.q_Q, product.q_Q)
+        s_a, q_a = solve_subproblem(g, zero, radii, geometry, closed, tau=0.1, tol=1e-10)
+        s_b, q_b = solve_subproblem(g, zero, radii, geometry, product, tau=0.1, tol=1e-10)
+        assert s_a.tobytes() == s_b.tobytes() == product.s_L.tobytes()
+        assert _same_float(q_a, q_b)
 
 
 def test_subproblem_interior_solution_1d():
@@ -365,3 +396,96 @@ def test_sdba_noise_hurts_more_than_adagrad():
         if sdba_run(noisy2, eps=1e-3, max_iter=20_000).status == "converged":
             wins["sdba"] += 1
     assert wins["adagrad"] >= wins["sdba"] + 3
+
+
+_STEP_COLUMNS = ("w_min", "w_max", "delta_min", "delta_max", "gamma", "q_step",
+                 "q_cauchy", "norm_B", "sbound_resid", "gcp_resid", "step_norm")
+
+
+def _reference_weights(rule, acc, k, n, theta):
+    sig = rule.sigma_vector(acc.size)
+    if rule.variant == "adagrad-like":
+        w = theta * np.sqrt(rule.vartheta) * (sig + acc) ** rule.mu
+    elif rule.variant == "adam-like":
+        w = theta * np.sqrt(sig + acc)
+    else:
+        v = acc if rule.variant == "diminishing-max" else acc / (k + 1)
+        w = theta * np.maximum(sig, v) * (k + 1) ** rule.nu
+    return np.full(n, w[0]) if rule.aggregated else w
+
+
+def reference_run(problem, cfg):
+    """The ASTR1 loop written plainly, as a yardstick for the optimized one.
+
+    Out-of-place scaling recurrence, the Cauchy step through the model's
+    matvec, ``np.linalg.norm`` and a copy of every step.
+    """
+    oracle = fresh_stream(problem)
+    x = np.array(base_problem(problem).x0, dtype=float)
+    n = x.size
+    rule = cfg.scaling
+    theta = float(np.sqrt(n)) if rule.theta_auto else rule.theta
+    acc, k = np.zeros(1 if rule.aggregated else n), -1
+    model = make_model(cfg.model, kappa_B=cfg.kappa_B)
+    normgs, cols = [], {c: [] for c in _STEP_COLUMNS}
+    prev_g = prev_s = None
+    status = "max_iter"
+    for _ in range(cfg.max_iter):
+        g = oracle.grad(x)
+        normg = float(np.linalg.norm(g))
+        normgs.append(normg)
+        if normg <= cfg.eps:
+            status = "converged"
+            break
+        if prev_g is not None:
+            model = model.update(prev_s, g - prev_g)
+        mag = np.array([np.linalg.norm(g)]) if rule.aggregated else np.abs(g)
+        if rule.variant == "adagrad-like":
+            acc = acc + mag**2
+        elif rule.variant == "adam-like":
+            acc = rule.beta2 * acc + mag**2
+        elif rule.variant == "diminishing-max":
+            acc = np.maximum(acc, mag)
+        else:
+            acc = acc + mag
+        k += 1
+        w = _reference_weights(rule, acc, k, n, theta)
+        radii = trust_radius(g, w, cfg.geometry)
+        cs = cauchy_step(g, model.matvec, radii, cfg.geometry)
+        tol = max(cfg.cg_abs, cfg.cg_rel * normg)
+        s, q_s = solve_subproblem(g, model, radii, cfg.geometry, cs, cfg.tau, tol)
+        s = s.copy()
+        if cfg.geometry == "box":
+            sbound = float(np.max((np.abs(s) - radii) / (1.0 + radii)))
+        else:
+            sbound = float((np.linalg.norm(s) - radii) / (1.0 + radii))
+        row = (float(w.min()), float(w.max()), float(np.min(radii)), float(np.max(radii)),
+               cs.gamma, q_s, cs.q_Q, model.norm_estimate(), sbound,
+               q_s - cfg.tau * cs.q_Q, float(np.linalg.norm(s)))
+        for c, v in zip(_STEP_COLUMNS, row):
+            cols[c].append(v)
+        x = x + s
+        prev_g, prev_s = g, s
+    return status, normgs, cols, x
+
+
+@pytest.mark.parametrize("model", ["none", "bb"])
+@pytest.mark.parametrize("rule_name,geometry", [
+    ("adagrad", "box"), ("adagnorm", "box"), ("adagnorm", "ball"), ("adam", "box"), ("maxg", "box"),
+])
+def test_loop_matches_reference_loop_bitwise(rule_name, geometry, model):
+    for name, n in (("rosenbr", 10), ("woods", 12), ("beale", 2)):
+        noisy = NoisyOracle(make_problem(name, n), 0.15, seed=0)
+        cfg = Astr1Config(scaling=rule_from_name(rule_name), model=model, geometry=geometry,
+                          eps=1e-4, max_iter=300)
+        tr = astr1_run(noisy, cfg)
+        status, normgs, cols, x = reference_run(noisy, cfg)
+        tag = (name, rule_name, geometry, model)
+        assert tr.status == status, tag
+        assert tr.g_evals == len(normgs), tag
+        assert tr.normg.tobytes() == np.asarray(normgs, dtype=float).tobytes(), tag
+        assert tr.f.tobytes() == np.full(len(normgs), np.nan).tobytes(), tag
+        for c in _STEP_COLUMNS:
+            assert getattr(tr, c).tobytes() == np.asarray(cols[c], dtype=float).tobytes(), tag + (c,)
+        assert tr.x_final.tobytes() == x.tobytes(), tag
+        assert _same_float(tr.final_normg, normgs[-1]), tag
