@@ -4,10 +4,13 @@ Every catalog entry builds a :class:`ProblemInstance`: objective, gradient,
 optional Hessian, the standard starting point and a certified lower bound.
 :class:`NoisyOracle` wraps any instance with multiplicative Gaussian noise
 applied independently to each evaluated scalar; noise draws are a pure
-function of ``(seed, stream position)`` so replays are deterministic.
+function of ``(seed, stream position)`` so replays are deterministic. They are
+exactly the draws of ``np.random.default_rng([seed, position])``, whose seed
+words are hashed for a whole block of 1024 positions at once.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -84,12 +87,17 @@ class ProblemInstance:
             g = np.asarray(self.grad_fn(x), dtype=float)
         return _check_finite(g, "gradient", self.name)
 
-    def hess(self, x: Array) -> Array:
+    def _required_hess_fn(self) -> Callable[[Array], Array]:
+        """The analytic Hessian; CapabilityError when the problem has none."""
         if self.hess_fn is None:
             raise CapabilityError(f"problem '{self.name}' has no analytic Hessian")
+        return self.hess_fn
+
+    def hess(self, x: Array) -> Array:
+        hess_fn = self._required_hess_fn()
         x = np.asarray(x, dtype=float)
         with np.errstate(all="ignore"):
-            h = np.asarray(self.hess_fn(x), dtype=float)
+            h = np.asarray(hess_fn(x), dtype=float)
         return _check_finite(h, "Hessian", self.name)
 
     def to_json(self) -> str:
@@ -126,17 +134,107 @@ def _sampled_lipschitz(problem: ProblemInstance, pairs: int = 30, seed: int = 0)
 # ---------------------------------------------------------------------------
 
 
+# numpy's SeedSequence: 32-bit hash constants, a pool of 4 words
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+#: stream positions sharing one seed hash (a power of two, so a block never
+#: straddles a 2**32 boundary and the position's high words are constant)
+_BLOCK = 1024
+
+
+def _uint32_words(v: int) -> list:
+    """v as little-endian 32-bit words, as SeedSequence splits an int (0 is [0])."""
+    words = [v & _M32]
+    v >>= 32
+    while v:
+        words.append(v & _M32)
+        v >>= 32
+    return words
+
+
+def _seed_block(seed: int, block: int) -> Array:
+    """Row r is ``SeedSequence([seed, block*_BLOCK + r]).generate_state(4, np.uint64)``.
+
+    numpy's hash uses only wrapping uint32 arithmetic whose constants do not
+    depend on the data, so it runs once over the block's position words as
+    vectors: the low words vary and every other entropy word is a scalar.
+    """
+    if seed < 0 or block < 0:
+        raise ValueError("seed and stream position must be non-negative")
+    base = block * _BLOCK
+    pos_words = _uint32_words(base)
+    entropy = [np.full(_BLOCK, w, np.uint32) for w in _uint32_words(seed)]
+    entropy.append((base & _M32) + np.arange(_BLOCK, dtype=np.uint32))
+    entropy += [np.full(_BLOCK, w, np.uint32) for w in pos_words[1:]]
+    entropy += [np.zeros(_BLOCK, np.uint32)] * (_POOL - len(entropy))
+    hash_const = _INIT_A
+
+    def hashmix(v):
+        nonlocal hash_const
+        v = v ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _M32
+        v = v * np.uint32(hash_const)
+        return v ^ (v >> np.uint32(16))
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(e) for e in entropy[:_POOL]]
+    for i_src in range(_POOL):
+        for i_dst in range(_POOL):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for e in entropy[_POOL:]:
+        for i_dst in range(_POOL):
+            pool[i_dst] = mix(pool[i_dst], hashmix(e))
+    state = np.empty((_BLOCK, 2 * _POOL), dtype="<u4")
+    hash_const = _INIT_B
+    for i in range(2 * _POOL):
+        v = pool[i % _POOL] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _M32
+        v = v * np.uint32(hash_const)
+        state[:, i] = v ^ (v >> np.uint32(16))
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _words_seed_type():
+    """The seed-sequence type serving one position's cached words to PCG64.
+
+    Built on the first noisy draw: importing ``numpy.random`` is kept out of
+    ``import offo``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class WordsSeed(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != _POOL or dtype is not np.uint64:
+                raise ValueError("only PCG64's four uint64 seed words are cached")
+            return self.words
+
+    return WordsSeed
+
+
 def apply_noise(oracle: "NoisyOracle", value, stream_position: int):
     """Contaminate each scalar with relative Gaussian noise.
 
     Every scalar v becomes ``v * (1 + level * z)`` with z ~ N(0, 1) drawn
-    deterministically from ``(seed, stream_position)``.  Level 0 returns the
-    input unchanged (bit-identical).
+    deterministically from ``(seed, stream_position)``: z is exactly
+    ``np.random.default_rng([seed, stream_position]).standard_normal(shape)``,
+    with the generator's seed words taken from a block-hashed cache.  Level 0
+    returns the input unchanged (bit-identical).
     """
     if oracle.level == 0.0:
         return value
-    rng = np.random.default_rng([oracle.seed, stream_position])
-    z = rng.standard_normal(np.shape(value))
+    seed = _words_seed_type()(oracle._seed_words(stream_position))
+    z = np.random.Generator(np.random.PCG64(seed)).standard_normal(np.shape(value))
     noisy = value * (1.0 + oracle.level * z)
     if np.ndim(value) == 0:
         return float(noisy)
@@ -145,12 +243,18 @@ def apply_noise(oracle: "NoisyOracle", value, stream_position: int):
 
 @dataclass
 class NoisyOracle:
-    """Evaluation oracle contaminating f, g and H with relative noise."""
+    """Evaluation oracle contaminating f, g and H with relative noise.
+
+    Each evaluation runs the inner problem's raw function and the noise under
+    one ``np.errstate`` and checks the noisy result for finiteness once.
+    """
 
     inner: ProblemInstance
     level: float
     seed: int = 0
     _position: int = field(default=0, repr=False)
+    #: ``((seed, block), words)`` of the block last drawn from; a copy starts empty
+    _block: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.level < 1.0:
@@ -158,25 +262,40 @@ class NoisyOracle:
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
-    def _next_position(self) -> int:
-        pos = self._position
+    def _seed_words(self, position: int) -> Array:
+        """The four PCG64 seed words of ``default_rng([seed, position])``."""
+        block, row = divmod(position, _BLOCK)
+        key = (self.seed, block)
+        if self._block[0] != key:
+            self._block = (key, _seed_block(self.seed, block))
+        return self._block[1][row]
+
+    def _noisy(self, raw, what: str):
+        out = apply_noise(self, raw, self._position)
+        if not np.isfinite(out).all():
+            # only a finite raw evaluation uses up its draw, as it always has, so
+            # a caller that catches the error (sdba's backtracking) keeps its stream
+            if np.isfinite(raw).all():
+                self._position += 1
+            raise NonFiniteError(f"non-finite {what} evaluating problem '{self.inner.name}'")
         self._position += 1
-        return pos
+        return out
 
     def value(self, x: Array) -> float:
-        v = self.inner.value(x)
-        out = apply_noise(self, v, self._next_position())
-        return _check_finite(out, "noisy value", self.inner.name)
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            return self._noisy(float(self.inner.fn(x)), "noisy value")
 
     def grad(self, x: Array) -> Array:
-        g = self.inner.grad(x)
-        out = apply_noise(self, g, self._next_position())
-        return _check_finite(out, "noisy gradient", self.inner.name)
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            return self._noisy(np.asarray(self.inner.grad_fn(x), dtype=float), "noisy gradient")
 
     def hess(self, x: Array) -> Array:
-        h = self.inner.hess(x)
-        out = apply_noise(self, h, self._next_position())
-        return _check_finite(out, "noisy Hessian", self.inner.name)
+        hess_fn = self.inner._required_hess_fn()
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            return self._noisy(np.asarray(hess_fn(x), dtype=float), "noisy Hessian")
 
 
 def base_problem(target) -> ProblemInstance:

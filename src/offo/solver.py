@@ -464,7 +464,7 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
         if normg <= cfg.eps:
             status = "converged"
             break
-        if prev_g is not None:
+        if prev_g is not None and not model.is_zero:
             model = model.update(prev_s, g - prev_g)
         if model.needs_hessian:
             try:

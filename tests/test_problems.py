@@ -1,8 +1,13 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from offo import problems
 from offo.problems import (
     CapabilityError,
     CatalogError,
@@ -239,3 +244,88 @@ def test_noise_level_validation():
         NoisyOracle(p, 1.0)
     with pytest.raises(ValueError):
         NoisyOracle(p, 0.1, seed=-1)
+
+
+def reference_noise(seed, level, value, pos):
+    """The noise formula written out: one ``default_rng([seed, pos])`` per draw."""
+    return value * (1.0 + level * np.random.default_rng([seed, pos]).standard_normal(np.shape(value)))
+
+
+SEEDS = (0, 1, 9, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 1)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_block_hash_equals_seed_sequence(seed):
+    rng = np.random.default_rng(2024)
+    positions = list(range(2101)) + list(range(2**32 - 2, 2**32 + 3))
+    positions += [int(p) for p in rng.integers(0, 2**40, size=50)]
+    for pos in positions:
+        block, row = divmod(pos, problems._BLOCK)
+        ref = np.random.SeedSequence([seed, pos]).generate_state(4, np.uint64)
+        got = problems._seed_block(seed, block)[row]
+        assert got.dtype == np.uint64 and got.tobytes() == ref.tobytes(), (seed, pos)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (4, 4)])
+def test_apply_noise_bitwise_equals_default_rng_formula(shape):
+    base = 1.0 + np.arange(int(np.prod(shape)), dtype=float).reshape(shape)
+    value = float(base) if shape == () else base
+    positions = [1030, 5, 1023, 1024, 5, 2047, 2048, 0, 1024, 1023, 2**32 - 1, 2**32, 3]
+    for seed in (0, 7, 2**33 + 1):
+        oracle = NoisyOracle(make_problem("cube", 2), 0.15, seed=seed)
+        for pos in positions:
+            got = apply_noise(oracle, value, pos)
+            ref = reference_noise(seed, 0.15, value, pos)
+            if shape == ():
+                assert isinstance(got, float)
+                ref = float(ref)
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (seed, pos)
+
+
+def test_noisy_oracle_stream_across_two_to_the_32_matches_reference():
+    p = make_problem("rosenbr", 4)
+    x = p.x0 + 0.1
+    for seed in (0, 5):
+        oracle = NoisyOracle(p, 0.15, seed=seed, _position=2**32 - 1)
+        pos = 2**32 - 1
+        for _ in range(3):
+            for method in ("value", "grad", "hess"):
+                got = getattr(oracle, method)(x)
+                ref = reference_noise(seed, 0.15, getattr(p, method)(x), pos)
+                if method == "value":
+                    ref = float(ref)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (seed, pos, method)
+                pos += 1
+        assert oracle._position == pos
+
+
+def test_nonfinite_noisy_evaluation_keeps_the_stream_of_a_nonfinite_raw_value():
+    p = make_problem("box3", 3)
+    bad = np.array([-800.0, 1.0, 1.0])  # exp(-t x1) overflows
+    oracle = NoisyOracle(p, 0.15, seed=3)
+    with pytest.raises(NonFiniteError):
+        oracle.value(bad)
+    with pytest.raises(NonFiniteError):
+        oracle.grad(bad)
+    assert oracle._position == 0
+    # a finite value that the noise pushes past the largest float uses up its draw
+    huge = dataclasses.replace(p, fn=lambda x: 1.7e308)
+    pos = next(k for k in range(100) if np.random.default_rng([3, k]).standard_normal() > 1.0)
+    oracle = NoisyOracle(huge, 0.5, seed=3, _position=pos)
+    with pytest.raises(NonFiniteError):
+        oracle.value(p.x0)
+    assert oracle._position == pos + 1
+
+
+def test_noisy_hessian_without_analytic_hessian_keeps_the_stream():
+    oracle = NoisyOracle(make_problem("nlminsurf"), 0.15, seed=1)
+    with pytest.raises(CapabilityError):
+        oracle.hess(oracle.inner.x0)
+    assert oracle._position == 0
+
+
+def test_import_offo_leaves_numpy_random_unloaded():
+    src = os.path.dirname(os.path.dirname(problems.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, offo; assert 'numpy.random' not in sys.modules, 'numpy.random loaded'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from offo import solver
+from offo import problems, solver
 from offo.hessian import BBDiagModel, make_model
 from offo.problems import NoisyOracle, ProblemInstance, base_problem, fresh_stream, make_problem
 from offo.scaling import ScalingRule, rule_from_name
@@ -489,3 +489,43 @@ def test_loop_matches_reference_loop_bitwise(rule_name, geometry, model):
             assert getattr(tr, c).tobytes() == np.asarray(cols[c], dtype=float).tobytes(), tag + (c,)
         assert tr.x_final.tobytes() == x.tobytes(), tag
         assert _same_float(tr.final_normg, normgs[-1]), tag
+
+
+def _reference_apply_noise(oracle, value, stream_position):
+    if oracle.level == 0.0:
+        return value
+    z = np.random.default_rng([oracle.seed, stream_position]).standard_normal(np.shape(value))
+    noisy = value * (1.0 + oracle.level * z)
+    return float(noisy) if np.ndim(value) == 0 else noisy
+
+
+def _trace_fields(tr):
+    out = {}
+    for f in dataclasses.fields(tr):
+        v = getattr(tr, f.name)
+        if isinstance(v, np.ndarray):
+            v = v.tobytes()
+        elif isinstance(v, float):
+            v = np.float64(v).tobytes()
+        out[f.name] = v
+    return out
+
+
+def test_block_seeded_noise_gives_the_reference_traces(monkeypatch):
+    methods = {
+        "adagrad": lambda t: astr1_run(t, Astr1Config(scaling=rule_from_name("adagrad"), eps=1e-3,
+                                                      max_iter=1500)),
+        "adagnorm": lambda t: astr1_run(t, Astr1Config(scaling=rule_from_name("adagnorm"), eps=1e-3,
+                                                       max_iter=1500)),
+        "sdba": lambda t: sdba_run(t, eps=1e-3, max_iter=1500),
+    }
+    runs = [(m, name, n, seed) for m in methods for name, n in (("rosenbr", 10), ("woods", 12), ("beale", 2))
+            for seed in (0, 1)]
+    fast = {r: methods[r[0]](NoisyOracle(make_problem(r[1], r[2]), 0.15, seed=r[3])) for r in runs}
+    monkeypatch.setattr(problems, "apply_noise", _reference_apply_noise)
+    longest = 0
+    for r in runs:
+        ref = methods[r[0]](NoisyOracle(make_problem(r[1], r[2]), 0.15, seed=r[3]))
+        assert _trace_fields(fast[r]) == _trace_fields(ref), r
+        longest = max(longest, ref.f_evals + ref.g_evals)
+    assert longest > 1024  # one stream crosses a block boundary
