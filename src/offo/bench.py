@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
@@ -18,12 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .problems import CapabilityError, NoisyOracle, make_problem
-from .scaling import rule_from_name
-from .solver import Astr1Config, astr1_run, sdba_run
+from .scaling import RULES
+from .solver import Astr1Config, IterationTrace, astr1_run, sdba_run
 
-
-#: problems whose Lipschitz constant is known exactly (quadratics)
-EXACT_L_PROBLEMS = (("tridia", 10), ("hilbert", 10), ("arglina", 10), ("arglinb", 10))
 
 PROFILE_T_MAX = 50.0
 
@@ -41,11 +39,10 @@ class MethodSpec:
 
 
 def _table_methods() -> dict:
-    out = {}
-    for rule_name in ("adagrad", "adagnorm", "adam", "adamnorm", "maxg", "maxgnorm",
-                      "adagrads", "adams", "maxgs"):
-        geometry = "ball" if "norm" in rule_name else "box"
-        out[rule_name] = MethodSpec(rule_name, rule_name, "none", geometry)
+    out = {
+        name: MethodSpec(name, name, "none", "ball" if rule.aggregated else "box")
+        for name, rule in RULES.items()
+    }
     for suffix, model in (("bb", "bb"), ("bfgs3", "lbfgs3"), ("H", "exact")):
         out[f"adag{suffix}"] = MethodSpec(f"adag{suffix}", "adagrad", model, "box")
         out[f"adag{suffix}s"] = MethodSpec(f"adag{suffix}s", "adagrads", model, "box")
@@ -76,6 +73,23 @@ class RunRecord:
         return self.status == "converged"
 
 
+def solve(method: str, target, eps: float, max_iter: int, geometry: Optional[str] = None,
+          instrument_f: bool = False) -> IterationTrace:
+    """Run the named method on a problem or noisy oracle and return its trace.
+
+    ``geometry`` overrides the method's own trust-region shape.  A problem
+    lacking what the method needs (an analytic Hessian for the ``adagH``
+    family) raises :class:`CapabilityError`.
+    """
+    spec = METHODS[method]
+    if spec.is_sdba:
+        return sdba_run(target, eps=eps, max_iter=max_iter)
+    cfg = Astr1Config(scaling=RULES[spec.scaling], model=spec.model,
+                      geometry=geometry or spec.geometry, eps=eps, max_iter=max_iter,
+                      instrument_f=instrument_f)
+    return astr1_run(target, cfg)
+
+
 def run_one(
     method: str,
     problem_name: str,
@@ -90,31 +104,19 @@ def run_one(
     A problem lacking what the method needs (an analytic Hessian for the
     ``adagH`` family) gives status ``unsupported`` and zero counts.
     """
-    spec = METHODS[method]
     problem = make_problem(problem_name, n)
     target = problem if noise == 0.0 else NoisyOracle(problem, noise, seed)
     record = dict(method=method, problem=problem.name, n=problem.n, noise=noise, seed=seed, eps=eps)
-    if spec.is_sdba:
-        trace = sdba_run(target, eps=eps, max_iter=max_iter)
-        effort = trace.g_evals + trace.f_evals
-    else:
-        cfg = Astr1Config(
-            scaling=rule_from_name(spec.scaling),
-            model=spec.model,
-            geometry=spec.geometry,
-            eps=eps,
-            max_iter=max_iter,
-        )
-        try:
-            trace = astr1_run(target, cfg)
-        except CapabilityError:
-            return RunRecord(**record, status="unsupported", iterations=0, final_normg=np.nan,
-                             f_evals=0, g_evals=0, h_evals=0)
-        effort = trace.g_evals
+    try:
+        trace = solve(method, target, eps, max_iter)
+    except CapabilityError:
+        return RunRecord(**record, status="unsupported", iterations=0, final_normg=np.nan,
+                         f_evals=0, g_evals=0, h_evals=0)
     return RunRecord(
         **record,
         status=trace.status,
-        iterations=effort,
+        # objective-free runs make no objective calls: their effort is g_evals
+        iterations=trace.g_evals + trace.f_evals,
         final_normg=float(trace.final_normg),
         f_evals=trace.f_evals,
         g_evals=trace.g_evals,
@@ -237,14 +239,8 @@ def perf_profile(records: Sequence[RunRecord], t_max: float = PROFILE_T_MAX) -> 
                 if np.isfinite(best[row]) and best[row] > 0:
                     ratios.append(e / best[row])
         ratios = sorted(t for t in ratios if t <= t_max)
-        ts = [1.0]
-        vals = [sum(1 for t in ratios if t <= 1.0) / n_rows]
-        for t in ratios:
-            if t <= 1.0:
-                continue
-            count = sum(1 for q in ratios if q <= t) / n_rows
-            ts.append(t)
-            vals.append(count)
+        ts = [1.0] + ratios[bisect_right(ratios, 1.0):]
+        vals = [bisect_right(ratios, t) / n_rows for t in ts]
         curves[m] = (ts, vals)
         pis[m] = _step_area(ts, vals, t_max) / t_max
         rhos_pct[m] = 100.0 * solved / n_rows

@@ -10,9 +10,7 @@ import click
 from . import bench as bench_mod
 from . import sharpness as sharp_mod
 from . import theory as theory_mod
-from .problems import NoisyOracle, default_suite, make_problem
-from .scaling import rule_from_name
-from .solver import Astr1Config, astr1_run, sdba_run
+from .problems import CapabilityError, NoisyOracle, default_suite, make_problem
 
 
 @click.group()
@@ -39,28 +37,18 @@ def run_cmd(problem_name, n, method, geometry, eps, max_iter, noise, seed,
     """Run one method on one problem and print the outcome."""
     if method not in bench_mod.METHODS:
         raise click.BadParameter(f"unknown method '{method}'")
-    spec = bench_mod.METHODS[method]
     problem = make_problem(problem_name, n)
     target = problem if noise == 0.0 else NoisyOracle(problem, noise, seed)
-    if spec.is_sdba:
-        trace = sdba_run(target, eps=eps, max_iter=max_iter)
-    else:
-        cfg = Astr1Config(
-            scaling=rule_from_name(spec.scaling),
-            model=spec.model,
-            geometry=geometry or spec.geometry,
-            eps=eps,
-            max_iter=max_iter,
-            instrument_f=instrument_f,
-        )
-        trace = astr1_run(target, cfg)
+    head = f"{method} on {problem.name}(n={problem.n}):"
+    try:
+        trace = bench_mod.solve(method, target, eps, max_iter, geometry, instrument_f)
+    except CapabilityError as exc:
+        click.echo(f"{head} status=unsupported ({exc})")
+        sys.exit(1)
     if trace_path:
         trace.to_csv(trace_path)
-    click.echo(
-        f"{method} on {problem.name}(n={problem.n}): status={trace.status} "
-        f"iterations={trace.iterations} final_normg={trace.final_normg:.6g} "
-        f"f_evals={trace.f_evals}"
-    )
+    click.echo(f"{head} status={trace.status} iterations={trace.iterations} "
+               f"final_normg={trace.final_normg:.6g} f_evals={trace.f_evals}")
     if trace.status not in ("converged",):
         sys.exit(1)
 

@@ -545,7 +545,6 @@ def _hilbert(n):
 
 
 def _linear_least_squares(name, n, J, rhs):
-    m = J.shape[0]
     A = 2.0 * J.T @ J
     b = -2.0 * J.T @ rhs
     c = float(rhs @ rhs)

@@ -14,6 +14,9 @@ trust radii.  Three families are provided:
 ``aggregated`` rules accumulate the Euclidean norm of the whole gradient and
 give every coordinate the same weight (the "norm" variants).
 
+:data:`RULES` maps each named rule (adagrad, adagnorm, maxg, adams, ...) to
+its :class:`ScalingRule`; it is the package's only list of them.
+
 A :class:`ScalingState` is mutable: :func:`update` changes its accumulator in
 place and returns the same object, so a run allocates its state once.
 """
@@ -28,20 +31,6 @@ import numpy as np
 Array = np.ndarray
 
 VARIANTS = ("adagrad-like", "adam-like", "diminishing-max", "diminishing-avg")
-
-#: named rules selectable from the command line; the trailing "s" picks
-#: theta = sqrt(n)
-NAMED_RULES = (
-    "adagrad",
-    "adagnorm",
-    "adam",
-    "adamnorm",
-    "maxg",
-    "maxgnorm",
-    "adagrads",
-    "adams",
-    "maxgs",
-)
 
 
 @dataclass(frozen=True)
@@ -73,9 +62,9 @@ class ScalingRule:
         if self.variant.startswith("diminishing") and not 0.0 < self.nu <= self.mu:
             raise ValueError("diminishing rules need 0 < nu <= mu")
 
-    @property
-    def diminishing(self) -> bool:
-        return self.variant.startswith("diminishing")
+    def theta_at(self, n: int) -> float:
+        """The weight factor theta at dimension n (sqrt(n) for ``theta_auto`` rules)."""
+        return float(np.sqrt(n)) if self.theta_auto else self.theta
 
     def sigma_vector(self, width: int) -> Array:
         sig = np.atleast_1d(np.asarray(self.sigma, dtype=float))
@@ -109,8 +98,8 @@ class ScalingState:
 
 def new_state(rule: ScalingRule, n: int) -> ScalingState:
     width = 1 if rule.aggregated else n
-    theta = float(np.sqrt(n)) if rule.theta_auto else rule.theta
-    return ScalingState(k=-1, acc=np.zeros(width), n=n, theta=theta, sig=rule.sigma_vector(width))
+    return ScalingState(k=-1, acc=np.zeros(width), n=n, theta=rule.theta_at(n),
+                        sig=rule.sigma_vector(width))
 
 
 def update(state: ScalingState, rule: ScalingRule, g_k: Array) -> ScalingState:
@@ -161,7 +150,7 @@ def weights(state: ScalingState, rule: ScalingRule) -> Array:
 
 def as4_floor(rule: ScalingRule, n: int = 1) -> float:
     """Analytic positive lower bound on every weight the rule can produce."""
-    theta = float(np.sqrt(n)) if rule.theta_auto else rule.theta
+    theta = rule.theta_at(n)
     smin = rule.sigma_min
     if rule.variant == "adagrad-like":
         return theta * np.sqrt(rule.vartheta) * smin**rule.mu
@@ -175,25 +164,26 @@ def aggregated_twin(rule: ScalingRule) -> ScalingRule:
     return replace(rule, aggregated=True)
 
 
+_BASE_RULES = {
+    "adagrad": ScalingRule("adagrad-like"),
+    "adagnorm": ScalingRule("adagrad-like", aggregated=True),
+    "adam": ScalingRule("adam-like"),
+    "adamnorm": ScalingRule("adam-like", aggregated=True),
+    "maxg": ScalingRule("diminishing-max", mu=0.1, nu=0.1),
+    "maxgnorm": ScalingRule("diminishing-max", mu=0.1, nu=0.1, aggregated=True),
+}
+
+#: the named rules selectable from the command line; a trailing "s" picks
+#: theta = sqrt(n)
+RULES = {
+    **_BASE_RULES,
+    **{f"{b}s": replace(_BASE_RULES[b], theta_auto=True) for b in ("adagrad", "adam", "maxg")},
+}
+
+
 def rule_from_name(name: str) -> ScalingRule:
-    """Build one of the named rules (adagrad, adagnorm, maxg, adams, ...)."""
-    base = name
-    auto = False
-    if name.endswith("s") and name not in ("adagrads", "adams", "maxgs"):
-        raise ValueError(f"unknown scaling rule '{name}'")
-    if name in ("adagrads", "adams", "maxgs"):
-        base = name[:-1]
-        auto = True
-    if base == "adagrad":
-        return ScalingRule("adagrad-like", theta_auto=auto)
-    if base == "adagnorm":
-        return ScalingRule("adagrad-like", aggregated=True, theta_auto=auto)
-    if base == "adam":
-        return ScalingRule("adam-like", theta_auto=auto)
-    if base == "adamnorm":
-        return ScalingRule("adam-like", aggregated=True, theta_auto=auto)
-    if base == "maxg":
-        return ScalingRule("diminishing-max", mu=0.1, nu=0.1, theta_auto=auto)
-    if base == "maxgnorm":
-        return ScalingRule("diminishing-max", mu=0.1, nu=0.1, aggregated=True, theta_auto=auto)
-    raise ValueError(f"unknown scaling rule '{name}'; known: {', '.join(NAMED_RULES)}")
+    """The rule of that name in :data:`RULES`."""
+    try:
+        return RULES[name]
+    except KeyError:
+        raise ValueError(f"unknown scaling rule '{name}'; known: {', '.join(RULES)}") from None

@@ -144,9 +144,6 @@ class HermiteInterpolant:
     c2: Array
     c3: Array
 
-    def _locate(self, t: float) -> int:
-        return int(np.searchsorted(self.xs, t, side="right")) - 1
-
     def evaluate(self, t: float):
         """Value, slope and curvature at t, as (f, g, H)."""
         xs, fs, gs = self.xs, self.fs, self.gs
@@ -160,7 +157,7 @@ class HermiteInterpolant:
             h = xs[K] - xs[K - 1]
             c_end = self.c2[K - 1] + 3.0 * self.c3[K - 1] * h
             return self._quad(fs[K], gs[K], c_end, d)
-        i = self._locate(t)
+        i = int(np.searchsorted(xs, t, side="right")) - 1
         d = t - xs[i]
         f = fs[i] + d * (gs[i] + d * (self.c2[i] + d * self.c3[i]))
         g = gs[i] + d * (2.0 * self.c2[i] + 3.0 * self.c3[i] * d)

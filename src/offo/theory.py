@@ -12,11 +12,14 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import CapabilityError, ProblemInstance
-from .scaling import ScalingRule, as4_floor
-from .solver import IterationTrace
+from .problems import CapabilityError, ProblemInstance, make_problem
+from .scaling import ScalingRule, as4_floor, rule_from_name
+from .solver import Astr1Config, IterationTrace, astr1_run
 
 Array = np.ndarray
+
+#: problems whose Lipschitz constant is known exactly (quadratics)
+EXACT_L_PROBLEMS = (("tridia", 10), ("hilbert", 10), ("arglina", 10), ("arglinb", 10))
 
 
 @dataclass(frozen=True)
@@ -65,14 +68,13 @@ def params_for_run(
         finite = trace.norm_B[np.isfinite(trace.norm_B)]
         if finite.size:
             kappa_B = max(1.0, float(finite.max()))
-    theta = float(np.sqrt(problem.n)) if rule.theta_auto else rule.theta
     return TheoryParams(
         L=problem.lipschitz_hint,
         gamma0=problem.value(problem.x0) - problem.f_low,
         n=problem.n,
         tau=tau,
         kappa_B=kappa_B,
-        theta=theta,
+        theta=rule.theta_at(problem.n),
         vartheta=rule.vartheta,
         sigma=rule.sigma_min,
     )
@@ -128,37 +130,13 @@ _INV_E = np.exp(-1.0)
 def lambert_w_m1(x: float) -> float:
     """Solve w * exp(w) = x for the branch w <= -1, x in [-1/e, 0).
 
-    Seeded with the asymptotic guess log(-x) - log(-log(-x)) (branch-point
-    series when x is within 1e-6 of -1/e) and polished with Halley steps to a
-    relative residual of 1e-13.
+    Evaluated as ``lambert_w_m1_at_exp(-log(-x) - 1)``: working with log(-x)
+    keeps it accurate down to subnormal x.
     """
     x = float(x)
     if not -_INV_E - 4e-16 <= x < 0.0:
         raise ValueError("lambert_w_m1 requires x in [-1/e, 0)")
-    p2 = 2.0 * (1.0 + np.e * x)
-    if p2 <= 0.0:
-        return -1.0
-    if p2 < 2e-6:
-        sq = np.sqrt(p2)
-        w = -1.0 - sq - sq * sq / 3.0 - 11.0 * sq**3 / 72.0
-    else:
-        lx = np.log(-x)
-        w = lx - np.log(-lx)
-    target = 1e-13 * abs(x)
-    for _ in range(100):
-        ew = np.exp(w)
-        resid = w * ew - x
-        if abs(resid) <= target:
-            break
-        d1 = ew * (1.0 + w)
-        step = resid / (d1 - resid * (2.0 + w) / (2.0 * (1.0 + w)))
-        w_new = w - step
-        if w_new >= -1.0:
-            w_new = 0.5 * (w - 1.0)
-        if w_new == w:
-            break
-        w = w_new
-    return float(w)
+    return lambert_w_m1_at_exp(max(-np.log(-x) - 1.0, 0.0))
 
 
 def lambert_w_m1_at_exp(t: float) -> float:
@@ -377,17 +355,12 @@ def run_lambert_suite(grid: int = 1000) -> dict:
         "grid": grid,
         "max_rel_residual": worst,
         "branch_point_error": branch_err,
-        "tail_bound_ok": tail_ok,
+        "tail_bound_ok": bool(tail_ok),
         "passed": bool(worst <= 1e-12 and branch_err <= 1e-8 and tail_ok),
     }
 
 
 def _exact_l_traces(eps=1e-6, max_iter=20000, instrument=False):
-    from .bench import EXACT_L_PROBLEMS  # local import to avoid a cycle
-    from .scaling import rule_from_name
-    from .solver import Astr1Config, astr1_run
-    from .problems import make_problem
-
     out = []
     for name, n in EXACT_L_PROBLEMS:
         prob = make_problem(name, n)
@@ -427,10 +400,6 @@ def run_decrease_suite() -> dict:
 
 
 def run_bracket_suite() -> dict:
-    from .scaling import rule_from_name
-    from .solver import Astr1Config, astr1_run
-    from .problems import make_problem
-
     prob = make_problem("tridia", 10)
     rule = rule_from_name("maxg")
     cfg = Astr1Config(scaling=rule, eps=1e-6, max_iter=5000)

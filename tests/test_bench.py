@@ -14,6 +14,7 @@ from offo.bench import (
     run_one,
     success_rate,
 )
+from offo.scaling import rule_from_name
 from offo.solver import astr1_run
 
 
@@ -32,6 +33,12 @@ def test_method_registry_covers_all_table_variants():
         "adagbbs", "adagbfgs3s", "adagHs", "sdba",
     }
     assert expected == set(METHODS)
+
+
+def test_methods_use_the_ball_exactly_for_aggregated_rules():
+    for spec in METHODS.values():
+        if not spec.is_sdba:
+            assert (spec.geometry == "ball") == rule_from_name(spec.scaling).aggregated
 
 
 def test_matrix_cardinality():

@@ -31,12 +31,19 @@ def test_run_sdba():
     assert res.exit_code == 0, res.output
 
 
+def test_run_reports_capability_gap():
+    res = invoke("run", "--problem", "helix", "--method", "adagH")
+    assert res.exit_code == 1
+    assert "status=unsupported (problem 'helix' has no analytic Hessian)" in res.output
+
+
 def test_verify_lambert(tmp_path):
     report = tmp_path / "report.json"
     res = invoke("verify", "--suite", "lambert", "--report", str(report))
     assert res.exit_code == 0, res.output
     data = json.loads(report.read_text())
     assert data["passed"] is True
+    assert data["tail_bound_ok"] is True
 
 
 def test_verify_series():

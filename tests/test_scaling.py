@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offo.scaling import (
+    RULES,
     ScalingRule,
     aggregated_twin,
     as4_floor,
@@ -230,6 +231,25 @@ def test_parameter_validation():
         ScalingRule("adagrad-like", sigma=1.5)
     with pytest.raises(ValueError):
         rule_from_name("bogus")
+
+
+def test_named_rules():
+    # (variant, mu, nu, aggregated, theta_auto)
+    expected = {
+        "adagrad": ("adagrad-like", 0.5, 0.1, False, False),
+        "adagnorm": ("adagrad-like", 0.5, 0.1, True, False),
+        "adam": ("adam-like", 0.5, 0.1, False, False),
+        "adamnorm": ("adam-like", 0.5, 0.1, True, False),
+        "maxg": ("diminishing-max", 0.1, 0.1, False, False),
+        "maxgnorm": ("diminishing-max", 0.1, 0.1, True, False),
+        "adagrads": ("adagrad-like", 0.5, 0.1, False, True),
+        "adams": ("adam-like", 0.5, 0.1, False, True),
+        "maxgs": ("diminishing-max", 0.1, 0.1, False, True),
+    }
+    assert list(RULES) == list(expected)
+    for name, fields in expected.items():
+        rule = rule_from_name(name)
+        assert (rule.variant, rule.mu, rule.nu, rule.aggregated, rule.theta_auto) == fields
 
 
 def test_per_coordinate_sigma_accepted():

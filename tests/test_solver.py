@@ -170,6 +170,32 @@ def test_subproblem_ball_matches_dense_solve():
     assert np.linalg.norm(s - s_star) <= 1e-4 * (1 + np.linalg.norm(s_star))
 
 
+def test_subproblem_ball_exits_on_boundary_under_negative_curvature():
+    # the first CG direction has positive curvature, the second negative
+    g = np.array([0.1, 1.0])
+    B = np.diag([-3.0, 1.0])
+    delta = 10.0
+    model = matrix_model(B)
+    cs = cauchy_step(g, model.matvec, delta, "ball")
+    s, q = solve_subproblem(g, model, delta, "ball", cs, tau=0.1, tol=1e-10)
+    assert delta * (1 - 1e-12) <= np.linalg.norm(s) <= delta * (1 + 1e-12)
+    assert q == pytest.approx(model_value(g, B, s), rel=1e-12)
+    assert q < cs.q_Q  # beats the Cauchy point, so it is no fallback
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_subproblem_falls_back_to_a_copy_of_the_cauchy_point(monkeypatch, fill):
+    monkeypatch.setattr(solver, "_cg_box", lambda g, matvec, delta, tol: np.full(g.size, fill))
+    g = np.array([1.0, -2.0, 0.5])
+    model = matrix_model(np.diag([2.0, 1.0, 3.0]))
+    radii = trust_radius(g, np.full(3, 2.0), "box")
+    cs = cauchy_step(g, model.matvec, radii, "box")
+    s, q = solve_subproblem(g, model, radii, "box", cs, tau=0.1, tol=1e-10)
+    assert s is not cs.s_Q
+    assert s.tobytes() == cs.s_Q.tobytes()
+    assert _same_float(q, cs.q_Q)
+
+
 def test_subproblem_respects_box_and_gcp_under_negative_curvature():
     rng = np.random.default_rng(10)
     n = 6

@@ -129,6 +129,24 @@ def test_lambert_tail_bound_on_log_grid():
         assert lhs <= rhs
 
 
+def test_lambert_subnormal_arguments_match_log_domain_bisection():
+    def oracle(x):
+        # w + log(-w) = log(-x) on w <= -1; the left side increases in w
+        target = math.log(-x)
+        lo, hi = -2000.0, -1.0
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                return mid
+            if mid + math.log(-mid) < target:
+                lo = mid
+            else:
+                hi = mid
+
+    for x in (-1e-310, -1e-315, -1e-320, -5e-324):
+        assert lambert_w_m1(x) == pytest.approx(oracle(x), rel=1e-12)
+
+
 def test_lambert_log_domain_agrees_with_direct():
     for t in (1e-3, 0.5, 5.0, 50.0):
         direct = lambert_w_m1(-math.exp(-t - 1.0))
