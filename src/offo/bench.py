@@ -12,7 +12,6 @@ import csv
 import json
 import os
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
@@ -73,20 +72,33 @@ class RunRecord:
         return self.status == "converged"
 
 
-def solve(method: str, target, eps: float, max_iter: int, geometry: Optional[str] = None,
-          instrument_f: bool = False) -> IterationTrace:
-    """Run the named method on a problem or noisy oracle and return its trace.
+def method_config(method: str, eps: float, max_iter: int, geometry: Optional[str] = None,
+                  instrument_f: bool = False) -> Optional[Astr1Config]:
+    """The named method's settings (None for ``sdba``); ValueError for any it cannot take.
 
-    ``geometry`` overrides the method's own trust-region shape.  A problem
-    lacking what the method needs (an analytic Hessian for the ``adagH``
-    family) raises :class:`CapabilityError`.
+    ``geometry`` overrides the method's own trust-region shape.
     """
     spec = METHODS[method]
     if spec.is_sdba:
+        if geometry or instrument_f:
+            raise ValueError("method 'sdba' takes neither a geometry nor instrument_f")
+        return None
+    return Astr1Config(scaling=RULES[spec.scaling], model=spec.model,
+                       geometry=geometry or spec.geometry, eps=eps, max_iter=max_iter,
+                       instrument_f=instrument_f)
+
+
+def solve(method: str, target, eps: float, max_iter: int, geometry: Optional[str] = None,
+          instrument_f: bool = False) -> IterationTrace:
+    """Run the named method, set up by :func:`method_config`, on a problem or
+    noisy oracle and return its trace.
+
+    A problem lacking what the method needs (an analytic Hessian for the
+    ``adagH`` family) raises :class:`CapabilityError`.
+    """
+    cfg = method_config(method, eps, max_iter, geometry, instrument_f)
+    if cfg is None:
         return sdba_run(target, eps=eps, max_iter=max_iter)
-    cfg = Astr1Config(scaling=RULES[spec.scaling], model=spec.model,
-                      geometry=geometry or spec.geometry, eps=eps, max_iter=max_iter,
-                      instrument_f=instrument_f)
     return astr1_run(target, cfg)
 
 
@@ -156,6 +168,8 @@ def run_matrix(
         for seed in (seeds[:1] if noise == 0.0 else seeds)
     ]
     if jobs > 1:
+        # imported here: the pool module loads multiprocessing, which `import offo` spares
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             ran = list(pool.map(_run_spec, specs, chunksize=1))
     else:

@@ -4,18 +4,28 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import click
 
 from . import bench as bench_mod
 from . import sharpness as sharp_mod
 from . import theory as theory_mod
-from .problems import CapabilityError, NoisyOracle, default_suite, make_problem
+from .problems import CapabilityError, CatalogError, NoisyOracle, default_suite, make_problem
 
 
 @click.group()
 def main():
     """Objective-function-free trust-region methods and their test bench."""
+
+
+@contextmanager
+def _usage_errors():
+    """Report a bad problem name, dimension or setting as a usage error (exit 2)."""
+    try:
+        yield
+    except (CatalogError, ValueError) as exc:
+        raise click.UsageError(exc.args[0]) from None
 
 
 @main.command("run")
@@ -37,8 +47,10 @@ def run_cmd(problem_name, n, method, geometry, eps, max_iter, noise, seed,
     """Run one method on one problem and print the outcome."""
     if method not in bench_mod.METHODS:
         raise click.BadParameter(f"unknown method '{method}'")
-    problem = make_problem(problem_name, n)
-    target = problem if noise == 0.0 else NoisyOracle(problem, noise, seed)
+    with _usage_errors():
+        bench_mod.method_config(method, eps, max_iter, geometry, instrument_f)
+        problem = make_problem(problem_name, n)
+        target = problem if noise == 0.0 else NoisyOracle(problem, noise, seed)
     head = f"{method} on {problem.name}(n={problem.n}):"
     try:
         trace = bench_mod.solve(method, target, eps, max_iter, geometry, instrument_f)
@@ -156,7 +168,8 @@ def bench_cmd(methods, problems, noise, seeds, eps, max_iter, jobs, outdir):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def problem_cmd(name, n, out_path):
     """Dump a problem definition (name, n, x0, f_low) as JSON."""
-    problem = make_problem(name, n)
+    with _usage_errors():
+        problem = make_problem(name, n)
     payload = problem.to_json()
     if out_path:
         with open(out_path, "w") as fh:

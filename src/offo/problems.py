@@ -51,7 +51,7 @@ class ProblemInstance:
     ``lower_bound_certified`` is set, ``f(x) >= f_low`` holds everywhere by
     construction and is assertable during any run.  ``lipschitz_hint`` is the
     gradient Lipschitz constant: exact for quadratics (largest Hessian
-    eigenvalue), sampled otherwise.
+    eigenvalue, computed on first use), sampled otherwise.
     """
 
     name: str
@@ -72,20 +72,21 @@ class ProblemInstance:
     @property
     def lipschitz_hint(self) -> float:
         if self._lipschitz is None:
-            self._lipschitz = _sampled_lipschitz(self)
+            self._lipschitz = (float(np.linalg.eigvalsh(self.hess(self.x0))[-1])
+                               if self.lipschitz_exact else _sampled_lipschitz(self))
         return self._lipschitz
 
-    def value(self, x: Array) -> float:
+    def _eval(self, fn, x: Array, what: str) -> Array:
         x = np.asarray(x, dtype=float)
         with np.errstate(all="ignore"):
-            v = float(self.fn(x))
-        return _check_finite(v, "objective value", self.name)
+            v = np.asarray(fn(x), dtype=float)
+        return _check_finite(v, what, self.name)
+
+    def value(self, x: Array) -> float:
+        return float(self._eval(self.fn, x, "objective value"))
 
     def grad(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            g = np.asarray(self.grad_fn(x), dtype=float)
-        return _check_finite(g, "gradient", self.name)
+        return self._eval(self.grad_fn, x, "gradient")
 
     def _required_hess_fn(self) -> Callable[[Array], Array]:
         """The analytic Hessian; CapabilityError when the problem has none."""
@@ -94,11 +95,7 @@ class ProblemInstance:
         return self.hess_fn
 
     def hess(self, x: Array) -> Array:
-        hess_fn = self._required_hess_fn()
-        x = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            h = np.asarray(hess_fn(x), dtype=float)
-        return _check_finite(h, "Hessian", self.name)
+        return self._eval(self._required_hess_fn(), x, "Hessian")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -270,8 +267,11 @@ class NoisyOracle:
             self._block = (key, _seed_block(self.seed, block))
         return self._block[1][row]
 
-    def _noisy(self, raw, what: str):
-        out = apply_noise(self, raw, self._position)
+    def _noisy(self, fn, x: Array, what: str):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            raw = np.asarray(fn(x), dtype=float)
+            out = apply_noise(self, raw, self._position)
         if not np.isfinite(out).all():
             # only a finite raw evaluation uses up its draw, as it always has, so
             # a caller that catches the error (sdba's backtracking) keeps its stream
@@ -282,20 +282,13 @@ class NoisyOracle:
         return out
 
     def value(self, x: Array) -> float:
-        x = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            return self._noisy(float(self.inner.fn(x)), "noisy value")
+        return float(self._noisy(self.inner.fn, x, "noisy value"))
 
     def grad(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            return self._noisy(np.asarray(self.inner.grad_fn(x), dtype=float), "noisy gradient")
+        return self._noisy(self.inner.grad_fn, x, "noisy gradient")
 
     def hess(self, x: Array) -> Array:
-        hess_fn = self.inner._required_hess_fn()
-        x = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            return self._noisy(np.asarray(hess_fn(x), dtype=float), "noisy Hessian")
+        return self._noisy(self.inner._required_hess_fn(), x, "noisy Hessian")
 
 
 def base_problem(target) -> ProblemInstance:
@@ -365,6 +358,42 @@ def evaluate(problem: ProblemInstance, x: Array, order: int = 0):
     return f, g, h
 
 
+# -- shared parts -------------------------------------------------------------
+
+
+def _banded(bands: dict) -> Array:
+    """The dense symmetric matrix with ``bands[0]`` on its diagonal and
+    ``bands[k]`` on its k-th upper and lower diagonals."""
+    n = len(bands[0])
+    i = np.arange(n)
+    H = np.zeros((n, n))
+    for k, band in bands.items():
+        H[i[: n - k], i[k:]] = H[i[k:], i[: n - k]] = band
+    return H
+
+
+def _sum_of_squares(name, n, x0, residual, jac, curvature=None):
+    """f = sum r_i^2 with gradient 2 J'r and Hessian 2 J'J + the residuals'
+    second-derivative term, which ``curvature(x, r, H)`` adds in place; no
+    Hessian without it."""
+
+    def fn(x):
+        return (residual(x) ** 2).sum()
+
+    def grad(x):
+        return 2.0 * jac(x).T @ residual(x)
+
+    def hess(x):
+        r = residual(x)
+        J = jac(x)
+        H = 2.0 * J.T @ J
+        curvature(x, r, H)
+        return H
+
+    return ProblemInstance(name, n, x0, 0.0, fn, grad, hess if curvature else None,
+                           lower_bound_certified=True)
+
+
 # -- individual families ----------------------------------------------------
 
 
@@ -382,16 +411,10 @@ def _rosenbr(n):
         return g
 
     def hess(x):
-        t = x[1:] - x[:-1] ** 2
-        H = np.zeros((n, n))
         d = np.zeros(n)
-        d[:-1] += -400.0 * t + 800.0 * x[:-1] ** 2 + 2.0
+        d[:-1] += -400.0 * (x[1:] - x[:-1] ** 2) + 800.0 * x[:-1] ** 2 + 2.0
         d[1:] += 200.0
-        np.fill_diagonal(H, d)
-        off = -400.0 * x[:-1]
-        H[np.arange(n - 1), np.arange(1, n)] = off
-        H[np.arange(1, n), np.arange(n - 1)] = off
-        return H
+        return _banded({0: d, 1: -400.0 * x[:-1]})
 
     x0 = np.where(np.arange(n) % 2 == 0, -1.2, 1.0)
     return ProblemInstance("rosenbr", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
@@ -421,13 +444,7 @@ def _broyden3d(n):
         diag = d * d
         diag[1:] += 4.0
         diag[:-1] += 1.0
-        off = 2.0 * (-2.0 * d[:-1] - d[1:])
-        i = np.arange(n)
-        H = np.zeros((n, n))
-        H[i, i] = 2.0 * diag - 8.0 * residual(x)
-        H[i[:-1], i[1:]] = H[i[1:], i[:-1]] = off
-        H[i[:-2], i[2:]] = H[i[2:], i[:-2]] = 4.0
-        return H
+        return _banded({0: 2.0 * diag - 8.0 * residual(x), 1: 2.0 * (-2.0 * d[:-1] - d[1:]), 2: 4.0})
 
     x0 = -np.ones(n)
     return ProblemInstance("broyden3d", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
@@ -447,9 +464,6 @@ def _broydenbd(n):
             r[i] -= (xj * (1.0 + xj)).sum()
         return r
 
-    def fn(x):
-        return (residual(x) ** 2).sum()
-
     def jac(x):
         J = np.zeros((n, n))
         np.fill_diagonal(J, 2.0 + 15.0 * x**2)
@@ -457,22 +471,13 @@ def _broydenbd(n):
             J[i, nb] = -(1.0 + 2.0 * x[nb])
         return J
 
-    def grad(x):
-        return 2.0 * jac(x).T @ residual(x)
-
-    def hess(x):
-        r = residual(x)
-        J = jac(x)
-        H = 2.0 * J.T @ J
-        d = np.zeros(n)
-        d += 60.0 * x * r
+    def curvature(x, r, H):
+        d = 60.0 * x * r
         for i, nb in enumerate(neighborhoods):
             d[nb] += -4.0 * r[i]
         H[np.arange(n), np.arange(n)] += d
-        return H
 
-    x0 = -np.ones(n)
-    return ProblemInstance("broydenbd", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
+    return _sum_of_squares("broydenbd", n, -np.ones(n), residual, jac, curvature)
 
 
 @_register("arwhead", 10, lambda n: n >= 2, "n >= 2")
@@ -502,7 +507,7 @@ def _arwhead(n):
 
 
 def _quadratic_instance(name, n, A, b, c, x0, f_low):
-    """f(x) = 0.5 x'Ax + b'x + c with exact Lipschitz constant."""
+    """f(x) = 0.5 x'Ax + b'x + c, whose Lipschitz constant is exact."""
 
     def fn(x):
         return 0.5 * x @ (A @ x) + b @ x + c
@@ -513,28 +518,21 @@ def _quadratic_instance(name, n, A, b, c, x0, f_low):
     def hess(x):
         return A.copy()
 
-    L = float(np.linalg.eigvalsh(A)[-1])
-    return ProblemInstance(
-        name, n, x0, f_low, fn, grad, hess,
-        lower_bound_certified=True, lipschitz_exact=True, _lipschitz=L,
-    )
+    return ProblemInstance(name, n, x0, f_low, fn, grad, hess,
+                           lower_bound_certified=True, lipschitz_exact=True)
 
 
 @_register("tridia", 10, lambda n: n >= 2, "n >= 2")
 def _tridia(n):
     # f = (x_1 - 1)^2 + sum_{i=2..n} i (2 x_i - x_{i-1})^2, assembled as a quadratic
-    A = np.zeros((n, n))
+    wgt = np.arange(2.0, n + 1)
+    d = np.zeros(n)
+    d[0] = 2.0
+    d[1:] += 8.0 * wgt
+    d[:-1] += 2.0 * wgt
     b = np.zeros(n)
-    A[0, 0] += 2.0
-    b[0] += -2.0
-    c = 1.0
-    for i in range(1, n):
-        wgt = float(i + 1)
-        A[i, i] += 8.0 * wgt
-        A[i - 1, i - 1] += 2.0 * wgt
-        A[i, i - 1] += -4.0 * wgt
-        A[i - 1, i] += -4.0 * wgt
-    return _quadratic_instance("tridia", n, A, b, c, np.ones(n), 0.0)
+    b[0] = -2.0
+    return _quadratic_instance("tridia", n, _banded({0: d, 1: -4.0 * wgt}), b, 1.0, np.ones(n), 0.0)
 
 
 @_register("hilbert", 10, lambda n: n >= 1, "n >= 1")
@@ -668,15 +666,10 @@ def _engval1(n):
 
     def hess(x):
         t = x[:-1] ** 2 + x[1:] ** 2
-        H = np.zeros((n, n))
         d = np.zeros(n)
         d[:-1] += 4.0 * t + 8.0 * x[:-1] ** 2
         d[1:] += 4.0 * t + 8.0 * x[1:] ** 2
-        np.fill_diagonal(H, d)
-        off = 8.0 * x[:-1] * x[1:]
-        H[np.arange(n - 1), np.arange(1, n)] = off
-        H[np.arange(1, n), np.arange(n - 1)] = off
-        return H
+        return _banded({0: d, 1: 8.0 * x[:-1] * x[1:]})
 
     x0 = np.full(n, 2.0)
     return ProblemInstance("engval1", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
@@ -690,30 +683,19 @@ def _beale(n):
     def residual(x):
         return y - x[0] * (1.0 - x[1] ** p)
 
-    def fn(x):
-        return (residual(x) ** 2).sum()
-
     def jac(x):
         J = np.zeros((3, 2))
         J[:, 0] = -(1.0 - x[1] ** p)
         J[:, 1] = x[0] * p * x[1] ** (p - 1.0)
         return J
 
-    def grad(x):
-        return 2.0 * jac(x).T @ residual(x)
-
-    def hess(x):
-        r = residual(x)
-        J = jac(x)
-        H = 2.0 * J.T @ J
+    def curvature(x, r, H):
         # second derivatives of residuals: d2r/dx1dx2 = p t^(p-1), d2r/dx2^2 = x1 p (p-1) t^(p-2)
         H[0, 1] += 2.0 * (r * p * x[1] ** (p - 1.0)).sum()
         H[1, 0] = H[0, 1]
         H[1, 1] += 2.0 * (r * x[0] * p * (p - 1.0) * x[1] ** (p - 2.0)).sum()
-        return H
 
-    x0 = np.array([1.0, 1.0])
-    return ProblemInstance("beale", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
+    return _sum_of_squares("beale", n, np.array([1.0, 1.0]), residual, jac, curvature)
 
 
 @_register("box3", 3, lambda n: n == 3, "n = 3")
@@ -724,9 +706,6 @@ def _box3(n):
     def residual(x):
         return np.exp(-t * x[0]) - np.exp(-t * x[1]) - x[2] * w
 
-    def fn(x):
-        return (residual(x) ** 2).sum()
-
     def jac(x):
         J = np.zeros((10, 3))
         J[:, 0] = -t * np.exp(-t * x[0])
@@ -734,19 +713,11 @@ def _box3(n):
         J[:, 2] = -w
         return J
 
-    def grad(x):
-        return 2.0 * jac(x).T @ residual(x)
-
-    def hess(x):
-        r = residual(x)
-        J = jac(x)
-        H = 2.0 * J.T @ J
+    def curvature(x, r, H):
         H[0, 0] += 2.0 * (r * t**2 * np.exp(-t * x[0])).sum()
         H[1, 1] += 2.0 * (r * (-(t**2)) * np.exp(-t * x[1])).sum()
-        return H
 
-    x0 = np.array([0.0, 10.0, 20.0])
-    return ProblemInstance("box3", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
+    return _sum_of_squares("box3", n, np.array([0.0, 10.0, 20.0]), residual, jac, curvature)
 
 
 @_register("cube", 2, lambda n: n == 2, "n = 2")
@@ -813,14 +784,8 @@ def _nondquar(n):
     def hess(x):
         u = x[:-2] + x[1:-1] + x[-1]
         H = np.zeros((n, n))
-        H[0, 0] += 2.0
-        H[1, 1] += 2.0
-        H[0, 1] += -2.0
-        H[1, 0] += -2.0
-        H[-2, -2] += 2.0
-        H[-1, -1] += 2.0
-        H[-2, -1] += 2.0
-        H[-1, -2] += 2.0
+        H[:2, :2] += [[2.0, -2.0], [-2.0, 2.0]]
+        H[-2:, -2:] += 2.0
         sq = 12.0 * u**2
         for i in range(n - 2):
             idx = (i, i + 1, n - 1)
@@ -903,18 +868,11 @@ def _dixmaana(n):
         return g
 
     def hess(x):
-        H = np.zeros((n, n))
         d = np.full(n, 2.0)
         d[: 2 * m] += 0.25 * x[m:] ** 4
         d[m:] += 1.5 * x[: 2 * m] ** 2 * x[m:] ** 2
-        np.fill_diagonal(H, d)
-        i = np.arange(2 * m)
-        H[i, i + m] += x[: 2 * m] * x[m:] ** 3
-        H[i + m, i] += x[: 2 * m] * x[m:] ** 3
-        i = np.arange(m)
-        H[i, i + 2 * m] += 0.125
-        H[i + 2 * m, i] += 0.125
-        return H
+        # 0.0 + reads a -0.0 product as +0.0, as adding the band onto zeros does
+        return _banded({0: d, m: 0.0 + x[: 2 * m] * x[m:] ** 3, 2 * m: 0.125})
 
     x0 = np.full(n, 2.0)
     return ProblemInstance("dixmaana", n, x0, 1.0, fn, grad, hess, lower_bound_certified=True)
@@ -935,10 +893,7 @@ def _helix(n):
         rho = np.hypot(x[0], x[1])
         return np.array([10.0 * (x[2] - 10.0 * theta(x)), 10.0 * (rho - 1.0), x[2]])
 
-    def fn(x):
-        return (residual(x) ** 2).sum()
-
-    def grad(x):
+    def jac(x):
         rho2 = x[0] ** 2 + x[1] ** 2
         rho = np.sqrt(rho2)
         J = np.zeros((3, 3))
@@ -948,7 +903,6 @@ def _helix(n):
         J[1, 0] = 10.0 * x[0] / rho
         J[1, 1] = 10.0 * x[1] / rho
         J[2, 2] = 1.0
-        return 2.0 * J.T @ residual(x)
+        return J
 
-    x0 = np.array([-1.0, 0.0, 0.0])
-    return ProblemInstance("helix", n, x0, 0.0, fn, grad, None, lower_bound_certified=True)
+    return _sum_of_squares("helix", n, np.array([-1.0, 0.0, 0.0]), residual, jac)

@@ -119,7 +119,6 @@ class IterationTrace:
     x_hist: Optional[list] = None
     g_hist: Optional[list] = None
     w_hist: Optional[list] = None
-    s_hist: Optional[list] = None
 
     @property
     def steps(self) -> int:
@@ -169,7 +168,6 @@ class _TraceBuilder:
         self.x_hist: Optional[list] = [] if record_vectors else None
         self.g_hist: Optional[list] = [] if record_vectors else None
         self.w_hist: Optional[list] = [] if record_vectors else None
-        self.s_hist: Optional[list] = [] if record_vectors else None
 
     def add_eval(self, normg, f_val, x=None, g=None):
         self.normg.append(normg)
@@ -178,15 +176,9 @@ class _TraceBuilder:
             self.x_hist.append(np.array(x, copy=True))
             self.g_hist.append(np.array(g, copy=True))
 
-    def add_step(self, w=None, s=None, **kw):
+    def add_step(self, **kw):
         for c in self._STEP_COLS:
             self.cols[c].append(kw.get(c, np.nan))
-        if self.record_vectors:
-            self.add_vectors(w, s)
-
-    def add_vectors(self, w, s):
-        self.w_hist.append(None if w is None else np.array(w, copy=True))
-        self.s_hist.append(None if s is None else np.array(s, copy=True))
 
     def finish(self, status, eps, x_final, oracle) -> IterationTrace:
         return IterationTrace(
@@ -202,7 +194,6 @@ class _TraceBuilder:
             x_hist=self.x_hist,
             g_hist=self.g_hist,
             w_hist=self.w_hist,
-            s_hist=self.s_hist,
             **{c: np.asarray(v, dtype=float) for c, v in self.cols.items()},
         )
 
@@ -482,7 +473,7 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
             status = "overflow"
             break
         if tr.record_vectors:
-            tr.add_vectors(w, s)
+            tr.w_hist.append(np.array(w, copy=True))
         step_norm = math.sqrt(float(s @ s))
         # one append per column of _TraceBuilder._STEP_COLS; a ball radius is a float
         cols["w_min"].append(w.min())
@@ -501,14 +492,13 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
     return tr.finish(status, cfg.eps, x, oracle)
 
 
-def sdba_run(
-    problem,
-    eps: float = 1e-6,
-    max_iter: int = 100_000,
-    c1: float = 1e-4,
-    max_backtracks: int = 50,
-    record_vectors: bool = False,
-) -> IterationTrace:
+#: Armijo sufficient-decrease constant of the steepest-descent baseline
+_ARMIJO_C1 = 1e-4
+#: halvings of the baseline's trial step before it reports a line-search failure
+_MAX_BACKTRACKS = 50
+
+
+def sdba_run(problem, eps: float = 1e-6, max_iter: int = 100_000) -> IterationTrace:
     """Steepest descent with Armijo backtracking (the objective-using baseline).
 
     Trial steps halve from an initial stepsize of 1 / ||g(x0)||; exhausting
@@ -517,7 +507,7 @@ def sdba_run(
     base = base_problem(problem)
     oracle = _CountingOracle(fresh_stream(problem))
     x = np.array(base.x0, dtype=float)
-    tr = _TraceBuilder(record_vectors)
+    tr = _TraceBuilder(False)
     status = "max_iter"
     try:
         g = oracle.grad(x)
@@ -528,19 +518,19 @@ def sdba_run(
     alpha0 = 1.0 / normg0 if normg0 > 0 else 1.0
     for _ in range(max_iter):
         normg = float(np.linalg.norm(g))
-        tr.add_eval(normg, f, x=x, g=g)
+        tr.add_eval(normg, f)
         if normg <= eps:
             status = "converged"
             break
         alpha = alpha0
         accepted = False
-        for _ in range(max_backtracks + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             x_try = x - alpha * g
             try:
                 f_try = oracle.value(x_try)
             except NonFiniteError:
                 f_try = np.inf
-            if f_try <= f - c1 * alpha * normg * normg:
+            if f_try <= f - _ARMIJO_C1 * alpha * normg * normg:
                 accepted = True
                 break
             alpha *= 0.5

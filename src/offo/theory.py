@@ -51,15 +51,13 @@ def params_for_run(
     rule: ScalingRule,
     tau: float,
     trace: Optional[IterationTrace] = None,
-    require_exact: bool = True,
 ) -> TheoryParams:
     """Assemble bound constants for a finished run.
 
     ``kappa_B`` is the tightest valid cap: 1 for zero-curvature runs, else the
-    largest recorded model norm.  Requires an exact Lipschitz hint unless the
-    caller settles for a reported (non-asserted) check.
+    largest recorded model norm.  Requires an exact Lipschitz hint.
     """
-    if require_exact and not problem.lipschitz_exact:
+    if not problem.lipschitz_exact:
         raise CapabilityError(
             f"problem '{problem.name}' has no exact Lipschitz constant"
         )

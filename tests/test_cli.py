@@ -1,7 +1,9 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
+from offo import bench
 from offo.cli import main
 
 
@@ -35,6 +37,32 @@ def test_run_reports_capability_gap():
     res = invoke("run", "--problem", "helix", "--method", "adagH")
     assert res.exit_code == 1
     assert "status=unsupported (problem 'helix' has no analytic Hessian)" in res.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (("run", "--problem", "rosenbr", "--method", "adagrad", "--geometry", "ball"),
+     "ball geometry requires an aggregated scaling rule"),
+    (("run", "--problem", "nosuch"), "unknown problem 'nosuch'"),
+    (("run", "--problem", "woods", "--n", "5"), "problem 'woods' requires n a positive multiple of 4"),
+    (("run", "--problem", "rosenbr", "--noise", "1.5"), "noise level must lie in [0, 1)"),
+    (("run", "--problem", "rosenbr", "--method", "sdba", "--geometry", "box"), "sdba"),
+    (("run", "--problem", "rosenbr", "--method", "sdba", "--instrument-f"), "sdba"),
+    (("problem", "nosuch"), "unknown problem 'nosuch'"),
+])
+def test_bad_input_is_a_usage_error(args, message):
+    res = invoke(*args)
+    assert res.exit_code == 2, res.output
+    error = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(error) == 1 and message in error[0], res.output
+
+
+def test_error_during_a_run_is_not_a_usage_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("raised by the run")
+
+    monkeypatch.setattr(bench, "solve", fail)
+    with pytest.raises(ValueError, match="raised by the run"):
+        invoke("run", "--problem", "rosenbr")
 
 
 def test_verify_lambert(tmp_path):

@@ -192,6 +192,94 @@ def test_broyden3d_hessian_equals_dense_formula(n):
     assert np.array_equal(H, H.T)
 
 
+# Entry-by-entry Hessians.  Powers come from whole arrays, as in the catalog,
+# so that every entry is the same float operation and the bytes must agree.
+
+
+def _rosenbr_dense(x):
+    n, x2 = x.size, x**2
+    H = np.zeros((n, n))
+    for i in range(n - 1):
+        H[i, i] += -400.0 * (x[i + 1] - x2[i]) + 800.0 * x2[i] + 2.0
+        H[i + 1, i + 1] += 200.0
+        H[i, i + 1] = H[i + 1, i] = -400.0 * x[i]
+    return H
+
+
+def _engval1_dense(x):
+    n, x2 = x.size, x**2
+    H = np.zeros((n, n))
+    for i in range(n - 1):
+        t = x2[i] + x2[i + 1]
+        H[i, i] += 4.0 * t + 8.0 * x2[i]
+        H[i + 1, i + 1] += 4.0 * t + 8.0 * x2[i + 1]
+        H[i, i + 1] = H[i + 1, i] = 8.0 * x[i] * x[i + 1]
+    return H
+
+
+def _dixmaana_dense(x):
+    n = x.size
+    m = n // 3
+    x2, x3, x4 = x**2, x**3, x**4
+    H = 2.0 * np.eye(n)
+    for i in range(2 * m):
+        H[i, i] += 0.25 * x4[i + m]
+    for i in range(2 * m):
+        j = i + m
+        H[j, j] += 1.5 * x2[i] * x2[j]
+        H[i, j] += x[i] * x3[j]
+        H[j, i] += x[i] * x3[j]
+    for i in range(m):
+        H[i, i + 2 * m] += 0.125
+        H[i + 2 * m, i] += 0.125
+    return H
+
+
+@pytest.mark.parametrize("n", [3, 12, 30])
+@pytest.mark.parametrize("name, dense", [
+    ("rosenbr", _rosenbr_dense), ("engval1", _engval1_dense), ("dixmaana", _dixmaana_dense),
+])
+def test_banded_hessian_equals_entrywise_formula(name, dense, n):
+    p = make_problem(name, n)
+    rng = np.random.default_rng(n)
+    with_zeros = p.x0 + rng.standard_normal(n)
+    with_zeros[::2] = 0.0
+    points = [p.x0, p.x0 + 1e-3 * rng.standard_normal(n), rng.standard_normal(n), with_zeros,
+              np.resize([-1.0, 0.0, -1.0], n)]  # dixmaana's x_i x_j^3 band reads +0.0 here
+    for x in points:
+        assert p.hess(x).tobytes() == dense(x).tobytes(), x
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000])
+def test_tridia_matrix_equals_its_loop_assembly(n):
+    # f = (x_1 - 1)^2 + sum_{i=2..n} i (2 x_i - x_{i-1})^2
+    A = np.zeros((n, n))
+    A[0, 0] = 2.0
+    for i in range(1, n):
+        A[i, i] += 8.0 * (i + 1)
+        A[i - 1, i - 1] += 2.0 * (i + 1)
+        A[i, i - 1] = A[i - 1, i] = -4.0 * (i + 1)
+    p = make_problem("tridia", n)
+    assert p.hess(p.x0).tobytes() == A.tobytes()
+    b = np.zeros(n)
+    b[0] = -2.0
+    x = np.random.default_rng(n).standard_normal(n)
+    assert p.grad(x).tobytes() == (A @ x + b).tobytes()
+
+
+def test_exact_lipschitz_is_computed_on_first_use(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called while building the problem")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    p = make_problem("tridia", 1000)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert p.lipschitz_exact
+    assert p.lipschitz_hint == eigvalsh(p.hess(p.x0))[-1]
+
+
 def test_noise_level_zero_is_identity():
     p = make_problem("cube", 2)
     oracle = NoisyOracle(p, 0.0, seed=42)
@@ -327,5 +415,6 @@ def test_noisy_hessian_without_analytic_hessian_keeps_the_stream():
 def test_import_offo_leaves_numpy_random_unloaded():
     src = os.path.dirname(os.path.dirname(problems.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, offo; assert 'numpy.random' not in sys.modules, 'numpy.random loaded'"
+    code = ("import sys, offo; assert 'numpy.random' not in sys.modules, 'numpy.random loaded'; "
+            "assert 'concurrent.futures.process' not in sys.modules, 'process pool loaded'")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
