@@ -12,7 +12,7 @@ import csv
 import json
 import os
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -74,10 +74,12 @@ class RunRecord:
 
 def method_config(method: str, eps: float, max_iter: int, geometry: Optional[str] = None,
                   instrument_f: bool = False) -> Optional[Astr1Config]:
-    """The named method's settings (None for ``sdba``); ValueError for any it cannot take.
+    """The named method's settings (None for ``sdba``); ValueError for a bad name or setting.
 
     ``geometry`` overrides the method's own trust-region shape.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method '{method}'; known: {', '.join(sorted(METHODS))}")
     spec = METHODS[method]
     if spec.is_sdba:
         if geometry or instrument_f:
@@ -140,6 +142,13 @@ def _run_spec(args):
     return run_one(*args)
 
 
+def matrix_seeds(noise_levels: Sequence[float], seeds: Sequence[int]) -> list:
+    """The seeds a matrix runs: ``seeds``, or seed 0 alone for noise-free runs."""
+    if any(lv > 0 for lv in noise_levels) and not seeds:
+        raise ValueError("noisy runs need at least one seed")
+    return list(seeds) or [0]
+
+
 def run_matrix(
     methods: Sequence[str],
     problems: Sequence[tuple],
@@ -155,11 +164,8 @@ def run_matrix(
     first seed, and its record is copied to the others.
     """
     for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method '{m}'; known: {', '.join(sorted(METHODS))}")
-    if any(lv > 0 for lv in noise_levels) and not seeds:
-        raise ValueError("noisy runs need at least one seed")
-    seeds = list(seeds) or [0]
+        method_config(m, eps, max_iter)
+    seeds = matrix_seeds(noise_levels, seeds)
     specs = [
         (m, name, n, noise, seed, eps, max_iter)
         for m in methods
@@ -190,14 +196,6 @@ class ProfileReport:
     pi: dict
     rho: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "methods": list(self.methods),
-            "curves": {m: [list(t), list(r)] for m, (t, r) in self.curves.items()},
-            "pi": dict(self.pi),
-            "rho": dict(self.rho),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ProfileReport":
         return cls(
@@ -217,13 +215,13 @@ def _step_area(ts, rhos, t_max):
     return area
 
 
-def perf_profile(records: Sequence[RunRecord], t_max: float = PROFILE_T_MAX) -> ProfileReport:
+def perf_profile(records: Sequence[RunRecord]) -> ProfileReport:
     """Classic ratio-to-best profile over (problem, seed) rows.
 
     rho_m(t) = fraction of rows solved within t times the best effort; rows
     no method solves keep inflating the denominator, so pi <= rho / 100.
     pi is the normalized area of the curve: (1/t_max) * (rho_m(1) +
-    integral of rho_m over [1, t_max]).
+    integral of rho_m over [1, t_max]), with t_max = ``PROFILE_T_MAX``.
     """
     records = list(records)
     if not records:
@@ -252,11 +250,11 @@ def perf_profile(records: Sequence[RunRecord], t_max: float = PROFILE_T_MAX) -> 
                 solved += 1
                 if np.isfinite(best[row]) and best[row] > 0:
                     ratios.append(e / best[row])
-        ratios = sorted(t for t in ratios if t <= t_max)
+        ratios = sorted(t for t in ratios if t <= PROFILE_T_MAX)
         ts = [1.0] + ratios[bisect_right(ratios, 1.0):]
         vals = [bisect_right(ratios, t) / n_rows for t in ts]
         curves[m] = (ts, vals)
-        pis[m] = _step_area(ts, vals, t_max) / t_max
+        pis[m] = _step_area(ts, vals, PROFILE_T_MAX) / PROFILE_T_MAX
         rhos_pct[m] = 100.0 * solved / n_rows
     return ProfileReport(methods=methods, curves=curves, pi=pis, rho=rhos_pct)
 
@@ -277,17 +275,9 @@ def emit(report: ProfileReport, records: Sequence[RunRecord], outdir, fmt: str =
     rec_path = os.path.join(outdir, "records.csv")
     with open(rec_path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(
-            ["method", "problem", "n", "noise", "seed", "eps", "status",
-             "iterations", "final_normg", "f_evals", "g_evals", "h_evals"]
-        )
+        wr.writerow([f.name for f in fields(RunRecord)])
         for r in records:
-            d = asdict(r)
-            wr.writerow(
-                [d["method"], d["problem"], d["n"], f"{d['noise']:.6g}", d["seed"],
-                 f"{d['eps']:.6g}", d["status"], d["iterations"],
-                 f"{d['final_normg']:.6g}", d["f_evals"], d["g_evals"], d["h_evals"]]
-            )
+            wr.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in astuple(r)])
     prof_path = os.path.join(outdir, "profile.csv")
     with open(prof_path, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -307,6 +297,6 @@ def emit(report: ProfileReport, records: Sequence[RunRecord], outdir, fmt: str =
     if fmt == "json":
         agg_json = os.path.join(outdir, "aggregate.json")
         with open(agg_json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+            json.dump(asdict(report), fh, indent=2)
         paths.append(agg_json)
     return paths

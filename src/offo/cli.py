@@ -45,8 +45,6 @@ def _usage_errors():
 def run_cmd(problem_name, n, method, geometry, eps, max_iter, noise, seed,
             instrument_f, trace_path):
     """Run one method on one problem and print the outcome."""
-    if method not in bench_mod.METHODS:
-        raise click.BadParameter(f"unknown method '{method}'")
     with _usage_errors():
         bench_mod.method_config(method, eps, max_iter, geometry, instrument_f)
         problem = make_problem(problem_name, n)
@@ -116,15 +114,9 @@ def _parse_problems(spec: str):
     if spec == "all":
         return default_suite()
     out = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ":" in token:
-            name, n = token.split(":", 1)
-            out.append((name, int(n)))
-        else:
-            out.append((token, None))
+    for token in filter(None, (t.strip() for t in spec.split(","))):
+        name, colon, n = token.partition(":")
+        out.append((name, int(n) if colon else None))
     return out
 
 
@@ -140,15 +132,26 @@ def _parse_problems(spec: str):
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--out", "outdir", type=click.Path(), required=True)
 def bench_cmd(methods, problems, noise, seeds, eps, max_iter, jobs, outdir):
-    """Run the benchmark matrix and emit records, profiles and aggregates."""
-    method_list = (
-        sorted(bench_mod.METHODS) if methods == "all" else
-        [m.strip() for m in methods.split(",") if m.strip()]
-    )
-    problem_list = _parse_problems(problems)
-    noise_levels = [float(tok) for tok in noise.split(",") if tok.strip()]
+    """Run the benchmark matrix and emit records, profiles and aggregates.
+
+    Every input is checked before the first run, so a bad one runs nothing.
+    """
+    with _usage_errors():
+        method_list = (
+            sorted(bench_mod.METHODS) if methods == "all" else
+            [m.strip() for m in methods.split(",") if m.strip()]
+        )
+        problem_list = _parse_problems(problems)
+        noise_levels = [float(tok) for tok in noise.split(",") if tok.strip()]
+        for m in method_list:
+            bench_mod.method_config(m, eps, max_iter)
+        for name, n in problem_list:
+            problem = make_problem(name, n)
+            for level in noise_levels:
+                NoisyOracle(problem, level)
+        seed_list = bench_mod.matrix_seeds(noise_levels, range(seeds))
     records = bench_mod.run_matrix(
-        method_list, problem_list, noise_levels, list(range(seeds)),
+        method_list, problem_list, noise_levels, seed_list,
         eps=eps, max_iter=max_iter, jobs=jobs,
     )
     # profiles are per noise level; emit one directory per level

@@ -188,7 +188,7 @@ def make_model(kind: str, kappa_B: float = 1e5) -> CurvatureModel:
 
     ``lbfgsM`` keeps the M latest secant pairs; bare ``lbfgs`` keeps 3.
     """
-    if kind in ("none", "zero"):
+    if kind == "none":
         return ZeroModel(kappa_B=kappa_B)
     if kind == "bb":
         return BBDiagModel(kappa_B=kappa_B)

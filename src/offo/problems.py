@@ -108,11 +108,16 @@ class ProblemInstance:
         )
 
 
-def _sampled_lipschitz(problem: ProblemInstance, pairs: int = 30, seed: int = 0) -> float:
+#: random point pairs, and the seed drawing them, of the sampled Lipschitz estimate
+_LIPSCHITZ_PAIRS = 30
+_LIPSCHITZ_SEED = 0
+
+
+def _sampled_lipschitz(problem: ProblemInstance) -> float:
     """Crude gradient-difference estimate of L in a unit box around x0."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_LIPSCHITZ_SEED)
     best = 0.0
-    for _ in range(pairs):
+    for _ in range(_LIPSCHITZ_PAIRS):
         x = problem.x0 + rng.uniform(-0.5, 0.5, problem.n)
         y = problem.x0 + rng.uniform(-0.5, 0.5, problem.n)
         d = np.linalg.norm(x - y)

@@ -27,16 +27,19 @@ Array = np.ndarray
 
 KINDS = ("thm31", "thm41")
 
-_BERNOULLI_TERMS = 3
+#: terms of zeta's direct sum before the Euler-Maclaurin tail takes over
+_ZETA_CUTOFF = 50
+#: relative deviation of an iterate or gradient norm at which a replay diverges
+REPLAY_RTOL = 1e-8
 
 
-def zeta(s: float, cutoff: int = 50) -> float:
+def zeta(s: float) -> float:
     """Riemann zeta for s > 1: direct sum plus an Euler-Maclaurin tail."""
     if s <= 1.0:
         raise ValueError("zeta implemented for s > 1 only")
-    k = np.arange(1, cutoff, dtype=float)
+    k = np.arange(1, _ZETA_CUTOFF, dtype=float)
     head = float(np.sum(k**-s))
-    N = float(cutoff)
+    N = float(_ZETA_CUTOFF)
     tail = N ** (1.0 - s) / (s - 1.0) + 0.5 * N**-s
     tail += s * N ** (-s - 1.0) / 12.0
     tail -= s * (s + 1.0) * (s + 2.0) * N ** (-s - 3.0) / 720.0
@@ -244,7 +247,7 @@ def _replay_rule(seq: SharpSequence) -> ScalingRule:
     )
 
 
-def replay(seq: SharpSequence, interp: HermiteInterpolant, rtol: float = 1e-8) -> ReplayReport:
+def replay(seq: SharpSequence, interp: HermiteInterpolant) -> ReplayReport:
     """Run the solver on the interpolant and compare against the prescription."""
     problem = as_problem(interp, name=f"sharp-{seq.kind}")
     cfg = Astr1Config(
@@ -260,7 +263,7 @@ def replay(seq: SharpSequence, interp: HermiteInterpolant, rtol: float = 1e-8) -
     upto = min(len(xs), seq.K + 1)
     x_dev = np.abs(xs[:upto] - seq.x[:upto]) / (1.0 + np.abs(seq.x[:upto]))
     g_dev = np.abs(trace.normg[:upto] - np.abs(seq.g[:upto])) / np.abs(seq.g[:upto])
-    bad = np.where((x_dev > rtol) | (g_dev > rtol))[0]
+    bad = np.where((x_dev > REPLAY_RTOL) | (g_dev > REPLAY_RTOL))[0]
     return ReplayReport(
         trace=trace,
         max_iterate_dev=float(x_dev.max()),

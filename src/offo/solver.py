@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,6 +25,9 @@ from .scaling import ScalingRule, new_state, update, weights
 Array = np.ndarray
 
 GEOMETRIES = ("box", "ball")
+#: truncated CG stops once its residual is below max(_CG_ABS, _CG_REL * ||g||)
+_CG_REL = 1e-5
+_CG_ABS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,6 @@ class Astr1Config:
     kappa_B: float = 1e5
     eps: float = 1e-6
     max_iter: int = 100_000
-    cg_rel: float = 1e-5
-    cg_abs: float = 1e-12
     instrument_f: bool = False
     record_vectors: bool = False
 
@@ -86,6 +87,13 @@ class _CountingOracle:
         return self.target.hess(x)
 
 
+#: the step-indexed columns of a trace, in field order
+_STEP_COLS = (
+    "w_min", "w_max", "delta_min", "delta_max", "gamma", "q_step",
+    "q_cauchy", "norm_B", "sbound_resid", "gcp_resid", "step_norm",
+)
+
+
 @dataclass
 class IterationTrace:
     """Per-iteration diagnostics of one run.
@@ -94,6 +102,10 @@ class IterationTrace:
     arrays (weights, radii, model values, residuals) have one entry per step
     taken.  ``sbound_resid`` is max_i (|s_i| - Delta_i) / (1 + Delta_i) (the
     ball analogue uses norms); ``gcp_resid`` is q(s) - tau * q(s_Q).
+
+    A run builds its trace with :meth:`open`, appends to the columns while
+    they are ``array("d")`` buffers (8 bytes per value and no float object),
+    and :meth:`close` turns each buffer into a numpy column without a copy.
     """
 
     status: str
@@ -120,6 +132,30 @@ class IterationTrace:
     g_hist: Optional[list] = None
     w_hist: Optional[list] = None
 
+    @classmethod
+    def open(cls, eps: float, record_vectors: bool = False) -> "IterationTrace":
+        """An empty trace of a run in progress; ``record_vectors`` keeps x, g and w."""
+        hist = [[] for _ in range(3)] if record_vectors else [None] * 3
+        return cls("running", eps, array("d"), array("d"), *(array("d") for _ in _STEP_COLS),
+                   None, np.nan, 0, 0, 0, *hist)
+
+    def add_eval(self, normg, f_val, x=None, g=None):
+        self.normg.append(normg)
+        self.f.append(np.nan if f_val is None else f_val)
+        if self.x_hist is not None:
+            self.x_hist.append(np.array(x, copy=True))
+            self.g_hist.append(np.array(g, copy=True))
+
+    def close(self, status, x_final, oracle) -> "IterationTrace":
+        self.status = status
+        # read from the buffer, so that it is a Python float
+        self.final_normg = self.normg[-1] if self.normg else np.nan
+        for c in ("normg", "f") + _STEP_COLS:
+            setattr(self, c, np.asarray(getattr(self, c), dtype=float))
+        self.x_final = np.array(x_final, copy=True)
+        self.f_evals, self.g_evals, self.h_evals = oracle.f_evals, oracle.g_evals, oracle.h_evals
+        return self
+
     @property
     def steps(self) -> int:
         return len(self.gamma)
@@ -134,68 +170,10 @@ class IterationTrace:
             wr.writerow(["k", "normg", "f", "delta_min", "delta_max", "gamma", "status"])
             last = len(self.normg) - 1
             for k in range(len(self.normg)):
-                stepped = k < len(self.gamma)
-                wr.writerow(
-                    [
-                        k,
-                        f"{self.normg[k]:.12g}",
-                        "" if np.isnan(self.f[k]) else f"{self.f[k]:.12g}",
-                        f"{self.delta_min[k]:.12g}" if stepped else "",
-                        f"{self.delta_max[k]:.12g}" if stepped else "",
-                        f"{self.gamma[k]:.12g}" if stepped else "",
-                        self.status if k == last else "",
-                    ]
-                )
-
-
-class _TraceBuilder:
-    """Collects a run's trace; scalar columns grow as ``array("d")`` buffers.
-
-    A buffer stores 8 bytes per value and no float object, and becomes the
-    trace's numpy column without a copy.
-    """
-
-    _STEP_COLS = (
-        "w_min", "w_max", "delta_min", "delta_max", "gamma", "q_step",
-        "q_cauchy", "norm_B", "sbound_resid", "gcp_resid", "step_norm",
-    )
-
-    def __init__(self, record_vectors: bool):
-        self.normg = array("d")
-        self.f = array("d")
-        self.cols = {c: array("d") for c in self._STEP_COLS}
-        self.record_vectors = record_vectors
-        self.x_hist: Optional[list] = [] if record_vectors else None
-        self.g_hist: Optional[list] = [] if record_vectors else None
-        self.w_hist: Optional[list] = [] if record_vectors else None
-
-    def add_eval(self, normg, f_val, x=None, g=None):
-        self.normg.append(normg)
-        self.f.append(np.nan if f_val is None else f_val)
-        if self.record_vectors:
-            self.x_hist.append(np.array(x, copy=True))
-            self.g_hist.append(np.array(g, copy=True))
-
-    def add_step(self, **kw):
-        for c in self._STEP_COLS:
-            self.cols[c].append(kw.get(c, np.nan))
-
-    def finish(self, status, eps, x_final, oracle) -> IterationTrace:
-        return IterationTrace(
-            status=status,
-            eps=eps,
-            normg=np.asarray(self.normg, dtype=float),
-            f=np.asarray(self.f, dtype=float),
-            x_final=np.array(x_final, copy=True),
-            final_normg=self.normg[-1] if self.normg else np.nan,
-            f_evals=oracle.f_evals,
-            g_evals=oracle.g_evals,
-            h_evals=oracle.h_evals,
-            x_hist=self.x_hist,
-            g_hist=self.g_hist,
-            w_hist=self.w_hist,
-            **{c: np.asarray(v, dtype=float) for c, v in self.cols.items()},
-        )
+                f_k = "" if np.isnan(self.f[k]) else f"{self.f[k]:.12g}"
+                stepped = [f"{c[k]:.12g}" if k < len(self.gamma) else ""
+                           for c in (self.delta_min, self.delta_max, self.gamma)]
+                wr.writerow([k, f"{self.normg[k]:.12g}", f_k, *stepped, self.status if k == last else ""])
 
 
 def trust_radius(g: Array, w: Array, geometry: str):
@@ -432,64 +410,52 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
     geometry = cfg.geometry
     state = new_state(rule, n)
     model = make_model(cfg.model, kappa_B=cfg.kappa_B)
-    tr = _TraceBuilder(cfg.record_vectors)
-    cols = tr.cols
+    tr = IterationTrace.open(cfg.eps, cfg.record_vectors)
     prev_g = None
     prev_s = None
     status = "max_iter"
     for _ in range(cfg.max_iter):
         try:
             g = oracle.grad(x)
+            normg = math.sqrt(float(g @ g))
+            tr.add_eval(normg, oracle.value(x) if cfg.instrument_f else None, x=x, g=g)
+            if normg <= cfg.eps:
+                status = "converged"
+                break
+            if prev_g is not None and not model.is_zero:
+                model = model.update(prev_s, g - prev_g)
+            if model.needs_hessian:
+                model = model.with_matrix(oracle.hess(x))
         except NonFiniteError:
             status = "overflow"
             break
-        normg = math.sqrt(float(g @ g))
-        f_val = None
-        if cfg.instrument_f:
-            try:
-                f_val = oracle.value(x)
-            except NonFiniteError:
-                status = "overflow"
-                break
-        tr.add_eval(normg, f_val, x=x, g=g)
-        if normg <= cfg.eps:
-            status = "converged"
-            break
-        if prev_g is not None and not model.is_zero:
-            model = model.update(prev_s, g - prev_g)
-        if model.needs_hessian:
-            try:
-                model = model.with_matrix(oracle.hess(x))
-            except NonFiniteError:
-                status = "overflow"
-                break
         update(state, rule, g)
         w = weights(state, rule)
         radii = trust_radius(g, w, geometry)
         cs = cauchy_step(g, None if model.is_zero else model.matvec, radii, geometry)
-        tol = max(cfg.cg_abs, cfg.cg_rel * normg)
+        tol = max(_CG_ABS, _CG_REL * normg)
         s, q_s = solve_subproblem(g, model, radii, geometry, cs, cfg.tau, tol)
         if not np.isfinite(s).all():
             status = "overflow"
             break
-        if tr.record_vectors:
+        if tr.w_hist is not None:
             tr.w_hist.append(np.array(w, copy=True))
         step_norm = math.sqrt(float(s @ s))
-        # one append per column of _TraceBuilder._STEP_COLS; a ball radius is a float
-        cols["w_min"].append(w.min())
-        cols["w_max"].append(w.max())
-        cols["delta_min"].append(radii.min() if geometry == "box" else radii)
-        cols["delta_max"].append(radii.max() if geometry == "box" else radii)
-        cols["gamma"].append(cs.gamma)
-        cols["q_step"].append(q_s)
-        cols["q_cauchy"].append(cs.q_Q)
-        cols["norm_B"].append(model.norm_estimate())
-        cols["sbound_resid"].append(_sbound_residual(s, radii, geometry, step_norm))
-        cols["gcp_resid"].append(q_s - cfg.tau * cs.q_Q)
-        cols["step_norm"].append(step_norm)
+        # one append per column of _STEP_COLS; a ball radius is a float
+        tr.w_min.append(w.min())
+        tr.w_max.append(w.max())
+        tr.delta_min.append(radii.min() if geometry == "box" else radii)
+        tr.delta_max.append(radii.max() if geometry == "box" else radii)
+        tr.gamma.append(cs.gamma)
+        tr.q_step.append(q_s)
+        tr.q_cauchy.append(cs.q_Q)
+        tr.norm_B.append(model.norm_estimate())
+        tr.sbound_resid.append(_sbound_residual(s, radii, geometry, step_norm))
+        tr.gcp_resid.append(q_s - cfg.tau * cs.q_Q)
+        tr.step_norm.append(step_norm)
         x = x + s
         prev_g, prev_s = g, s
-    return tr.finish(status, cfg.eps, x, oracle)
+    return tr.close(status, x, oracle)
 
 
 #: Armijo sufficient-decrease constant of the steepest-descent baseline
@@ -507,13 +473,13 @@ def sdba_run(problem, eps: float = 1e-6, max_iter: int = 100_000) -> IterationTr
     base = base_problem(problem)
     oracle = _CountingOracle(fresh_stream(problem))
     x = np.array(base.x0, dtype=float)
-    tr = _TraceBuilder(False)
+    tr = IterationTrace.open(eps)
     status = "max_iter"
     try:
         g = oracle.grad(x)
         f = oracle.value(x)
     except NonFiniteError:
-        return tr.finish("overflow", eps, x, oracle)
+        return tr.close("overflow", x, oracle)
     normg0 = float(np.linalg.norm(g))
     alpha0 = 1.0 / normg0 if normg0 > 0 else 1.0
     for _ in range(max_iter):
@@ -537,7 +503,8 @@ def sdba_run(problem, eps: float = 1e-6, max_iter: int = 100_000) -> IterationTr
         if not accepted:
             status = "linesearch_failure"
             break
-        tr.add_step(step_norm=float(alpha * normg))
+        for c in _STEP_COLS:
+            getattr(tr, c).append(float(alpha * normg) if c == "step_norm" else np.nan)
         x = x_try
         f = f_try
         try:
@@ -545,4 +512,4 @@ def sdba_run(problem, eps: float = 1e-6, max_iter: int = 100_000) -> IterationTr
         except NonFiniteError:
             status = "overflow"
             break
-    return tr.finish(status, eps, x, oracle)
+    return tr.close(status, x, oracle)

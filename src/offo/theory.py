@@ -18,8 +18,14 @@ from .solver import Astr1Config, IterationTrace, astr1_run
 
 Array = np.ndarray
 
-#: problems whose Lipschitz constant is known exactly (quadratics)
+#: problems whose Lipschitz constant is known exactly (quadratics), and the
+#: gradient tolerance of the envelope and decrease suites' runs on them
 EXACT_L_PROBLEMS = (("tridia", 10), ("hilbert", 10), ("arglina", 10), ("arglinb", 10))
+EXACT_L_EPS = 1e-6
+#: random instances of the series suite
+SERIES_CASES = 1000
+#: log-spaced arguments of the Lambert suite on (-1/e, -1e-12]
+LAMBERT_GRID = 1000
 
 
 @dataclass(frozen=True)
@@ -313,10 +319,10 @@ def check_bracket(trace: IterationTrace, p: TheoryParams, eta: float, nu: float)
 # ---------------------------------------------------------------------------
 
 
-def run_series_suite(cases: int = 1000, seed: int = 0) -> dict:
+def run_series_suite(seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     worst = -np.inf
-    for _ in range(cases):
+    for _ in range(SERIES_CASES):
         a = rng.uniform(0.0, 2.0, rng.integers(1, 21))
         xi = float(rng.uniform(0.05, 3.0))
         for alpha in (0.3, 0.7, 1.0, 1.3, 2.0):
@@ -330,15 +336,15 @@ def run_series_suite(cases: int = 1000, seed: int = 0) -> dict:
     cont = max(abs(lo - mid), abs(hi - mid)) / mid
     return {
         "suite": "series",
-        "cases": cases,
+        "cases": SERIES_CASES,
         "max_violation": worst,
         "continuity_gap": cont,
         "passed": bool(worst <= 0.0 and cont <= 1e-4),
     }
 
 
-def run_lambert_suite(grid: int = 1000) -> dict:
-    xs = -np.exp(np.linspace(np.log(_INV_E - 1e-9), np.log(1e-12), grid))
+def run_lambert_suite() -> dict:
+    xs = -np.exp(np.linspace(np.log(_INV_E - 1e-9), np.log(1e-12), LAMBERT_GRID))
     worst = 0.0
     for x in xs:
         w = lambert_w_m1(x)
@@ -350,7 +356,7 @@ def run_lambert_suite(grid: int = 1000) -> dict:
         tail_ok = tail_ok and lhs <= rhs
     return {
         "suite": "lambert",
-        "grid": grid,
+        "grid": LAMBERT_GRID,
         "max_rel_residual": worst,
         "branch_point_error": branch_err,
         "tail_bound_ok": bool(tail_ok),
@@ -358,14 +364,14 @@ def run_lambert_suite(grid: int = 1000) -> dict:
     }
 
 
-def _exact_l_traces(eps=1e-6, max_iter=20000, instrument=False):
+def _exact_l_traces(max_iter=20000, instrument=False):
     out = []
     for name, n in EXACT_L_PROBLEMS:
         prob = make_problem(name, n)
         rule = rule_from_name("adagrad")
         cfg = Astr1Config(
             scaling=rule,
-            eps=eps,
+            eps=EXACT_L_EPS,
             max_iter=max_iter,
             instrument_f=instrument,
             record_vectors=instrument,

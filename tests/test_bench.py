@@ -190,6 +190,25 @@ def test_emit_files_and_json_roundtrip(tmp_path):
     assert all(str(p).startswith(str(tmp_path)) for p in paths)
 
 
+def test_records_csv_rows(tmp_path):
+    records = [
+        rec("a", "p1", 100, noise=0.15),
+        RunRecord(method="adagH", problem="helix", n=3, noise=0.15, seed=1, eps=1e-3,
+                  status="unsupported", iterations=0, final_normg=np.nan,
+                  f_evals=0, g_evals=0, h_evals=0),
+        RunRecord(method="sdba", problem="p1", n=2, noise=0.15, seed=0, eps=1e-3,
+                  status="max_iter", iterations=12, final_normg=0.123456789,
+                  f_evals=5, g_evals=7, h_evals=0),
+    ]
+    emit(perf_profile(records), records, tmp_path)
+    assert (tmp_path / "records.csv").read_text().splitlines() == [
+        "method,problem,n,noise,seed,eps,status,iterations,final_normg,f_evals,g_evals,h_evals",
+        "a,p1,2,0.15,0,1e-06,converged,100,1e-07,0,100,0",
+        "adagH,helix,3,0.15,1,0.001,unsupported,0,nan,0,0,0",
+        "sdba,p1,2,0.15,0,0.001,max_iter,12,0.123457,5,7,0",
+    ]
+
+
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         run_matrix(["notamethod"], [("cube", 2)], [0.0], [0])

@@ -48,8 +48,19 @@ def test_run_reports_capability_gap():
     (("run", "--problem", "rosenbr", "--method", "sdba", "--geometry", "box"), "sdba"),
     (("run", "--problem", "rosenbr", "--method", "sdba", "--instrument-f"), "sdba"),
     (("problem", "nosuch"), "unknown problem 'nosuch'"),
+    (("run", "--problem", "rosenbr", "--method", "nosuch"), "unknown method 'nosuch'; known:"),
+    (("bench", "--problems", "nosuch"), "unknown problem 'nosuch'"),
+    (("bench", "--problems", "cube,nosuch"), "unknown problem 'nosuch'"),
+    (("bench", "--problems", "cube:x"), "'x'"),
+    (("bench", "--methods", "nosuch"), "unknown method 'nosuch'; known:"),
+    (("bench", "--noise", "1.5"), "noise level must lie in [0, 1)"),
+    (("bench", "--noise", "abc"), "'abc'"),
+    (("bench", "--seeds", "0", "--noise", "0.1"), "noisy runs need at least one seed"),
 ])
-def test_bad_input_is_a_usage_error(args, message):
+def test_bad_input_is_a_usage_error(args, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if args[0] == "bench":
+        args += ("--out", "out")
     res = invoke(*args)
     assert res.exit_code == 2, res.output
     error = [line for line in res.output.splitlines() if line.startswith("Error:")]
@@ -63,6 +74,17 @@ def test_error_during_a_run_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(bench, "solve", fail)
     with pytest.raises(ValueError, match="raised by the run"):
         invoke("run", "--problem", "rosenbr")
+
+
+def test_bench_checks_every_input_before_the_first_run(monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench, "run_one", fail)
+    res = invoke("bench", "--methods", "adagrad", "--problems", "cube,nosuch",
+                 "--out", str(tmp_path / "out"))
+    assert res.exit_code == 2, res.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_lambert(tmp_path):

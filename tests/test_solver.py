@@ -371,6 +371,39 @@ def test_overflow_status_on_divergent_problem():
     assert tr.status == "overflow"
 
 
+def ramp(derivative, at=3.0):
+    """f = -x1 - x2 from 0, whose ``derivative`` turns infinite once max(x) >= at."""
+
+    def gate(kind, value, x):
+        return value if kind != derivative or x.max() < at else np.full_like(value, np.inf)
+
+    return ProblemInstance(f"ramp-{derivative}", 2, np.zeros(2), -np.inf,
+                           lambda x: gate("value", -x.sum(), x),
+                           lambda x: gate("grad", -np.ones(2), x),
+                           lambda x: gate("hess", np.zeros((2, 2)), x))
+
+
+@pytest.mark.parametrize("derivative, model", [("value", "none"), ("hess", "exact")])
+def test_overflow_keeps_the_completed_evaluations(derivative, model):
+    cfg = Astr1Config(scaling=rule_from_name("adagrad"), model=model, max_iter=1000,
+                      instrument_f=derivative == "value")
+    tr = astr1_run(ramp(derivative), cfg)
+    assert tr.status == "overflow"
+    if derivative == "value":
+        # the last gradient's objective value overflowed, so it was not recorded
+        assert tr.f_evals == tr.g_evals and len(tr.normg) == tr.f_evals - 1
+        assert np.isfinite(tr.f).all()
+    else:
+        # every gradient was recorded; the last one's Hessian overflowed
+        assert tr.h_evals == tr.g_evals and len(tr.normg) == tr.g_evals
+    assert len(tr.normg) >= 2 and tr.steps == tr.g_evals - 1
+    for c in ("normg", "f") + solver._STEP_COLS:
+        col = getattr(tr, c)
+        assert type(col) is np.ndarray and col.dtype == np.float64, c
+    assert type(tr.final_normg) is float and tr.final_normg == tr.normg[-1]
+    assert type(tr.x_final) is np.ndarray and tr.x_final.max() >= 3.0
+
+
 def test_ball_geometry_requires_aggregated_rule():
     with pytest.raises(ValueError):
         Astr1Config(scaling=rule_from_name("adagrad"), geometry="ball")
@@ -478,7 +511,7 @@ def reference_run(problem, cfg):
         w = _reference_weights(rule, acc, k, n, theta)
         radii = trust_radius(g, w, cfg.geometry)
         cs = cauchy_step(g, model.matvec, radii, cfg.geometry)
-        tol = max(cfg.cg_abs, cfg.cg_rel * normg)
+        tol = max(solver._CG_ABS, solver._CG_REL * normg)
         s, q_s = solve_subproblem(g, model, radii, cfg.geometry, cs, cfg.tau, tol)
         s = s.copy()
         if cfg.geometry == "box":
