@@ -371,7 +371,8 @@ def _banded(bands: dict) -> Array:
     ``bands[k]`` on its k-th upper and lower diagonals."""
     n = len(bands[0])
     i = np.arange(n)
-    H = np.zeros((n, n))
+    # every page written, so its resident size does not depend on huge pages
+    H = np.full((n, n), 0.0)
     for k, band in bands.items():
         H[i[: n - k], i[k:]] = H[i[k:], i[: n - k]] = band
     return H
