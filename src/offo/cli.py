@@ -143,6 +143,10 @@ def bench_cmd(methods, problems, noise, seeds, eps, max_iter, jobs, outdir):
         )
         problem_list = _parse_problems(problems)
         noise_levels = [float(tok) for tok in noise.split(",") if tok.strip()]
+        for option, values in (("--methods", method_list), ("--problems", problem_list),
+                               ("--noise", noise_levels)):
+            if not values:
+                raise ValueError(f"{option} lists nothing")
         for m in method_list:
             bench_mod.method_config(m, eps, max_iter)
         for name, n in problem_list:

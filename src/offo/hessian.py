@@ -7,8 +7,11 @@ Each model supplies a raw operator and its exact spectral norm ||B||; the
 shared cap rescales the whole operator by ``kappa_B / ||B||`` whenever
 ``||B|| > kappa_B``, so the capped norm is at most ``kappa_B`` up to rounding.
 The norm is computed once per new operator: ``scale`` for bb, a 2M x 2M
-eigenproblem from the compact form of L-BFGS (O(n M^2) per update) and one
-dense ``eigvalsh`` for exact.
+eigenproblem from the compact form of L-BFGS (O(n M^2) per update) and, for
+exact, one dense ``eigvalsh`` or, when the Hessian is tri- or pentadiagonal
+and n is past the measured crossover, a bisection on inertia tests of its
+bands (Golub & Van Loan, Matrix Computations, 4th ed., 8.4; Kahan 1966)
+that brackets the norm and returns the bracket's certified upper end.
 """
 from __future__ import annotations
 
@@ -151,35 +154,204 @@ class LbfgsModel(CurvatureModel):
         return norm if R.shape[0] == u[0].size else max(norm, abs(self.scale))
 
 
+#: the widest band kept in band form (tri- and pentadiagonal Hessians)
+_MAX_BAND = 2
+#: smallest n at which a banded Hessian is kept in band form, by bandwidth
+_BAND_MIN_N = (128, 256, 512)
+#: the 128 shifts of a bisection sweep (7 bits for about the per-row cost of
+#: one shift) and of the first sweep's geometric ladder above a Ritz value
+_GRID = np.arange(1, 129) / 129.0
+_LADDER = 2.0 ** -np.linspace(0.0, 52.0, 128)
+#: Lanczos steps that place the first sweep near the largest |eigenvalue|
+_LANCZOS_STEPS = 20
+_EPS = np.finfo(float).eps
+
+
+def _band_form(H: Array) -> Optional[tuple]:
+    """H's diagonal and upper bands, symmetrised, when H is banded and large
+    enough to be kept that way; None otherwise.  No n x n temporary."""
+    n = H.shape[0]
+    if n < min(_BAND_MIN_N):
+        return None
+    outside = np.count_nonzero(H)
+    for b in range(_MAX_BAND + 1):
+        upper, lower = np.diagonal(H, b), np.diagonal(H, -b)
+        outside -= np.count_nonzero(upper) + (np.count_nonzero(lower) if b else 0)
+        if outside == 0:
+            break
+    if outside or n < _BAND_MIN_N[b]:
+        return None
+    bands = []
+    for k in range(b + 1):
+        upper, lower = np.diagonal(H, k), np.diagonal(H, -k)
+        bands.append(upper.copy() if np.array_equal(upper, lower) else 0.5 * (upper + lower))
+    return tuple(bands)
+
+
+def _band_matvec(bands: tuple, v: Array) -> Array:
+    """The symmetric band matrix times v, a vector or an n x k block."""
+    shape = (-1,) + (1,) * (v.ndim - 1)
+    w = bands[0].reshape(shape) * v
+    for k, band in enumerate(bands[1:], 1):
+        band = band.reshape(shape)
+        w[:-k] += band * v[k:]
+        w[k:] += band * v[:-k]
+    return w
+
+
+def _band_pivots(bands: tuple, shifts: Array) -> Array:
+    """Pivots of the unpivoted LDL^T of A - s I, one column per shift s.
+
+    By Sylvester's law of inertia the pivots' signs are the eigenvalue
+    signs of A - s I, so A - s I is negative definite exactly when every
+    pivot in its column is negative: s lies above the spectrum.  A zero
+    pivot (or the NaN or infinity it leads to) fails that test, which is
+    the side that keeps an upper bound safe.  The Sturm recurrence for
+    b = 1, the banded one for b = 2; one row at a time for all shifts.
+    """
+    D = np.subtract.outer(bands[0], shifts)
+    t = np.empty_like(shifts)
+    # a zero pivot divides by zero; the infinity or NaN it yields is handled
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # rows come from iterating D and coefficients are Python floats: both
+        # spare per-row indexing in this loop of n steps
+        if len(bands) == 2:
+            for e2, prev, row in zip((bands[1] * bands[1]).tolist(), D, D[1:]):
+                np.divide(e2, prev, out=t)
+                row -= t
+        elif len(bands) == 3:
+            a1, a2 = bands[1].tolist(), bands[2]
+            u = np.empty_like(shifts)
+            l = a1[0] / D[0]  # L[i-1, i-2], the previous row's multiplier
+            D[1] -= a1[0] * l
+            for e2, m, c, prev2, prev, row in zip((a2 * a2).tolist(), (-a2).tolist(), a1[1:],
+                                                  D, D[1:], D[2:]):
+                np.divide(e2, prev2, out=t)
+                row -= t
+                np.multiply(l, m, out=u)
+                u += c  # L[i, i-1] D[i-1]
+                np.divide(u, prev, out=l)
+                u *= l
+                row -= u
+    return D
+
+
+def _narrow(lo: float, hi: float, shifts: Array, above: Array) -> tuple:
+    """The bracket [lo, hi] on the largest eigenvalue after one sweep."""
+    hi = shifts[above].min(initial=hi)
+    lo = shifts[~above & (shifts < hi)].max(initial=lo)
+    return lo, hi
+
+
+def _band_top(bands: tuple, lo: float, hi: float, tol: float) -> float:
+    """Bisect the largest eigenvalue in [lo, hi], hi certified above it,
+    until the bracket is at most tol wide; returns its certified upper end."""
+    while hi - lo > tol:
+        shifts = lo + (hi - lo) * _GRID
+        lo, hi = _narrow(lo, hi, shifts, (_band_pivots(bands, shifts) < 0).all(axis=0))
+    return float(hi)
+
+
+def _ritz_range(bands: tuple) -> tuple:
+    """The extreme Ritz values of a few Lanczos steps: inside the spectrum."""
+    q = np.random.default_rng(0).standard_normal(bands[0].size)  # fixed start
+    q /= np.linalg.norm(q)
+    q_prev, beta = np.zeros_like(q), 0.0
+    alphas, betas = [], []
+    for _ in range(min(_LANCZOS_STEPS, q.size)):
+        w = _band_matvec(bands, q) - beta * q_prev
+        alpha = float(q @ w)
+        w -= alpha * q
+        alphas.append(alpha)
+        beta = float(np.linalg.norm(w))
+        if beta == 0.0:
+            break
+        betas.append(beta)
+        q_prev, q = q, w / beta
+    T = np.diag(alphas) + np.diag(betas[: len(alphas) - 1], 1)
+    theta = np.linalg.eigvalsh(T, UPLO="U")
+    return theta[0], theta[-1]
+
+
+def _band_norm(bands: tuple) -> float:
+    """A certified upper bound on max|eigenvalue| of a symmetric band matrix,
+    within a few ulps of it.
+
+    Gershgorin bounds bracket the spectrum; Lanczos Ritz values pick the
+    side that holds max|eigenvalue| (the matrix is negated when it is the
+    bottom) and place the first sweep.  The top is bisected on inertia
+    tests to full precision, and one positive-definiteness test rules the
+    other side out; should that test fail, the other side is bisected too.
+    """
+    a = bands[0]
+    radius = np.zeros_like(a)
+    for k, band in enumerate(bands[1:], 1):
+        radius[:-k] += np.abs(band)
+        radius[k:] += np.abs(band)
+    glo, ghi = float((a - radius).min()), float((a + radius).max())
+    scale = max(-glo, ghi)
+    if not np.isfinite(scale):
+        return float("nan")  # as eigvalsh gives for such a matrix
+    if scale == 0.0:
+        return 0.0
+    # pad the Gershgorin ends past the rounding of a +- radius
+    glo, ghi = glo - 8 * _EPS * scale, ghi + 8 * _EPS * scale
+    tol = 4 * _EPS * scale
+    tmin, tmax = _ritz_range(bands)
+    if tmax < -tmin:
+        bands, glo, ghi, tmax = tuple(-band for band in bands), -ghi, -glo, -tmin
+    x = tmax * (1.0 - 2.0**-30)  # just below the top, for the other side's test
+    shifts = np.concatenate(([x], tmax + (ghi - tmax) * _LADDER))
+    piv = _band_pivots(bands, np.append(shifts, -x))
+    lo, hi = _narrow(glo, ghi, shifts, (piv[:, :-1] < 0).all(axis=0))
+    hi = _band_top(bands, lo, hi, tol)
+    if x <= hi and (piv[:, -1] > 0).all():
+        return hi
+    return max(hi, _band_top(tuple(-band for band in bands), -ghi, -glo, tol))
+
+
 @dataclass(frozen=True)
 class ExactModel(CurvatureModel):
     """The true Hessian at the current iterate, bound by ``with_matrix``.
 
-    ``update`` drops the matrix: it belongs to the previous iterate, and
-    freeing it before the next Hessian is evaluated keeps one n x n array
-    fewer alive.
+    A Hessian of half-bandwidth b <= 2 with n at or above ``_BAND_MIN_N[b]``
+    is kept as its b + 1 bands and H is dropped: the matvec is the O(n b)
+    band product and the norm a certified bisection on inertia tests
+    (``_band_norm``), whose upper end it returns, so the cap never falls
+    short.  Any other Hessian is kept dense, with a dense ``H @ v`` and
+    one ``eigvalsh``.  ``update`` drops the matrix: it belongs to the
+    previous iterate, and freeing it before the next Hessian is evaluated
+    keeps one n x n array fewer alive.
     """
 
     needs_hessian = True
     H: Optional[Array] = None
+    bands: Optional[tuple] = None
 
     def update(self, s: Array, y: Array) -> "ExactModel":
-        return replace(self, H=None)
+        return replace(self, H=None, bands=None)
 
     def with_matrix(self, H: Array) -> "ExactModel":
         H = np.asarray(H, dtype=float)
+        bands = _band_form(H)
+        if bands is not None:
+            return replace(self, H=None, bands=bands)
         # a symmetric H already equals 0.5 (H + H^T) bit for bit; keeping it
         # spares an n x n copy next to the one eigvalsh makes
         if not np.array_equal(H, H.T):
             H = 0.5 * (H + H.T)
-        return replace(self, H=H)
+        return replace(self, H=H, bands=None)
 
     def _raw_matvec(self, v: Array) -> Array:
+        if self.bands is not None:
+            return _band_matvec(self.bands, v)
         if self.H is None:
             raise RuntimeError("exact model used before a Hessian was bound")
         return self.H @ v
 
     def _raw_norm(self) -> float:
+        if self.bands is not None:
+            return _band_norm(self.bands)
         return 0.0 if self.H is None else float(np.abs(np.linalg.eigvalsh(self.H)).max())
 
 

@@ -56,6 +56,9 @@ def test_run_reports_capability_gap():
     (("bench", "--noise", "1.5"), "noise level must lie in [0, 1)"),
     (("bench", "--noise", "abc"), "'abc'"),
     (("bench", "--seeds", "0", "--noise", "0.1"), "noisy runs need at least one seed"),
+    (("bench", "--problems", ","), "--problems lists nothing"),
+    (("bench", "--methods", ","), "--methods lists nothing"),
+    (("bench", "--noise", ","), "--noise lists nothing"),
 ])
 def test_bad_input_is_a_usage_error(args, message, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

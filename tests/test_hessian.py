@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from offo.hessian import BBDiagModel, ExactModel, LbfgsModel, ZeroModel, make_model
+from offo import bench
+from offo.hessian import (BBDiagModel, ExactModel, LbfgsModel, ZeroModel, _band_norm,
+                          _band_pivots, make_model)
 from offo.problems import make_problem
 from offo.scaling import rule_from_name
 from offo.solver import Astr1Config, astr1_run
@@ -128,7 +132,7 @@ def test_exact_model_norm_matches_dense_eigensolve():
     H = p.hess(p.x0)
     m = make_model("exact").with_matrix(H)
     lam = np.linalg.eigvalsh(H)[-1]
-    assert m.norm_estimate() == pytest.approx(lam, rel=1e-6)
+    assert m.norm_estimate() == pytest.approx(lam, rel=1e-12)
 
 
 def test_exact_model_enforcement():
@@ -165,6 +169,113 @@ def test_exact_model_cap_certified_at_large_n():
     capped = m.matvec(np.eye(p.n))
     assert np.abs(np.linalg.eigvalsh(capped)).max() <= 1000.0 * (1 + 1e-12)
     assert m.norm_estimate() == 1000.0
+
+
+def test_exact_model_cap_certified_at_large_n_pentadiagonal():
+    p = make_problem("broyden3d", 1000)
+    H = p.hess(p.x0)
+    m = ExactModel(kappa_B=50.0).with_matrix(H)
+    assert m.bands is not None and m.raw_norm > 50.0
+    capped = m.matvec(np.eye(p.n))
+    assert np.abs(np.linalg.eigvalsh(capped)).max() <= 50.0 * (1 + 1e-12)
+    assert m.norm_estimate() == 50.0
+
+
+def bands_of(H, b):
+    """The diagonal and b upper bands of a symmetric matrix, read independently."""
+    assert np.count_nonzero(H) == sum(np.count_nonzero(np.diagonal(H, k)) * (1 + (k > 0))
+                                      for k in range(b + 1))
+    return tuple(np.diagonal(H, k).copy() for k in range(b + 1))
+
+
+@pytest.mark.parametrize("name, b", [("rosenbr", 1), ("broyden3d", 2), ("tridia", 1)])
+@pytest.mark.parametrize("n", [2, 3, 10, 1000])
+def test_band_norm_matches_dense_eigensolve(name, b, n):
+    p = make_problem(name, n)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        H = p.hess(p.x0 + 0.3 * (1.0 + np.abs(p.x0)) * rng.standard_normal(n))
+        truth = np.abs(np.linalg.eigvalsh(H)).max()
+        assert _band_norm(bands_of(H, min(b, n - 1))) == pytest.approx(truth, rel=1e-12)
+
+
+@pytest.mark.parametrize("bands", [
+    # indefinite, |lambda_min| dominant
+    (np.linspace(-9.0, 2.0, 300), np.full(299, 1.5)),
+    (-np.linspace(1.0, 5.0, 40), np.full(39, 0.5), np.full(38, -2.0)),
+    # a spectrum symmetric about 0, so both ends are bisected
+    (np.zeros(200), np.ones(199)),
+    # diagonal (b = 0), its extremes of either sign
+    (np.random.default_rng(1).standard_normal(50),),
+    (np.array([-3.0, 0.0, 2.0]),),
+    # split by a zero off-diagonal entry, and the zero matrix
+    (np.array([1.0, -4.0, 2.0, 0.5]), np.array([1.0, 0.0, -1.0])),
+    (np.zeros(4), np.zeros(3)),
+])
+def test_band_norm_on_indefinite_diagonal_and_split_matrices(bands):
+    H = sum(np.diag(band, k) + (np.diag(band, -k) if k else 0) for k, band in enumerate(bands))
+    truth = np.abs(np.linalg.eigvalsh(H)).max()
+    got = _band_norm(tuple(bands))
+    assert got >= truth * (1 - 1e-15) and got == pytest.approx(truth, rel=1e-12, abs=0.0)
+
+
+def test_band_pivots_on_exact_zero_pivots():
+    # [[0, 1], [1, 0]] has eigenvalues -1 and 1; shift 0 makes the first pivot
+    # zero, shift 1 the last one; neither shift is above the spectrum
+    piv = _band_pivots((np.zeros(2), np.ones(1)), np.array([0.0, 1.0, 1.5]))
+    assert piv[0, 0] == 0.0 and piv[1, 1] == 0.0
+    assert list((piv < 0).all(axis=0)) == [False, False, True]
+    # a zero pivot before a zero off-diagonal entry gives 0/0 = NaN, which
+    # must not read as negative either
+    bands = (np.array([2.0, 1.0, 3.0]), np.array([0.0, 0.0]), np.array([1.0]))
+    piv = _band_pivots(bands, np.array([2.0, 4.0]))  # eigenvalues 1, 1.38, 3.62
+    assert np.isnan(piv[2, 0])
+    assert list((piv < 0).all(axis=0)) == [False, True]
+
+
+@pytest.mark.parametrize("name", ["rosenbr", "broyden3d", "tridia"])
+def test_band_form_at_large_n(name):
+    p = make_problem(name, 1000)
+    H = p.hess(p.x0)
+    m = make_model("exact").with_matrix(H)
+    assert m.H is None and len(m.bands) == (3 if name == "broyden3d" else 2)
+    rng = np.random.default_rng(2)
+    for v in (rng.standard_normal(1000), rng.standard_normal((1000, 7)), np.eye(1000)):
+        dense = H @ v
+        assert np.abs(m.matvec(v) - dense).max() <= 1e-13 * np.abs(dense).max()
+    assert m.raw_norm >= np.abs(np.linalg.eigvalsh(H)).max()
+    m = m.update(np.ones(1000), np.ones(1000))
+    assert m.bands is None and m.norm_estimate() == 0.0
+
+
+def test_band_form_symmetrizes_and_dense_hessians_stay_dense():
+    rng = np.random.default_rng(3)
+    d, e = rng.standard_normal(600), rng.standard_normal(599)
+    H = np.diag(d) + np.diag(e, 1) + np.diag(e + 1.0, -1)
+    m = make_model("exact").with_matrix(H)
+    assert np.array_equal(m.bands[1], 0.5 * (e + (e + 1.0)))
+    for name in ("arwhead", "hilbert"):
+        p = make_problem(name, 600)
+        m = make_model("exact").with_matrix(p.hess(p.x0))
+        assert m.bands is None and m.H is not None
+    # below the crossover a banded Hessian stays dense, so its runs are unchanged
+    p = make_problem("broyden3d", 500)
+    assert make_model("exact").with_matrix(p.hess(p.x0)).bands is None
+
+
+@pytest.mark.parametrize("name", ["broyden3d", "tridia"])
+def test_large_n_exact_model_runs_keep_the_step_contract(name):
+    p = make_problem(name, 1000)
+    spec = bench.METHODS["adagH"]
+    cfg = Astr1Config(scaling=rule_from_name(spec.scaling), model=spec.model,
+                      geometry=spec.geometry, eps=1e-3, max_iter=4)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        x0 = p.x0 + 1e-3 * (1.0 + np.abs(p.x0)) * rng.standard_normal(p.n)
+        tr = astr1_run(dataclasses.replace(p, x0=x0), cfg)
+        assert tr.steps == 4
+        assert np.max(tr.sbound_resid) <= 1e-14
+        assert np.all(tr.gcp_resid <= 1e-12 * (1.0 + np.abs(tr.q_cauchy)))
 
 
 def _positive_pairs(rng, n, count):
