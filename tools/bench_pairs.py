@@ -2,7 +2,7 @@
 
 Run from the root of a checkout, with both commits committed:
 
-    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_9.json
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json
 
 For each workload of ``BENCHMARK.json`` and each pair i (0 <= i < --pairs),
 both commits run ``perfbench/run.py --workload W --seed i --seconds S`` from
