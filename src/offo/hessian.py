@@ -11,7 +11,8 @@ eigenproblem from the compact form of L-BFGS (O(n M^2) per update) and, for
 exact, one dense ``eigvalsh`` or, when the Hessian is tri- or pentadiagonal
 and n is past the measured crossover, a bisection on inertia tests of its
 bands (Golub & Van Loan, Matrix Computations, 4th ed., 8.4; Kahan 1966)
-that brackets the norm and returns the bracket's certified upper end.
+that brackets the norm and returns the bracket's upper end, an upper bound
+up to the factorization's backward error of order eps ||H||.
 """
 from __future__ import annotations
 
@@ -156,8 +157,8 @@ class LbfgsModel(CurvatureModel):
 
 #: the widest band kept in band form (tri- and pentadiagonal Hessians)
 _MAX_BAND = 2
-#: smallest n at which a banded Hessian is kept in band form, by bandwidth
-_BAND_MIN_N = (128, 256, 512)
+#: smallest n at which a banded Hessian is kept in band form
+_BAND_MIN_N = 512
 #: the 128 shifts of a bisection sweep (7 bits for about the per-row cost of
 #: one shift) and of the first sweep's geometric ladder above a Ritz value
 _GRID = np.arange(1, 129) / 129.0
@@ -170,8 +171,7 @@ _EPS = np.finfo(float).eps
 def _band_form(H: Array) -> Optional[tuple]:
     """H's diagonal and upper bands, symmetrised, when H is banded and large
     enough to be kept that way; None otherwise.  No n x n temporary."""
-    n = H.shape[0]
-    if n < min(_BAND_MIN_N):
+    if H.shape[0] < _BAND_MIN_N:
         return None
     outside = np.count_nonzero(H)
     for b in range(_MAX_BAND + 1):
@@ -179,7 +179,7 @@ def _band_form(H: Array) -> Optional[tuple]:
         outside -= np.count_nonzero(upper) + (np.count_nonzero(lower) if b else 0)
         if outside == 0:
             break
-    if outside or n < _BAND_MIN_N[b]:
+    if outside:
         return None
     bands = []
     for k in range(b + 1):
@@ -274,8 +274,9 @@ def _ritz_range(bands: tuple) -> tuple:
 
 
 def _band_norm(bands: tuple) -> float:
-    """A certified upper bound on max|eigenvalue| of a symmetric band matrix,
-    within a few ulps of it.
+    """An upper bound on max|eigenvalue| of a symmetric band matrix, within a
+    few ulps of it; each inertia test is exact for a matrix within the
+    LDL^T's backward error (of order eps times the norm) of this one.
 
     Gershgorin bounds bracket the spectrum; Lanczos Ritz values pick the
     side that holds max|eigenvalue| (the matrix is negated when it is the
@@ -314,11 +315,11 @@ def _band_norm(bands: tuple) -> float:
 class ExactModel(CurvatureModel):
     """The true Hessian at the current iterate, bound by ``with_matrix``.
 
-    A Hessian of half-bandwidth b <= 2 with n at or above ``_BAND_MIN_N[b]``
+    A Hessian of half-bandwidth b <= 2 with n at or above ``_BAND_MIN_N``
     is kept as its b + 1 bands and H is dropped: the matvec is the O(n b)
-    band product and the norm a certified bisection on inertia tests
-    (``_band_norm``), whose upper end it returns, so the cap never falls
-    short.  Any other Hessian is kept dense, with a dense ``H @ v`` and
+    band product and the norm a bisection on inertia tests (``_band_norm``)
+    whose upper end it returns, an upper bound up to the LDL^T's backward
+    error of order eps ||H||.  Any other Hessian is kept dense, with a dense ``H @ v`` and
     one ``eigvalsh``.  ``update`` drops the matrix: it belongs to the
     previous iterate, and freeing it before the next Hessian is evaluated
     keeps one n x n array fewer alive.

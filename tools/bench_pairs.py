@@ -4,12 +4,13 @@ Run from the root of a checkout, with both commits committed:
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json
 
-For each workload of ``BENCHMARK.json`` and each pair i (0 <= i < --pairs),
-both commits run ``perfbench/run.py --workload W --seed i --seconds S`` from
-a fresh ``git archive`` copy each, the parent first in even pairs and the
-change first in odd ones.  The output records every run's end-to-end metrics,
-and per metric the medians, the parent's quartiles and the number of pairs
-the change wins (ties count for neither side), with the environment.
+For each workload of ``BENCHMARK.json`` and each of the 10 pairs i, both
+commits run ``perfbench/run.py --workload W --seed i --seconds S``, with S
+the benchmark's ``run_seconds``, from a fresh ``git archive`` copy each, the
+parent first in even pairs and the change first in odd ones.  The output
+records every run's end-to-end metrics, and per metric the medians, the
+parent's quartiles and the number of pairs the change wins (ties count for
+neither side), with the environment.
 """
 from __future__ import annotations
 
@@ -27,6 +28,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+#: the pairs per workload that a claimed gain is judged on
+PAIRS = 10
 
 
 def _git(*args: str) -> str:
@@ -77,18 +80,15 @@ def main() -> None:
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args()
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
     revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
     spec = json.loads(_git("show", f"{revs['change']}:BENCHMARK.json"))
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     result = {
         "commits": revs,
-        "protocol": (f"{args.pairs} alternating pairs per workload of perfbench/run.py "
-                     f"--seconds {args.seconds:g} --seed <pair index>, each run from a fresh "
+        "protocol": (f"{PAIRS} alternating pairs per workload of perfbench/run.py "
+                     f"--seconds {seconds:g} --seed <pair index>, each run from a fresh "
                      "git archive copy; times rescaled to perfbench's reference speed"),
         "environment": {
             "python": platform.python_version(),
@@ -101,10 +101,10 @@ def main() -> None:
     }
     for w in spec["workloads"]:
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(_run(revs[side], w["name"], i, args.seconds))
+                runs[side].append(_run(revs[side], w["name"], i, seconds))
                 print(w["name"], i, side, json.dumps(runs[side][-1]["metrics"]), flush=True)
         result["workloads"][w["name"]] = {
             "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
