@@ -304,9 +304,11 @@ def _band_norm(bands: tuple) -> float:
     x = tmax * (1.0 - 2.0**-30)  # just below the top, for the other side's test
     shifts = np.concatenate(([x], tmax + (ghi - tmax) * _LADDER))
     piv = _band_pivots(bands, np.append(shifts, -x))
-    lo, hi = _narrow(glo, ghi, shifts, (piv[:, :-1] < 0).all(axis=0))
+    above, bottom_clear = (piv[:, :-1] < 0).all(axis=0), (piv[:, -1] > 0).all()
+    del piv  # the bisection below makes pivots of its own
+    lo, hi = _narrow(glo, ghi, shifts, above)
     hi = _band_top(bands, lo, hi, tol)
-    if x <= hi and (piv[:, -1] > 0).all():
+    if x <= hi and bottom_clear:
         return hi
     return max(hi, _band_top(tuple(-band for band in bands), -ghi, -glo, tol))
 
