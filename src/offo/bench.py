@@ -19,7 +19,7 @@ import numpy as np
 
 from .problems import CapabilityError, NoisyOracle, make_problem
 from .scaling import RULES
-from .solver import Astr1Config, IterationTrace, astr1_run, sdba_run
+from .solver import Astr1Config, IterationTrace, astr1_run, check_stopping, sdba_run
 
 
 PROFILE_T_MAX = 50.0
@@ -84,6 +84,7 @@ def method_config(method: str, eps: float, max_iter: int, geometry: Optional[str
     if spec.is_sdba:
         if geometry or instrument_f:
             raise ValueError("method 'sdba' takes neither a geometry nor instrument_f")
+        check_stopping(eps, max_iter)
         return None
     return Astr1Config(scaling=RULES[spec.scaling], model=spec.model,
                        geometry=geometry or spec.geometry, eps=eps, max_iter=max_iter,

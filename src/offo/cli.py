@@ -93,8 +93,9 @@ def verify_cmd(suite, report_path):
               help="also rerun the solver on the interpolant and compare")
 def sharpness_cmd(kind, mu, eta, sigma, nu, omega, iters, out_path, replay):
     """Build a worst-case sequence, optionally replay it, and report deviations."""
-    seq = sharp_mod.build_sequence(kind, iters, mu=mu, eta=eta, sigma=sigma,
-                                   nu=nu, omega=omega)
+    with _usage_errors():
+        seq = sharp_mod.build_sequence(kind, iters, mu=mu, eta=eta, sigma=sigma,
+                                       nu=nu, omega=omega)
     if out_path:
         sharp_mod.sequence_to_csv(seq, out_path)
     m1, m2 = sharp_mod.admissibility_margins(seq)

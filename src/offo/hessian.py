@@ -1,18 +1,17 @@
 """Bounded symmetric curvature models for the quadratic step model.
 
-Four kinds: ``none`` (zero operator), ``bb`` (spectral diagonal built from
-the latest secant pair), ``lbfgsM`` (M direct BFGS updates stacked on the
-spectral diagonal) and ``exact`` (the true Hessian, refreshed per iterate).
-Each model supplies a raw operator and its exact spectral norm ||B||; the
-shared cap rescales the whole operator by ``kappa_B / ||B||`` whenever
-``||B|| > kappa_B``, so the capped norm is at most ``kappa_B`` up to rounding.
-The norm is computed once per new operator: ``scale`` for bb, a 2M x 2M
-eigenproblem from the compact form of L-BFGS (O(n M^2) per update) and, for
-exact, one dense ``eigvalsh`` or, when the Hessian is tri- or pentadiagonal
-and n is past the measured crossover, a bisection on inertia tests of its
-bands (Golub & Van Loan, Matrix Computations, 4th ed., 8.4; Kahan 1966)
-that brackets the norm and returns the bracket's upper end, an upper bound
-up to the factorization's backward error of order eps ||H||.
+Three classes: ``ZeroModel`` (``none``), ``LbfgsModel`` (``lbfgsM``, M direct
+BFGS updates on the spectral base scale * I, held in compact form so that a
+product costs O(n M); ``bb`` is its memory 0) and ``ExactModel`` (``exact``,
+the true Hessian, refreshed per iterate).  Each supplies a raw operator and
+its spectral norm ||B||, computed once per operator: ``|scale|`` for bb, a
+2M x 2M eigenproblem from the compact form (O(n M^2)) for L-BFGS, and for
+exact one dense ``eigvalsh`` or, for a tri- or pentadiagonal Hessian past the
+measured crossover, a bisection on inertia tests of its bands (Golub & Van
+Loan, Matrix Computations, 4th ed., 8.4; Kahan 1966).  Every raw norm is
+exact up to a backward error of order eps ||B|| (the banded one errs upward);
+the shared cap rescales the operator by ``kappa_B / ||B||`` whenever
+``||B|| > kappa_B``.
 """
 from __future__ import annotations
 
@@ -31,9 +30,10 @@ SECANT_GUARD = 1e-15
 class CurvatureModel:
     """A raw symmetric operator under the spectral-norm cap ``kappa_B``.
 
-    Subclasses supply ``_raw_matvec`` and ``_raw_norm`` (exact); ``raw_norm``
-    and the cap ``factor`` are fixed whenever an instance is built, so every
-    ``update`` or ``with_matrix`` computes them once.
+    Subclasses supply ``_raw_matvec`` and ``_raw_norm`` (exact up to a
+    backward error of order eps ||B||); ``raw_norm`` and the cap ``factor``
+    are fixed whenever an instance is built, so every ``update`` or
+    ``with_matrix`` computes them once.
     """
 
     is_zero = False
@@ -60,7 +60,7 @@ class CurvatureModel:
         return w if self.factor == 1.0 else self.factor * w
 
     def norm_estimate(self) -> float:
-        """Spectral norm of the capped operator (exact, not estimated)."""
+        """Spectral norm of the capped operator (computed, not estimated)."""
         return min(self.raw_norm, self.kappa_B)
 
 
@@ -72,87 +72,67 @@ class ZeroModel(CurvatureModel):
         return np.zeros_like(np.asarray(v, dtype=float))
 
 
-def _bb_scale(s: Array, y: Array) -> Optional[float]:
-    sts = float(s @ s)
-    yts = float(y @ s)
-    if sts > 0.0 and yts >= SECANT_GUARD * sts:
-        return sts / yts
-    return None
-
-
-@dataclass(frozen=True)
-class BBDiagModel(CurvatureModel):
-    scale: float = 1.0
-
-    def update(self, s: Array, y: Array) -> "BBDiagModel":
-        scale = _bb_scale(np.asarray(s, float), np.asarray(y, float))
-        if scale is None:
-            return replace(self, rejected=self.rejected + 1)
-        return replace(self, scale=scale)
-
-    def _raw_matvec(self, v: Array) -> Array:
-        return self.scale * v
-
-    def _raw_norm(self) -> float:
-        return abs(self.scale)
-
-
 @dataclass(frozen=True)
 class LbfgsModel(CurvatureModel):
     """Direct (non-inverse) limited-memory BFGS operator on a spectral base.
 
-    The base is scale * I with the usual spectral scalar from the latest
-    accepted pair; stored pairs are applied as rank-two BFGS corrections
-    ``- u u^T / c + y y^T / d``, so the most recent accepted pair satisfies
-    the secant equation B s = y.
+    The base is scale * I with the spectral scalar (Barzilai & Borwein 1988)
+    of the latest accepted pair; the ``memory`` latest pairs are applied as
+    rank-two BFGS corrections, so the most recent one satisfies B s = y, and
+    memory 0 is the ``bb`` model.  The compact form (Byrd, Nocedal & Schnabel
+    1994) ``B = scale I + W diag(D) W^T``, W = [u_1, y_1, ...], is built once
+    per operator and serves both the product and the norm.
     """
 
     memory: int = 3
     scale: float = 1.0
     pairs: tuple = ()
-    terms: tuple = field(init=False, repr=False)
+    W: Array = field(init=False, repr=False)
+    D: Array = field(init=False, repr=False)
 
     def __post_init__(self):
-        terms = []
+        # pair j adds u = B_{j-1} s and y, weighted -1/(s^T u) and 1/(y^T s)
+        n = self.pairs[0][0].size if self.pairs else 0
+        W, D, k = np.empty((n, 2 * len(self.pairs))), np.empty(2 * len(self.pairs)), 0
         for s, y in self.pairs:
-            u = self.scale * s
-            for tu, tc, ty, td in terms:
-                u = u - tu * (tu @ s) / tc + ty * (ty @ s) / td
+            u = self.scale * s + W[:, :k] @ (D[:k] * (s @ W[:, :k]))
             c = float(s @ u)
             d = float(y @ s)
             if c <= 0.0 or d <= 0.0:
                 # degenerate intermediate curvature: skip this correction
                 continue
-            terms.append((u, c, y, d))
-        object.__setattr__(self, "terms", tuple(terms))
+            W[:, k], W[:, k + 1], D[k : k + 2] = u, y, (-1.0 / c, 1.0 / d)
+            k += 2
+        object.__setattr__(self, "W", W[:, :k])
+        object.__setattr__(self, "D", D[:k])
         super().__post_init__()
 
     def update(self, s: Array, y: Array) -> "LbfgsModel":
         s = np.asarray(s, dtype=float)
         y = np.asarray(y, dtype=float)
-        scale = _bb_scale(s, y)
-        if scale is None:
+        sts = float(s @ s)
+        yts = float(y @ s)
+        if not (sts > 0.0 and yts >= SECANT_GUARD * sts):
             return replace(self, rejected=self.rejected + 1)
-        pairs = (self.pairs + ((s.copy(), y.copy()),))[-self.memory :]
-        return replace(self, scale=scale, pairs=pairs)
+        pairs = (self.pairs + ((s.copy(), y.copy()),))[-self.memory :] if self.memory else ()
+        return replace(self, scale=sts / yts, pairs=pairs)
 
     def _raw_matvec(self, v: Array) -> Array:
         w = self.scale * v
-        for u, c, y, d in self.terms:
-            w = w - u * (u @ v) / c + y * (y @ v) / d
+        if self.D.size:
+            # (v^T W) D transposed back serves a vector and an n x k block alike
+            w += self.W @ (self.D * (v.T @ self.W)).T
         return w
 
     def _raw_norm(self) -> float:
-        # B = scale I + W D W^T with W = [u..., y...] = Q R: B acts as
-        # scale I + R D R^T on range(Q) and as scale I on its complement
-        if not self.terms:
+        # W = Q R: B acts as scale I + R D R^T on range(Q) and as scale I on
+        # its complement
+        if not self.D.size:
             return abs(self.scale)
-        u, c, y, d = zip(*self.terms)
-        R = np.linalg.qr(np.column_stack(u + y), mode="r")
-        D = np.concatenate([-1.0 / np.array(c), 1.0 / np.array(d)])
-        lam = np.linalg.eigvalsh(self.scale * np.eye(R.shape[0]) + (R * D) @ R.T)
+        R = np.linalg.qr(self.W, mode="r")
+        lam = np.linalg.eigvalsh(self.scale * np.eye(R.shape[0]) + (R * self.D) @ R.T)
         norm = float(np.abs(lam).max())
-        return norm if R.shape[0] == u[0].size else max(norm, abs(self.scale))
+        return norm if R.shape[0] == self.W.shape[0] else max(norm, abs(self.scale))
 
 
 #: the widest band kept in band form (tri- and pentadiagonal Hessians)
@@ -361,12 +341,13 @@ class ExactModel(CurvatureModel):
 def make_model(kind: str, kappa_B: float = 1e5) -> CurvatureModel:
     """Build a curvature model from its selection string (none|bb|lbfgsM|exact).
 
-    ``lbfgsM`` keeps the M latest secant pairs; bare ``lbfgs`` keeps 3.
+    ``lbfgsM`` keeps the M latest secant pairs; bare ``lbfgs`` keeps 3 and
+    ``bb`` none.
     """
     if kind == "none":
         return ZeroModel(kappa_B=kappa_B)
     if kind == "bb":
-        return BBDiagModel(kappa_B=kappa_B)
+        return LbfgsModel(kappa_B=kappa_B, memory=0)
     if kind.startswith("lbfgs"):
         mem = int(kind[5:] or 3)
         if mem < 1:

@@ -30,6 +30,14 @@ _CG_REL = 1e-5
 _CG_ABS = 1e-12
 
 
+def check_stopping(eps: float, max_iter: int) -> None:
+    """ValueError unless the stopping tolerance and iteration budget are positive."""
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+
+
 @dataclass(frozen=True)
 class Astr1Config:
     scaling: ScalingRule
@@ -51,10 +59,7 @@ class Astr1Config:
             raise ValueError(f"geometry must be one of {GEOMETRIES}")
         if self.geometry == "ball" and not self.scaling.aggregated:
             raise ValueError("ball geometry requires an aggregated scaling rule")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        check_stopping(self.eps, self.max_iter)
 
 
 @dataclass
@@ -470,6 +475,7 @@ def sdba_run(problem, eps: float = 1e-6, max_iter: int = 100_000) -> IterationTr
     Trial steps halve from an initial stepsize of 1 / ||g(x0)||; exhausting
     the backtracks yields a ``linesearch_failure`` status.
     """
+    check_stopping(eps, max_iter)
     base = base_problem(problem)
     oracle = _CountingOracle(fresh_stream(problem))
     x = np.array(base.x0, dtype=float)

@@ -59,6 +59,17 @@ def test_run_reports_capability_gap():
     (("bench", "--problems", ","), "--problems lists nothing"),
     (("bench", "--methods", ","), "--methods lists nothing"),
     (("bench", "--noise", ","), "--noise lists nothing"),
+    (("run", "--problem", "rosenbr", "--method", "sdba", "--eps", "-1", "--max-iter", "50"),
+     "eps must be positive"),
+    (("run", "--problem", "rosenbr", "--method", "sdba", "--max-iter", "0"),
+     "max_iter must be positive"),
+    (("run", "--problem", "rosenbr", "--method", "adagrad", "--max-iter", "0"),
+     "max_iter must be positive"),
+    (("bench", "--methods", "sdba", "--eps", "-1"), "eps must be positive"),
+    (("bench", "--methods", "sdba", "--max-iter", "0"), "max_iter must be positive"),
+    (("sharpness", "--iters", "0"), "K must be positive"),
+    (("sharpness", "--mu", "1.5"), "mu must lie in (0, 1)"),
+    (("sharpness", "--kind", "thm41", "--omega", "0.1"), "omega"),
 ])
 def test_bad_input_is_a_usage_error(args, message, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from offo import bench
-from offo.hessian import (BBDiagModel, ExactModel, LbfgsModel, ZeroModel, _band_norm,
-                          _band_pivots, make_model)
+from offo.hessian import (ExactModel, LbfgsModel, ZeroModel, _band_norm, _band_pivots,
+                          make_model)
 from offo.problems import make_problem
 from offo.scaling import rule_from_name
 from offo.solver import Astr1Config, astr1_run
@@ -44,7 +44,7 @@ def test_bb_rejects_nonpositive_curvature_pair():
 
 
 def test_bb_norm_capped_at_kappa():
-    m = BBDiagModel(kappa_B=10.0).update(np.array([1.0]), np.array([1e-14]))
+    m = make_model("bb", kappa_B=10.0).update(np.array([1.0]), np.array([1e-14]))
     assert m.scale > 10.0
     assert m.norm_estimate() <= 10.0
     assert m.matvec(np.array([1.0]))[0] == pytest.approx(10.0)
@@ -61,22 +61,54 @@ def test_lbfgs_secant_equation_for_latest_pair():
     assert np.allclose(m.matvec(s), y, atol=1e-8 * (1 + np.linalg.norm(y)))
 
 
-def test_lbfgs_matches_dense_oracle():
+@pytest.mark.parametrize("memory", range(5))
+def test_lbfgs_matches_dense_oracle(memory):
     rng = np.random.default_rng(1)
     n = 6
-    m = make_model("lbfgs3")
+    m = LbfgsModel(memory=memory)
     pairs = []
-    for _ in range(3):
+    for _ in range(4):
         s = rng.normal(size=n)
         y = s + 0.2 * rng.normal(size=n)
         if y @ s <= 0:
             y = s.copy()
         m = m.update(s, y)
         pairs.append((s, y))
-    B = dense_bfgs(m.scale, pairs, n)
-    for _ in range(5):
-        v = rng.normal(size=n)
+    B = dense_bfgs(m.scale, pairs[len(pairs) - memory:] if memory else [], n)
+    V = rng.normal(size=(n, 5))
+    for v in V.T:
         assert np.allclose(m.matvec(v), B @ v, atol=1e-9 * (1 + np.linalg.norm(B @ v)))
+    # a block product rounds as a matrix-matrix product, not column by column
+    columns = np.column_stack([m.matvec(v) for v in V.T])
+    assert np.allclose(m.matvec(V), columns, rtol=0.0, atol=1e-13 * (1 + np.abs(columns).max()))
+
+
+def test_lbfgs_skips_pair_with_nonpositive_intermediate_curvature():
+    # s^T B s underflows to 0 for a tiny s, while y^T s = 1 > 0: the pair is
+    # dropped and the operator is the BFGS one of the other two pairs
+    rng = np.random.default_rng(12)
+    n = 6
+    first, last = _positive_pairs(rng, n, 2)
+    e = np.eye(n)[2]
+    tiny = (1e-170 * e, 1e170 * e)
+    m = LbfgsModel(scale=float(last[0] @ last[0] / (last[1] @ last[0])),
+                   pairs=(first, tiny, last))
+    assert m.W.shape == (n, 4)
+    B = dense_bfgs(m.scale, [first, last], n)
+    for v in rng.normal(size=(5, n)):
+        assert np.allclose(m.matvec(v), B @ v, atol=1e-9 * (1 + np.linalg.norm(B @ v)))
+
+
+def test_bb_keeps_no_pair_and_its_product_is_the_scalar():
+    rng = np.random.default_rng(13)
+    m = make_model("bb")
+    for _ in range(4):
+        s = rng.normal(size=5)
+        m = m.update(s, 2.0 * s + 0.1 * rng.normal(size=5))
+    assert m.pairs == () and m.W.size == 0 and m.factor == 1.0
+    for v in rng.normal(size=(3, 5)):
+        assert np.array_equal(m.matvec(v), m.scale * v)
+    assert m.norm_estimate() == abs(m.scale)
 
 
 def test_lbfgs_evicts_oldest_beyond_memory():
@@ -328,7 +360,8 @@ def test_exact_model_trace_norms_are_exact(kappa_B):
 
 def test_make_model_parsing():
     assert isinstance(make_model("none"), ZeroModel)
-    assert isinstance(make_model("bb"), BBDiagModel)
+    assert isinstance(make_model("bb"), LbfgsModel)
+    assert make_model("bb").memory == 0
     assert isinstance(make_model("lbfgs5"), LbfgsModel)
     assert make_model("lbfgs5").memory == 5
     assert make_model("lbfgs").memory == 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from offo import problems, solver
-from offo.hessian import BBDiagModel, make_model
+from offo.hessian import LbfgsModel, make_model
 from offo.problems import NoisyOracle, ProblemInstance, base_problem, fresh_stream, make_problem
 from offo.scaling import ScalingRule, rule_from_name
 from offo.solver import (
@@ -218,7 +218,7 @@ def test_box_corner_of_diagonal_model_in_a_few_matvecs():
     n, c = 1000, 2.5
     g = rng.normal(size=n)
     radii = np.abs(g) / (c * rng.uniform(1.5, 3.0, n))
-    model = CountingModel(BBDiagModel(scale=c))
+    model = CountingModel(LbfgsModel(memory=0, scale=c))
     cs = cauchy_step(g, model.model.matvec, radii, "box")
     s, q = solve_subproblem(g, model, radii, "box", cs, tau=0.1,
                             tol=1e-5 * np.linalg.norm(g))
@@ -429,6 +429,18 @@ def test_sdba_monotone_on_quadratic():
     assert tr.status == "converged"
     fs = tr.f[~np.isnan(tr.f)]
     assert np.all(np.diff(fs) <= 0)
+
+
+@pytest.mark.parametrize("eps, max_iter, message", [
+    (-1.0, 50, "eps must be positive"),
+    (float("nan"), 50, "eps must be positive"),
+    (1e-3, 0, "max_iter must be positive"),
+])
+def test_stopping_settings_are_checked_by_both_solvers(eps, max_iter, message):
+    with pytest.raises(ValueError, match=message):
+        sdba_run(quad1d(), eps=eps, max_iter=max_iter)
+    with pytest.raises(ValueError, match=message):
+        Astr1Config(scaling=rule_from_name("adagrad"), eps=eps, max_iter=max_iter)
 
 
 def test_sdba_zero_gradient_start():
