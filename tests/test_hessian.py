@@ -61,31 +61,32 @@ def test_lbfgs_secant_equation_for_latest_pair():
     assert np.allclose(m.matvec(s), y, atol=1e-8 * (1 + np.linalg.norm(y)))
 
 
-@pytest.mark.parametrize("memory", range(5))
-def test_lbfgs_matches_dense_oracle(memory):
+def test_lbfgs_matches_dense_oracle():
     rng = np.random.default_rng(1)
     n = 6
-    m = LbfgsModel(memory=memory)
-    pairs = []
-    for _ in range(4):
-        s = rng.normal(size=n)
-        y = s + 0.2 * rng.normal(size=n)
-        if y @ s <= 0:
-            y = s.copy()
-        m = m.update(s, y)
-        pairs.append((s, y))
-    B = dense_bfgs(m.scale, pairs[len(pairs) - memory:] if memory else [], n)
-    V = rng.normal(size=(n, 5))
-    for v in V.T:
-        assert np.allclose(m.matvec(v), B @ v, atol=1e-9 * (1 + np.linalg.norm(B @ v)))
-    # a block product rounds as a matrix-matrix product, not column by column
-    columns = np.column_stack([m.matvec(v) for v in V.T])
-    assert np.allclose(m.matvec(V), columns, rtol=0.0, atol=1e-13 * (1 + np.abs(columns).max()))
+    for memory in range(5):
+        m = LbfgsModel(memory=memory)
+        pairs = []
+        for _ in range(4):
+            s = rng.normal(size=n)
+            y = s + 0.2 * rng.normal(size=n)
+            if y @ s <= 0:
+                y = s.copy()
+            m = m.update(s, y)
+            pairs.append((s, y))
+        B = dense_bfgs(m.scale, pairs[len(pairs) - memory:] if memory else [], n)
+        V = rng.normal(size=(n, 5))
+        for v in V.T:
+            assert np.allclose(m.matvec(v), B @ v, atol=1e-9 * (1 + np.linalg.norm(B @ v)))
+        # a block product rounds as a matrix-matrix product, not column by column
+        columns = np.column_stack([m.matvec(v) for v in V.T])
+        assert np.allclose(m.matvec(V), columns, rtol=0.0,
+                           atol=1e-13 * (1 + np.abs(columns).max()))
 
 
 def test_lbfgs_skips_pair_with_nonpositive_intermediate_curvature():
-    # s^T B s underflows to 0 for a tiny s, while y^T s = 1 > 0: the pair is
-    # dropped and the operator is the BFGS one of the other two pairs
+    # s^T B s underflows to 0 for s = 1e-170 e, while y^T s = 1 > 0: the pair
+    # is dropped and the operator is the BFGS one of the other two pairs
     rng = np.random.default_rng(12)
     n = 6
     first, last = _positive_pairs(rng, n, 2)
@@ -99,9 +100,10 @@ def test_lbfgs_skips_pair_with_nonpositive_intermediate_curvature():
         assert np.allclose(m.matvec(v), B @ v, atol=1e-9 * (1 + np.linalg.norm(B @ v)))
 
 
-def test_bb_keeps_no_pair_and_its_product_is_the_scalar():
+def test_memory_zero_keeps_no_pair_and_its_product_is_the_scalar():
+    # memory 0 is the bb model: s^T s / y^T s times I
     rng = np.random.default_rng(13)
-    m = make_model("bb")
+    m = LbfgsModel(memory=0)
     for _ in range(4):
         s = rng.normal(size=5)
         m = m.update(s, 2.0 * s + 0.1 * rng.normal(size=5))
