@@ -6,9 +6,11 @@ product costs O(n M); ``bb`` is its memory 0) and ``ExactModel`` (``exact``,
 the true Hessian, refreshed per iterate).  Each supplies a raw operator and
 its spectral norm ||B||, computed once per operator: ``|scale|`` for bb, a
 2M x 2M eigenproblem from the compact form (O(n M^2)) for L-BFGS, and for
-exact one dense ``eigvalsh`` or, for a tri- or pentadiagonal Hessian past the
-measured crossover, a bisection on inertia tests of its bands (Golub & Van
-Loan, Matrix Computations, 4th ed., 8.4; Kahan 1966).  Every raw norm is
+exact one dense ``eigvalsh`` or, for a tri- or pentadiagonal Hessian that
+arrives as ``Bands`` (its diagonal and upper bands, the form banded problems
+return) past the measured crossover, a bisection on inertia tests of those
+bands (Golub & Van Loan, Matrix Computations, 4th ed., 8.4; Kahan 1966); a
+band Hessian is never made dense on that path.  Every raw norm is
 exact up to a backward error of order eps ||B|| (the banded one errs upward);
 the shared cap rescales the operator by ``kappa_B / ||B||`` whenever
 ``||B|| > kappa_B``.
@@ -148,38 +150,36 @@ _LANCZOS_STEPS = 20
 _EPS = np.finfo(float).eps
 
 
-def _band_form(H: Array) -> Optional[tuple]:
-    """H's diagonal and upper bands, symmetrised, when H is banded and large
-    enough to be kept that way; None otherwise.  No n x n temporary."""
-    if H.shape[0] < _BAND_MIN_N:
-        return None
-    outside = np.count_nonzero(H)
-    for b in range(_MAX_BAND + 1):
-        upper, lower = np.diagonal(H, b), np.diagonal(H, -b)
-        outside -= np.count_nonzero(upper) + (np.count_nonzero(lower) if b else 0)
-        if outside == 0:
-            break
-    if outside:
-        return None
-    bands = []
-    for k in range(b + 1):
-        upper, lower = np.diagonal(H, k), np.diagonal(H, -k)
-        bands.append(upper.copy() if np.array_equal(upper, lower) else 0.5 * (upper + lower))
-    return tuple(bands)
+class Bands(tuple):
+    """A symmetric band matrix as its diagonal and upper bands 1..b, band k
+    holding the n - k entries (i, i + k).  ``bands @ v`` is the O(n b) band
+    product and ``np.asarray(bands)`` the dense n x n matrix."""
+
+    def __matmul__(self, v: Array) -> Array:
+        """The matrix times v, a vector or an n x k block."""
+        shape = (-1,) + (1,) * (v.ndim - 1)
+        w = self[0].reshape(shape) * v
+        for k, band in enumerate(self[1:], 1):
+            band = band.reshape(shape)
+            w[:-k] += band * v[k:]
+            w[k:] += band * v[:-k]
+        return w
+
+    def __array__(self, dtype=None, copy=None) -> Array:
+        # numpy casts the result to a requested dtype
+        n = self[0].size
+        i = np.arange(n)
+        # every page written, so its resident size does not depend on huge pages
+        H = np.full((n, n), 0.0)
+        for k, band in enumerate(self):
+            H[i[: n - k], i[k:]] = H[i[k:], i[: n - k]] = band
+        return H
+
+    def copy(self) -> "Bands":
+        return Bands(band.copy() for band in self)
 
 
-def _band_matvec(bands: tuple, v: Array) -> Array:
-    """The symmetric band matrix times v, a vector or an n x k block."""
-    shape = (-1,) + (1,) * (v.ndim - 1)
-    w = bands[0].reshape(shape) * v
-    for k, band in enumerate(bands[1:], 1):
-        band = band.reshape(shape)
-        w[:-k] += band * v[k:]
-        w[k:] += band * v[:-k]
-    return w
-
-
-def _band_pivots(bands: tuple, shifts: Array) -> Array:
+def _band_pivots(bands: Bands, shifts: Array) -> Array:
     """Pivots of the unpivoted LDL^T of A - s I, one column per shift s.
 
     By Sylvester's law of inertia the pivots' signs are the eigenvalue
@@ -223,7 +223,7 @@ def _narrow(lo: float, hi: float, shifts: Array, above: Array) -> tuple:
     return lo, hi
 
 
-def _band_top(bands: tuple, lo: float, hi: float, tol: float) -> float:
+def _band_top(bands: Bands, lo: float, hi: float, tol: float) -> float:
     """Bisect the largest eigenvalue in [lo, hi], hi certified above it,
     until the bracket is at most tol wide; returns its certified upper end."""
     while hi - lo > tol:
@@ -232,14 +232,14 @@ def _band_top(bands: tuple, lo: float, hi: float, tol: float) -> float:
     return float(hi)
 
 
-def _ritz_range(bands: tuple) -> tuple:
+def _ritz_range(bands: Bands) -> tuple:
     """The extreme Ritz values of a few Lanczos steps: inside the spectrum."""
     q = np.random.default_rng(0).standard_normal(bands[0].size)  # fixed start
     q /= np.linalg.norm(q)
     q_prev, beta = np.zeros_like(q), 0.0
     alphas, betas = [], []
     for _ in range(min(_LANCZOS_STEPS, q.size)):
-        w = _band_matvec(bands, q) - beta * q_prev
+        w = bands @ q - beta * q_prev
         alpha = float(q @ w)
         w -= alpha * q
         alphas.append(alpha)
@@ -253,7 +253,7 @@ def _ritz_range(bands: tuple) -> tuple:
     return theta[0], theta[-1]
 
 
-def _band_norm(bands: tuple) -> float:
+def _band_norm(bands: Bands) -> float:
     """An upper bound on max|eigenvalue| of a symmetric band matrix, within a
     few ulps of it; each inertia test is exact for a matrix within the
     LDL^T's backward error (of order eps times the norm) of this one.
@@ -280,7 +280,7 @@ def _band_norm(bands: tuple) -> float:
     tol = 4 * _EPS * scale
     tmin, tmax = _ritz_range(bands)
     if tmax < -tmin:
-        bands, glo, ghi, tmax = tuple(-band for band in bands), -ghi, -glo, -tmin
+        bands, glo, ghi, tmax = Bands(-band for band in bands), -ghi, -glo, -tmin
     x = tmax * (1.0 - 2.0**-30)  # just below the top, for the other side's test
     shifts = np.concatenate(([x], tmax + (ghi - tmax) * _LADDER))
     piv = _band_pivots(bands, np.append(shifts, -x))
@@ -290,51 +290,47 @@ def _band_norm(bands: tuple) -> float:
     hi = _band_top(bands, lo, hi, tol)
     if x <= hi and bottom_clear:
         return hi
-    return max(hi, _band_top(tuple(-band for band in bands), -ghi, -glo, tol))
+    return max(hi, _band_top(Bands(-band for band in bands), -ghi, -glo, tol))
 
 
 @dataclass(frozen=True)
 class ExactModel(CurvatureModel):
     """The true Hessian at the current iterate, bound by ``with_matrix``.
 
-    A Hessian of half-bandwidth b <= 2 with n at or above ``_BAND_MIN_N``
-    is kept as its b + 1 bands and H is dropped: the matvec is the O(n b)
-    band product and the norm a bisection on inertia tests (``_band_norm``)
-    whose upper end it returns, an upper bound up to the LDL^T's backward
-    error of order eps ||H||.  Any other Hessian is kept dense, with a dense ``H @ v`` and
-    one ``eigvalsh``.  ``update`` drops the matrix: it belongs to the
-    previous iterate, and freeing it before the next Hessian is evaluated
-    keeps one n x n array fewer alive.
+    A ``Bands`` Hessian of half-bandwidth b <= 2 with n at or above
+    ``_BAND_MIN_N`` is kept as it is: the matvec is the O(n b) band product
+    and the norm a bisection on inertia tests (``_band_norm``) whose upper
+    end it returns, an upper bound up to the LDL^T's backward error of order
+    eps ||H||.  Any other Hessian is made dense and symmetric, with a dense
+    ``H @ v`` and one ``eigvalsh``.  ``update`` drops the matrix: it belongs
+    to the previous iterate, and freeing it before the next Hessian is
+    evaluated keeps one n x n array fewer alive.
     """
 
     needs_hessian = True
-    H: Optional[Array] = None
-    bands: Optional[tuple] = None
+    H: Optional[Array | Bands] = None
 
     def update(self, s: Array, y: Array) -> "ExactModel":
-        return replace(self, H=None, bands=None)
+        return replace(self, H=None)
 
-    def with_matrix(self, H: Array) -> "ExactModel":
+    def with_matrix(self, H: Array | Bands) -> "ExactModel":
+        if isinstance(H, Bands) and H[0].size >= _BAND_MIN_N and len(H) <= _MAX_BAND + 1:
+            return replace(self, H=H)
         H = np.asarray(H, dtype=float)
-        bands = _band_form(H)
-        if bands is not None:
-            return replace(self, H=None, bands=bands)
         # a symmetric H already equals 0.5 (H + H^T) bit for bit; keeping it
         # spares an n x n copy next to the one eigvalsh makes
         if not np.array_equal(H, H.T):
             H = 0.5 * (H + H.T)
-        return replace(self, H=H, bands=None)
+        return replace(self, H=H)
 
     def _raw_matvec(self, v: Array) -> Array:
-        if self.bands is not None:
-            return _band_matvec(self.bands, v)
         if self.H is None:
             raise RuntimeError("exact model used before a Hessian was bound")
         return self.H @ v
 
     def _raw_norm(self) -> float:
-        if self.bands is not None:
-            return _band_norm(self.bands)
+        if isinstance(self.H, Bands):
+            return _band_norm(self.H)
         return 0.0 if self.H is None else float(np.abs(np.linalg.eigvalsh(self.H)).max())
 
 

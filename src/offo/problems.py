@@ -18,6 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .hessian import Bands
+
 Array = np.ndarray
 
 
@@ -35,12 +37,6 @@ class NonFiniteError(FloatingPointError):
 
 class CapabilityError(RuntimeError):
     """A capability (Hessian, exact Lipschitz constant, ...) is missing."""
-
-
-def _check_finite(value, what: str, name: str):
-    if not np.isfinite(value).all():
-        raise NonFiniteError(f"non-finite {what} evaluating problem '{name}'")
-    return value
 
 
 @dataclass
@@ -76,11 +72,18 @@ class ProblemInstance:
                                if self.lipschitz_exact else _sampled_lipschitz(self))
         return self._lipschitz
 
-    def _eval(self, fn, x: Array, what: str) -> Array:
+    def _eval(self, fn, x: Array, what: str):
         x = np.asarray(x, dtype=float)
         with np.errstate(all="ignore"):
-            v = np.asarray(fn(x), dtype=float)
-        return _check_finite(v, what, self.name)
+            v = fn(x)
+        if isinstance(v, Bands):  # checked band by band, never made dense
+            finite = all(np.isfinite(band).all() for band in v)
+        else:
+            v = np.asarray(v, dtype=float)
+            finite = np.isfinite(v).all()
+        if not finite:
+            raise NonFiniteError(f"non-finite {what} evaluating problem '{self.name}'")
+        return v
 
     def value(self, x: Array) -> float:
         return float(self._eval(self.fn, x, "objective value"))
@@ -94,7 +97,9 @@ class ProblemInstance:
             raise CapabilityError(f"problem '{self.name}' has no analytic Hessian")
         return self.hess_fn
 
-    def hess(self, x: Array) -> Array:
+    def hess(self, x: Array) -> Array | Bands:
+        """The Hessian at x: a dense array, or the ``Bands`` of a banded family,
+        whose ``np.asarray`` is the dense matrix."""
         return self._eval(self._required_hess_fn(), x, "Hessian")
 
     def to_json(self) -> str:
@@ -248,7 +253,8 @@ class NoisyOracle:
     """Evaluation oracle contaminating f, g and H with relative noise.
 
     Each evaluation runs the inner problem's raw function and the noise under
-    one ``np.errstate`` and checks the noisy result for finiteness once.
+    one ``np.errstate`` and checks the noisy result for finiteness once.  A
+    ``Bands`` Hessian is made dense first, so noise is drawn per n x n entry.
     """
 
     inner: ProblemInstance
@@ -349,7 +355,11 @@ def make_problem(name: str, n: Optional[int] = None) -> ProblemInstance:
 
 
 def evaluate(problem: ProblemInstance, x: Array, order: int = 0):
-    """Evaluate f and the requested derivatives: returns (f, g or None, H or None)."""
+    """Evaluate f and the requested derivatives: returns (f, g or None, H or None).
+
+    H is a dense array or a ``Bands``, as ``ProblemInstance.hess`` returns it;
+    ``np.asarray(H)`` gives the dense matrix.
+    """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     x = np.asarray(x, dtype=float)
@@ -364,18 +374,6 @@ def evaluate(problem: ProblemInstance, x: Array, order: int = 0):
 
 
 # -- shared parts -------------------------------------------------------------
-
-
-def _banded(bands: dict) -> Array:
-    """The dense symmetric matrix with ``bands[0]`` on its diagonal and
-    ``bands[k]`` on its k-th upper and lower diagonals."""
-    n = len(bands[0])
-    i = np.arange(n)
-    # every page written, so its resident size does not depend on huge pages
-    H = np.full((n, n), 0.0)
-    for k, band in bands.items():
-        H[i[: n - k], i[k:]] = H[i[k:], i[: n - k]] = band
-    return H
 
 
 def _sum_of_squares(name, n, x0, residual, jac, curvature=None):
@@ -420,7 +418,7 @@ def _rosenbr(n):
         d = np.zeros(n)
         d[:-1] += -400.0 * (x[1:] - x[:-1] ** 2) + 800.0 * x[:-1] ** 2 + 2.0
         d[1:] += 200.0
-        return _banded({0: d, 1: -400.0 * x[:-1]})
+        return Bands((d, -400.0 * x[:-1]))
 
     x0 = np.where(np.arange(n) % 2 == 0, -1.2, 1.0)
     return ProblemInstance("rosenbr", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
@@ -450,7 +448,8 @@ def _broyden3d(n):
         diag = d * d
         diag[1:] += 4.0
         diag[:-1] += 1.0
-        return _banded({0: 2.0 * diag - 8.0 * residual(x), 1: 2.0 * (-2.0 * d[:-1] - d[1:]), 2: 4.0})
+        return Bands((2.0 * diag - 8.0 * residual(x), 2.0 * (-2.0 * d[:-1] - d[1:]),
+                      np.full(n - 2, 4.0)))
 
     x0 = -np.ones(n)
     return ProblemInstance("broyden3d", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
@@ -513,7 +512,8 @@ def _arwhead(n):
 
 
 def _quadratic_instance(name, n, A, b, c, x0, f_low):
-    """f(x) = 0.5 x'Ax + b'x + c, whose Lipschitz constant is exact."""
+    """f(x) = 0.5 x'Ax + b'x + c, A dense or ``Bands``, whose Lipschitz
+    constant is exact."""
 
     def fn(x):
         return 0.5 * x @ (A @ x) + b @ x + c
@@ -538,7 +538,7 @@ def _tridia(n):
     d[:-1] += 2.0 * wgt
     b = np.zeros(n)
     b[0] = -2.0
-    return _quadratic_instance("tridia", n, _banded({0: d, 1: -4.0 * wgt}), b, 1.0, np.ones(n), 0.0)
+    return _quadratic_instance("tridia", n, Bands((d, -4.0 * wgt)), b, 1.0, np.ones(n), 0.0)
 
 
 @_register("hilbert", 10, lambda n: n >= 1, "n >= 1")
@@ -675,7 +675,7 @@ def _engval1(n):
         d = np.zeros(n)
         d[:-1] += 4.0 * t + 8.0 * x[:-1] ** 2
         d[1:] += 4.0 * t + 8.0 * x[1:] ** 2
-        return _banded({0: d, 1: 8.0 * x[:-1] * x[1:]})
+        return Bands((d, 8.0 * x[:-1] * x[1:]))
 
     x0 = np.full(n, 2.0)
     return ProblemInstance("engval1", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
@@ -877,8 +877,9 @@ def _dixmaana(n):
         d = np.full(n, 2.0)
         d[: 2 * m] += 0.25 * x[m:] ** 4
         d[m:] += 1.5 * x[: 2 * m] ** 2 * x[m:] ** 2
-        # 0.0 + reads a -0.0 product as +0.0, as adding the band onto zeros does
-        return _banded({0: d, m: 0.0 + x[: 2 * m] * x[m:] ** 3, 2 * m: 0.125})
+        u, c = x[: 2 * m] * x[m:] ** 3, np.full(m, 0.125)
+        # the bands do not overlap, so each entry is exact; a -0.0 reads as +0.0
+        return np.diag(d) + np.diag(u, m) + np.diag(u, -m) + np.diag(c, 2 * m) + np.diag(c, -2 * m)
 
     x0 = np.full(n, 2.0)
     return ProblemInstance("dixmaana", n, x0, 1.0, fn, grad, hess, lower_bound_certified=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from offo import bench
-from offo.hessian import (ExactModel, LbfgsModel, ZeroModel, _band_norm, _band_pivots,
+from offo.hessian import (Bands, ExactModel, LbfgsModel, ZeroModel, _band_norm, _band_pivots,
                           make_model)
 from offo.problems import make_problem
 from offo.scaling import rule_from_name
@@ -209,7 +209,7 @@ def test_exact_model_cap_certified_at_large_n_pentadiagonal():
     p = make_problem("broyden3d", 1000)
     H = p.hess(p.x0)
     m = ExactModel(kappa_B=50.0).with_matrix(H)
-    assert m.bands is not None and m.raw_norm > 50.0
+    assert isinstance(m.H, Bands) and m.raw_norm > 50.0
     capped = m.matvec(np.eye(p.n))
     assert np.abs(np.linalg.eigvalsh(capped)).max() <= 50.0 * (1 + 1e-12)
     assert m.norm_estimate() == 50.0
@@ -217,9 +217,10 @@ def test_exact_model_cap_certified_at_large_n_pentadiagonal():
 
 def bands_of(H, b):
     """The diagonal and b upper bands of a symmetric matrix, read independently."""
+    H = np.asarray(H)
     assert np.count_nonzero(H) == sum(np.count_nonzero(np.diagonal(H, k)) * (1 + (k > 0))
                                       for k in range(b + 1))
-    return tuple(np.diagonal(H, k).copy() for k in range(b + 1))
+    return Bands(np.diagonal(H, k).copy() for k in range(b + 1))
 
 
 @pytest.mark.parametrize("name, b", [("rosenbr", 1), ("broyden3d", 2), ("tridia", 1)])
@@ -249,19 +250,19 @@ def test_band_norm_matches_dense_eigensolve(name, b, n):
 def test_band_norm_on_indefinite_diagonal_and_split_matrices(bands):
     H = sum(np.diag(band, k) + (np.diag(band, -k) if k else 0) for k, band in enumerate(bands))
     truth = np.abs(np.linalg.eigvalsh(H)).max()
-    got = _band_norm(tuple(bands))
+    got = _band_norm(Bands(bands))
     assert got >= truth * (1 - 1e-15) and got == pytest.approx(truth, rel=1e-12, abs=0.0)
 
 
 def test_band_pivots_on_exact_zero_pivots():
     # [[0, 1], [1, 0]] has eigenvalues -1 and 1; shift 0 makes the first pivot
     # zero, shift 1 the last one; neither shift is above the spectrum
-    piv = _band_pivots((np.zeros(2), np.ones(1)), np.array([0.0, 1.0, 1.5]))
+    piv = _band_pivots(Bands((np.zeros(2), np.ones(1))), np.array([0.0, 1.0, 1.5]))
     assert piv[0, 0] == 0.0 and piv[1, 1] == 0.0
     assert list((piv < 0).all(axis=0)) == [False, False, True]
     # a zero pivot before a zero off-diagonal entry gives 0/0 = NaN, which
     # must not read as negative either
-    bands = (np.array([2.0, 1.0, 3.0]), np.array([0.0, 0.0]), np.array([1.0]))
+    bands = Bands((np.array([2.0, 1.0, 3.0]), np.array([0.0, 0.0]), np.array([1.0])))
     piv = _band_pivots(bands, np.array([2.0, 4.0]))  # eigenvalues 1, 1.38, 3.62
     assert np.isnan(piv[2, 0])
     assert list((piv < 0).all(axis=0)) == [False, True]
@@ -270,31 +271,45 @@ def test_band_pivots_on_exact_zero_pivots():
 @pytest.mark.parametrize("name", ["rosenbr", "broyden3d", "tridia"])
 def test_band_form_at_large_n(name):
     p = make_problem(name, 1000)
-    H = p.hess(p.x0)
-    m = make_model("exact").with_matrix(H)
-    assert m.H is None and len(m.bands) == (3 if name == "broyden3d" else 2)
+    m = make_model("exact").with_matrix(p.hess(p.x0))
+    assert isinstance(m.H, Bands) and len(m.H) == (3 if name == "broyden3d" else 2)
+    H = np.asarray(m.H)
     rng = np.random.default_rng(2)
     for v in (rng.standard_normal(1000), rng.standard_normal((1000, 7)), np.eye(1000)):
         dense = H @ v
         assert np.abs(m.matvec(v) - dense).max() <= 1e-13 * np.abs(dense).max()
     assert m.raw_norm >= np.abs(np.linalg.eigvalsh(H)).max() * (1 - 1e-15)
     m = m.update(np.ones(1000), np.ones(1000))
-    assert m.bands is None and m.norm_estimate() == 0.0
+    assert m.H is None and m.norm_estimate() == 0.0
+
+
+@pytest.mark.parametrize("name", ["tridia", "broyden3d"])
+def test_large_banded_problem_runs_without_a_dense_matrix(name, monkeypatch):
+    def refuse(self, dtype=None, copy=None):
+        raise AssertionError("a band matrix was made dense")
+
+    monkeypatch.setattr(Bands, "__array__", refuse)
+    p = make_problem(name, 1000)
+    assert np.isfinite(p.grad(p.x0)).all()
+    tr = bench.solve("adagH", p, 1e-12, 2)
+    assert tr.status == "max_iter" and tr.steps == 2 and tr.h_evals == 2
 
 
 def test_band_form_symmetrizes_and_dense_hessians_stay_dense():
     rng = np.random.default_rng(3)
     d, e = rng.standard_normal(600), rng.standard_normal(599)
+    # a dense tridiagonal matrix is not read back into bands
     H = np.diag(d) + np.diag(e, 1) + np.diag(e + 1.0, -1)
     m = make_model("exact").with_matrix(H)
-    assert np.array_equal(m.bands[1], 0.5 * (e + (e + 1.0)))
+    assert isinstance(m.H, np.ndarray) and np.array_equal(m.H, 0.5 * (H + H.T))
     for name in ("arwhead", "hilbert"):
         p = make_problem(name, 600)
         m = make_model("exact").with_matrix(p.hess(p.x0))
-        assert m.bands is None and m.H is not None
-    # below the crossover a banded Hessian stays dense, so its runs are unchanged
+        assert isinstance(m.H, np.ndarray)
+    # below the crossover a banded Hessian is made dense, so its runs are unchanged
     p = make_problem("broyden3d", 500)
-    assert make_model("exact").with_matrix(p.hess(p.x0)).bands is None
+    m = make_model("exact").with_matrix(p.hess(p.x0))
+    assert isinstance(m.H, np.ndarray) and m.H.tobytes() == np.asarray(p.hess(p.x0)).tobytes()
 
 
 @pytest.mark.parametrize("name", ["broyden3d", "tridia"])
@@ -353,7 +368,7 @@ def test_exact_model_trace_norms_are_exact(kappa_B):
     trace = astr1_run(prob, cfg)
     assert trace.steps > 0
     truth = np.array([
-        min(kappa_B, np.abs(np.linalg.eigvalsh(prob.hess(x))).max())
+        min(kappa_B, np.abs(np.linalg.eigvalsh(np.asarray(prob.hess(x)))).max())
         for x in trace.x_hist[: trace.steps]
     ])
     assert np.allclose(trace.norm_B, truth, rtol=1e-12, atol=0.0)

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from offo import problems, solver
-from offo.hessian import LbfgsModel, make_model
+from offo import bench, problems, solver
+from offo.hessian import Bands, LbfgsModel, make_model
 from offo.problems import NoisyOracle, ProblemInstance, base_problem, fresh_stream, make_problem
 from offo.scaling import ScalingRule, rule_from_name
 from offo.solver import (
@@ -402,6 +402,23 @@ def test_overflow_keeps_the_completed_evaluations(derivative, model):
         assert type(col) is np.ndarray and col.dtype == np.float64, c
     assert type(tr.final_normg) is float and tr.final_normg == tr.normg[-1]
     assert type(tr.x_final) is np.ndarray and tr.x_final.max() >= 3.0
+
+
+def test_band_hessian_with_an_infinite_entry_ends_the_run_as_overflow(monkeypatch):
+    p = make_problem("tridia", 1000)
+
+    def hess(x):
+        d, e = p.hess_fn(x)
+        e[-1] = np.inf
+        return Bands((d, e))
+
+    def refuse(self, dtype=None, copy=None):
+        raise AssertionError("a band matrix was made dense")
+
+    # the finiteness check reads the bands one by one
+    monkeypatch.setattr(Bands, "__array__", refuse)
+    tr = bench.solve("adagH", dataclasses.replace(p, hess_fn=hess), 1e-12, 10)
+    assert tr.status == "overflow" and tr.h_evals == 1 and tr.steps == 0
 
 
 def test_ball_geometry_requires_aggregated_rule():
