@@ -368,7 +368,7 @@ def test_exact_model_trace_norms_are_exact(kappa_B):
     trace = astr1_run(prob, cfg)
     assert trace.steps > 0
     truth = np.array([
-        min(kappa_B, np.abs(np.linalg.eigvalsh(np.asarray(prob.hess(x)))).max())
+        min(kappa_B, np.abs(np.linalg.eigvalsh(prob.hess(x))).max())
         for x in trace.x_hist[: trace.steps]
     ])
     assert np.allclose(trace.norm_B, truth, rtol=1e-12, atol=0.0)
