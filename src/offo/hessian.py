@@ -116,7 +116,14 @@ class LbfgsModel(CurvatureModel):
         yts = float(y @ s)
         if not (sts > 0.0 and yts >= SECANT_GUARD * sts):
             return replace(self, rejected=self.rejected + 1)
-        pairs = (self.pairs + ((s.copy(), y.copy()),))[-self.memory :] if self.memory else ()
+        if not self.memory:
+            # bb keeps no pair: the empty compact form carries over, and only
+            # the scale and the norm and cap it fixes change
+            new = object.__new__(LbfgsModel)
+            new.__dict__.update(self.__dict__, scale=sts / yts)
+            CurvatureModel.__post_init__(new)
+            return new
+        pairs = (self.pairs + ((s.copy(), y.copy()),))[-self.memory :]
         return replace(self, scale=sts / yts, pairs=pairs)
 
     def _raw_matvec(self, v: Array) -> Array:
@@ -253,6 +260,19 @@ def _ritz_range(bands: Bands) -> tuple:
     return theta[0], theta[-1]
 
 
+def _gershgorin(bands: Bands) -> tuple:
+    """``(lo, hi, scale)``: Gershgorin ends bracketing the spectrum, padded
+    past the rounding of a +- radius, and the larger of their magnitudes."""
+    a = bands[0]
+    radius = np.zeros_like(a)
+    for k, band in enumerate(bands[1:], 1):
+        radius[:-k] += np.abs(band)
+        radius[k:] += np.abs(band)
+    glo, ghi = float((a - radius).min()), float((a + radius).max())
+    scale = max(-glo, ghi)
+    return glo - 8 * _EPS * scale, ghi + 8 * _EPS * scale, scale
+
+
 def _band_norm(bands: Bands) -> float:
     """An upper bound on max|eigenvalue| of a symmetric band matrix, within a
     few ulps of it; each inertia test is exact for a matrix within the
@@ -264,19 +284,11 @@ def _band_norm(bands: Bands) -> float:
     tests to full precision, and one positive-definiteness test rules the
     other side out; should that test fail, the other side is bisected too.
     """
-    a = bands[0]
-    radius = np.zeros_like(a)
-    for k, band in enumerate(bands[1:], 1):
-        radius[:-k] += np.abs(band)
-        radius[k:] += np.abs(band)
-    glo, ghi = float((a - radius).min()), float((a + radius).max())
-    scale = max(-glo, ghi)
+    glo, ghi, scale = _gershgorin(bands)
     if not np.isfinite(scale):
         return float("nan")  # as eigvalsh gives for such a matrix
     if scale == 0.0:
         return 0.0
-    # pad the Gershgorin ends past the rounding of a +- radius
-    glo, ghi = glo - 8 * _EPS * scale, ghi + 8 * _EPS * scale
     tol = 4 * _EPS * scale
     tmin, tmax = _ritz_range(bands)
     if tmax < -tmin:
@@ -291,6 +303,22 @@ def _band_norm(bands: Bands) -> float:
     if x <= hi and bottom_clear:
         return hi
     return max(hi, _band_top(Bands(-band for band in bands), -ghi, -glo, tol))
+
+
+def in_band_form(H: Array | Bands) -> bool:
+    """Whether a Hessian is kept as its bands: a ``Bands`` of half-bandwidth
+    at most ``_MAX_BAND`` with n at or above ``_BAND_MIN_N``."""
+    return isinstance(H, Bands) and H[0].size >= _BAND_MIN_N and len(H) <= _MAX_BAND + 1
+
+
+def largest_eigenvalue(H: Array | Bands) -> float:
+    """The largest eigenvalue of a symmetric H: one dense ``eigvalsh``, or for
+    H in band form the certified upper end of a bisection from its
+    Gershgorin bracket, an upper bound up to the LDL^T's backward error."""
+    if not in_band_form(H):
+        return float(np.linalg.eigvalsh(H)[-1])
+    lo, hi, scale = _gershgorin(H)
+    return _band_top(H, lo, hi, 4 * _EPS * scale) if scale > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -314,7 +342,7 @@ class ExactModel(CurvatureModel):
         return replace(self, H=None)
 
     def with_matrix(self, H: Array | Bands) -> "ExactModel":
-        if isinstance(H, Bands) and H[0].size >= _BAND_MIN_N and len(H) <= _MAX_BAND + 1:
+        if in_band_form(H):
             return replace(self, H=H)
         H = np.asarray(H, dtype=float)
         # a symmetric H already equals 0.5 (H + H^T) bit for bit; keeping it

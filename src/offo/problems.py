@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hessian import Bands
+from .hessian import Bands, largest_eigenvalue
 
 Array = np.ndarray
 
@@ -47,7 +47,8 @@ class ProblemInstance:
     ``lower_bound_certified`` is set, ``f(x) >= f_low`` holds everywhere by
     construction and is assertable during any run.  ``lipschitz_hint`` is the
     gradient Lipschitz constant: exact for quadratics (largest Hessian
-    eigenvalue, computed on first use), sampled otherwise.
+    eigenvalue, computed on first use; for a large banded one, an upper
+    bound within a few ulps), sampled otherwise.
     """
 
     name: str
@@ -68,7 +69,7 @@ class ProblemInstance:
     @property
     def lipschitz_hint(self) -> float:
         if self._lipschitz is None:
-            self._lipschitz = (float(np.linalg.eigvalsh(self.hess(self.x0))[-1])
+            self._lipschitz = (largest_eigenvalue(self.hess(self.x0))
                                if self.lipschitz_exact else _sampled_lipschitz(self))
         return self._lipschitz
 
@@ -209,12 +210,14 @@ def _seed_block(seed: int, block: int) -> Array:
 
 
 @functools.cache
-def _words_seed_type():
-    """The seed-sequence type serving one position's cached words to PCG64.
+def _normal_draw():
+    """The function drawing standard normals from one position's cached words.
 
-    Built on the first noisy draw: importing ``numpy.random`` is kept out of
-    ``import offo``.
+    It seeds PCG64 with the words through a seed-sequence type that serves
+    them as they are.  Built on the first noisy draw: importing
+    ``numpy.random`` is kept out of ``import offo``.
     """
+    from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
     class WordsSeed(ISeedSequence):
@@ -226,7 +229,10 @@ def _words_seed_type():
                 raise ValueError("only PCG64's four uint64 seed words are cached")
             return self.words
 
-    return WordsSeed
+    def draw(words, shape):
+        return Generator(PCG64(WordsSeed(words))).standard_normal(shape)
+
+    return draw
 
 
 def apply_noise(oracle: "NoisyOracle", value, stream_position: int):
@@ -240,12 +246,13 @@ def apply_noise(oracle: "NoisyOracle", value, stream_position: int):
     """
     if oracle.level == 0.0:
         return value
-    seed = _words_seed_type()(oracle._seed_words(stream_position))
-    z = np.random.Generator(np.random.PCG64(seed)).standard_normal(np.shape(value))
-    noisy = value * (1.0 + oracle.level * z)
-    if np.ndim(value) == 0:
-        return float(noisy)
-    return noisy
+    value = np.asarray(value, dtype=float)
+    z = _normal_draw()(oracle._seed_words(stream_position), value.shape)
+    # in place, as v * (1 + level z) rounds
+    z *= oracle.level
+    z += 1.0
+    z *= value
+    return z if value.shape else float(z)
 
 
 @dataclass
@@ -376,20 +383,24 @@ def evaluate(problem: ProblemInstance, x: Array, order: int = 0):
 # -- shared parts -------------------------------------------------------------
 
 
-def _sum_of_squares(name, n, x0, residual, jac, curvature=None):
+def _sum_of_squares(name, n, x0, residual, jac=None, curvature=None, both=None):
     """f = sum r_i^2 with gradient 2 J'r and Hessian 2 J'J + the residuals'
     second-derivative term, which ``curvature(x, r, H)`` adds in place; no
-    Hessian without it."""
+    Hessian without it.  ``both(x)``, given in place of ``jac``, returns
+    ``(r, J)`` with the work the two share done once."""
+    if both is None:
+        def both(x):
+            return residual(x), jac(x)
 
     def fn(x):
         return (residual(x) ** 2).sum()
 
     def grad(x):
-        return 2.0 * jac(x).T @ residual(x)
+        r, J = both(x)
+        return 2.0 * J.T @ r
 
     def hess(x):
-        r = residual(x)
-        J = jac(x)
+        r, J = both(x)
         H = 2.0 * J.T @ J
         curvature(x, r, H)
         return H
@@ -457,30 +468,27 @@ def _broyden3d(n):
 
 @_register("broydenbd", 10, lambda n: n >= 2, "n >= 2")
 def _broydenbd(n):
-    neighborhoods = []
-    for i in range(n):
-        lo, hi = max(0, i - 5), min(n - 1, i + 1)
-        neighborhoods.append([j for j in range(lo, hi + 1) if j != i])
+    # row i couples to its neighbours j in [i - 5, i + 1], j != i: the pairs
+    # (i, j) in row-major order, so each sum below accumulates in the order of
+    # the per-row loop it replaces
+    rows, cols = np.array([(i, j) for i in range(n) for j in range(max(0, i - 5), min(n, i + 2))
+                           if j != i]).T
+    diag = np.arange(n)
 
     def residual(x):
-        r = x * (2.0 + 5.0 * x**2) + 1.0
-        for i, nb in enumerate(neighborhoods):
-            xj = x[nb]
-            r[i] -= (xj * (1.0 + xj)).sum()
-        return r
+        xj = x[cols]
+        return x * (2.0 + 5.0 * x**2) + 1.0 - np.bincount(rows, xj * (1.0 + xj), n)
 
     def jac(x):
         J = np.zeros((n, n))
-        np.fill_diagonal(J, 2.0 + 15.0 * x**2)
-        for i, nb in enumerate(neighborhoods):
-            J[i, nb] = -(1.0 + 2.0 * x[nb])
+        J[diag, diag] = 2.0 + 15.0 * x**2
+        J[rows, cols] = -(1.0 + 2.0 * x[cols])
         return J
 
     def curvature(x, r, H):
         d = 60.0 * x * r
-        for i, nb in enumerate(neighborhoods):
-            d[nb] += -4.0 * r[i]
-        H[np.arange(n), np.arange(n)] += d
+        np.add.at(d, cols, -4.0 * r[rows])
+        H[diag, diag] += d
 
     return _sum_of_squares("broydenbd", n, -np.ones(n), residual, jac, curvature)
 
@@ -574,10 +582,8 @@ def _arglinb(n):
 
 @_register("woods", 12, lambda n: n >= 4 and n % 4 == 0, "n a positive multiple of 4")
 def _woods(n):
-    ia = np.arange(0, n, 4)
-
     def fn(x):
-        a, b, c, d = x[ia], x[ia + 1], x[ia + 2], x[ia + 3]
+        a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
         return (
             100.0 * ((b - a**2) ** 2).sum()
             + ((1.0 - a) ** 2).sum()
@@ -588,17 +594,18 @@ def _woods(n):
         )
 
     def grad(x):
-        a, b, c, d = x[ia], x[ia + 1], x[ia + 2], x[ia + 3]
-        g = np.zeros_like(x)
-        g[ia] = -400.0 * a * (b - a**2) - 2.0 * (1.0 - a)
-        g[ia + 1] = 200.0 * (b - a**2) + 20.0 * (b + d - 2.0) + 0.2 * (b - d)
-        g[ia + 2] = -360.0 * c * (d - c**2) - 2.0 * (1.0 - c)
-        g[ia + 3] = 180.0 * (d - c**2) + 20.0 * (b + d - 2.0) - 0.2 * (b - d)
+        a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
+        ab, cd, bd, diff = b - a**2, d - c**2, 20.0 * (b + d - 2.0), 0.2 * (b - d)
+        g = np.empty_like(x)
+        g[0::4] = -400.0 * a * ab - 2.0 * (1.0 - a)
+        g[1::4] = 200.0 * ab + bd + diff
+        g[2::4] = -360.0 * c * cd - 2.0 * (1.0 - c)
+        g[3::4] = 180.0 * cd + bd - diff
         return g
 
     def hess(x):
         H = np.zeros((n, n))
-        for base in ia:
+        for base in range(0, n, 4):
             a, b, c, d = x[base], x[base + 1], x[base + 2], x[base + 3]
             blk = np.zeros((4, 4))
             blk[0, 0] = -400.0 * (b - a**2) + 800.0 * a**2 + 2.0
@@ -617,10 +624,8 @@ def _woods(n):
 
 @_register("powellsg", 12, lambda n: n >= 4 and n % 4 == 0, "n a positive multiple of 4")
 def _powellsg(n):
-    ia = np.arange(0, n, 4)
-
     def fn(x):
-        a, b, c, d = x[ia], x[ia + 1], x[ia + 2], x[ia + 3]
+        a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
         return (
             ((a + 10.0 * b) ** 2).sum()
             + 5.0 * ((c - d) ** 2).sum()
@@ -629,17 +634,18 @@ def _powellsg(n):
         )
 
     def grad(x):
-        a, b, c, d = x[ia], x[ia + 1], x[ia + 2], x[ia + 3]
-        g = np.zeros_like(x)
-        g[ia] = 2.0 * (a + 10.0 * b) + 40.0 * (a - d) ** 3
-        g[ia + 1] = 20.0 * (a + 10.0 * b) + 4.0 * (b - 2.0 * c) ** 3
-        g[ia + 2] = 10.0 * (c - d) - 8.0 * (b - 2.0 * c) ** 3
-        g[ia + 3] = -10.0 * (c - d) - 40.0 * (a - d) ** 3
+        a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
+        ab, cd, bc3, ad3 = a + 10.0 * b, c - d, (b - 2.0 * c) ** 3, (a - d) ** 3
+        g = np.empty_like(x)
+        g[0::4] = 2.0 * ab + 40.0 * ad3
+        g[1::4] = 20.0 * ab + 4.0 * bc3
+        g[2::4] = 10.0 * cd - 8.0 * bc3
+        g[3::4] = -10.0 * cd - 40.0 * ad3
         return g
 
     def hess(x):
         H = np.zeros((n, n))
-        for base in ia:
+        for base in range(0, n, 4):
             a, b, c, d = x[base], x[base + 1], x[base + 2], x[base + 3]
             blk = np.zeros((4, 4))
             blk[0, 0] = 2.0 + 120.0 * (a - d) ** 2
@@ -712,18 +718,21 @@ def _box3(n):
     def residual(x):
         return np.exp(-t * x[0]) - np.exp(-t * x[1]) - x[2] * w
 
-    def jac(x):
-        J = np.zeros((10, 3))
-        J[:, 0] = -t * np.exp(-t * x[0])
-        J[:, 1] = t * np.exp(-t * x[1])
+    def both(x):
+        # the residual and the Jacobian from one pair of exponentials
+        e0, e1 = np.exp(-t * x[0]), np.exp(-t * x[1])
+        J = np.empty((10, 3))
+        J[:, 0] = -t * e0
+        J[:, 1] = t * e1
         J[:, 2] = -w
-        return J
+        return e0 - e1 - x[2] * w, J
 
     def curvature(x, r, H):
         H[0, 0] += 2.0 * (r * t**2 * np.exp(-t * x[0])).sum()
         H[1, 1] += 2.0 * (r * (-(t**2)) * np.exp(-t * x[1])).sum()
 
-    return _sum_of_squares("box3", n, np.array([0.0, 10.0, 20.0]), residual, jac, curvature)
+    return _sum_of_squares("box3", n, np.array([0.0, 10.0, 20.0]), residual,
+                           curvature=curvature, both=both)
 
 
 @_register("cube", 2, lambda n: n == 2, "n = 2")

@@ -137,7 +137,7 @@ def weights(state: ScalingState, rule: ScalingRule) -> Array:
         raise ValueError("weights requested before any scaling update")
     sig = state.sig
     if rule.variant == "adagrad-like":
-        w = state.theta * np.sqrt(rule.vartheta) * (sig + state.acc) ** rule.mu
+        w = state.theta * math.sqrt(rule.vartheta) * (sig + state.acc) ** rule.mu
     elif rule.variant == "adam-like":
         w = state.theta * np.sqrt(sig + state.acc)
     else:

@@ -68,6 +68,8 @@ class CauchyStep:
     gamma: float
     s_Q: Array
     q_Q: float
+    #: g.s_L, the model's linear term at s_L
+    q_L: float
 
 
 class _CountingOracle:
@@ -192,17 +194,19 @@ def cauchy_step(g: Array, matvec, radii, geometry: str) -> CauchyStep:
     """Scaled steepest-descent step and its model minimizer along that ray.
 
     ``matvec=None`` stands for the zero model, whose step has the closed form
-    gamma = 1, s_Q = s_L and q_Q = g.s_L.
+    gamma = 1, s_Q = s_L and q_Q = g.s_L; :func:`solve_subproblem` takes s_L
+    and q_L as its step.
     """
     if geometry == "box":
-        s_L = -np.sign(g) * radii
+        # -sign(g) * radii, up to the sign of the zero step of a g_i = -0.0
+        s_L = np.copysign(radii, -g)
     else:
         normg = np.linalg.norm(g)
         s_L = -(radii / normg) * g if normg > 0 else np.zeros_like(g)
     gs = float(g @ s_L)
     if matvec is None:
         # gs plus the curvature term s_L.(0 s_L) = +0.0, as the matvec path adds it
-        return CauchyStep(s_L=s_L, gamma=1.0, s_Q=s_L, q_Q=gs + 0.0)
+        return CauchyStep(s_L=s_L, gamma=1.0, s_Q=s_L, q_Q=gs + 0.0, q_L=gs)
     Bs = matvec(s_L)
     curv = float(s_L @ Bs)
     if curv > 0.0:
@@ -211,7 +215,7 @@ def cauchy_step(g: Array, matvec, radii, geometry: str) -> CauchyStep:
         gamma = 1.0
     s_Q = gamma * s_L
     q_Q = gamma * gs + 0.5 * gamma * gamma * curv
-    return CauchyStep(s_L=s_L, gamma=gamma, s_Q=s_Q, q_Q=q_Q)
+    return CauchyStep(s_L=s_L, gamma=gamma, s_Q=s_Q, q_Q=q_Q, q_L=gs)
 
 
 def _max_feasible(s, p, delta, free):
@@ -388,7 +392,7 @@ def solve_subproblem(g, model, radii, geometry, cauchy: CauchyStep, tau: float, 
     decrease contract unconditional.
     """
     if model.is_zero:
-        return cauchy.s_L, float(g @ cauchy.s_L)
+        return cauchy.s_L, cauchy.q_L
     if geometry == "box":
         s = _cg_box(g, model.matvec, radii, tol)
     else:
@@ -440,12 +444,14 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
         cs = cauchy_step(g, None if model.is_zero else model.matvec, radii, geometry)
         tol = max(_CG_ABS, _CG_REL * normg)
         s, q_s = solve_subproblem(g, model, radii, geometry, cs, cfg.tau, tol)
-        if not np.isfinite(s).all():
+        step_norm = math.sqrt(float(s @ s))
+        # a finite norm means a finite step; an infinite one may still come
+        # from a finite step whose squares overflow
+        if not math.isfinite(step_norm) and not np.isfinite(s).all():
             status = "overflow"
             break
         if tr.w_hist is not None:
             tr.w_hist.append(np.array(w, copy=True))
-        step_norm = math.sqrt(float(s @ s))
         # one append per column of _STEP_COLS; a ball radius is a float
         tr.w_min.append(w.min())
         tr.w_max.append(w.max())

@@ -113,6 +113,21 @@ def test_memory_zero_keeps_no_pair_and_its_product_is_the_scalar():
     assert m.norm_estimate() == abs(m.scale)
 
 
+def test_bb_update_equals_the_model_built_from_its_fields():
+    rng = np.random.default_rng(5)
+    m = LbfgsModel(kappa_B=50.0, memory=0)
+    for c in (2.0, 1e3, 0.25):  # y = s / c gives the scale c; 1e3 is past the cap
+        s = rng.normal(size=6)
+        m = m.update(s, s / c)
+        built = LbfgsModel(kappa_B=50.0, memory=0, scale=m.scale, rejected=m.rejected)
+        assert m.scale == pytest.approx(c, rel=1e-15)
+        for f in ("scale", "raw_norm", "factor", "rejected", "pairs", "memory", "kappa_B"):
+            assert getattr(m, f) == getattr(built, f), f
+        assert m.W.shape == built.W.shape and m.D.shape == built.D.shape
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.scale = 1.0
+
+
 def test_lbfgs_evicts_oldest_beyond_memory():
     rng = np.random.default_rng(2)
     m = make_model("lbfgs3")

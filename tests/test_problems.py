@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from offo import problems
+from offo import hessian, problems
 from offo.problems import (
     CapabilityError,
     CatalogError,
@@ -278,6 +278,89 @@ def test_tridia_matrix_equals_its_loop_assembly(n):
     assert np.abs(g - dense).max() <= 1e-15 * np.abs(dense).max()
 
 
+# The gradients of woods, powellsg, box3 and broydenbd as fancy indices and
+# loops over rows wrote them; the catalog's must give the same bytes.
+
+
+def _woods_reference(x):
+    ia = np.arange(0, x.size, 4)
+    a, b, c, d = x[ia], x[ia + 1], x[ia + 2], x[ia + 3]
+    f = (100.0 * ((b - a**2) ** 2).sum() + ((1.0 - a) ** 2).sum() + 90.0 * ((d - c**2) ** 2).sum()
+         + ((1.0 - c) ** 2).sum() + 10.0 * ((b + d - 2.0) ** 2).sum() + 0.1 * ((b - d) ** 2).sum())
+    g = np.zeros_like(x)
+    g[ia] = -400.0 * a * (b - a**2) - 2.0 * (1.0 - a)
+    g[ia + 1] = 200.0 * (b - a**2) + 20.0 * (b + d - 2.0) + 0.2 * (b - d)
+    g[ia + 2] = -360.0 * c * (d - c**2) - 2.0 * (1.0 - c)
+    g[ia + 3] = 180.0 * (d - c**2) + 20.0 * (b + d - 2.0) - 0.2 * (b - d)
+    return f, g, None
+
+
+def _powellsg_reference(x):
+    ia = np.arange(0, x.size, 4)
+    a, b, c, d = x[ia], x[ia + 1], x[ia + 2], x[ia + 3]
+    f = (((a + 10.0 * b) ** 2).sum() + 5.0 * ((c - d) ** 2).sum() + ((b - 2.0 * c) ** 4).sum()
+         + 10.0 * ((a - d) ** 4).sum())
+    g = np.zeros_like(x)
+    g[ia] = 2.0 * (a + 10.0 * b) + 40.0 * (a - d) ** 3
+    g[ia + 1] = 20.0 * (a + 10.0 * b) + 4.0 * (b - 2.0 * c) ** 3
+    g[ia + 2] = 10.0 * (c - d) - 8.0 * (b - 2.0 * c) ** 3
+    g[ia + 3] = -10.0 * (c - d) - 40.0 * (a - d) ** 3
+    return f, g, None
+
+
+def _box3_reference(x):
+    t = 0.1 * np.arange(1, 11)
+    w = np.exp(-t) - np.exp(-10.0 * t)
+    r = np.exp(-t * x[0]) - np.exp(-t * x[1]) - x[2] * w
+    J = np.zeros((10, 3))
+    J[:, 0] = -t * np.exp(-t * x[0])
+    J[:, 1] = t * np.exp(-t * x[1])
+    J[:, 2] = -w
+    H = 2.0 * J.T @ J
+    H[0, 0] += 2.0 * (r * t**2 * np.exp(-t * x[0])).sum()
+    H[1, 1] += 2.0 * (r * (-(t**2)) * np.exp(-t * x[1])).sum()
+    return (r**2).sum(), 2.0 * J.T @ r, H
+
+
+def _broydenbd_reference(x):
+    n = x.size
+    neighborhoods = [[j for j in range(max(0, i - 5), min(n - 1, i + 1) + 1) if j != i]
+                     for i in range(n)]
+    r = x * (2.0 + 5.0 * x**2) + 1.0
+    for i, nb in enumerate(neighborhoods):
+        xj = x[nb]
+        r[i] -= (xj * (1.0 + xj)).sum()
+    J = np.zeros((n, n))
+    np.fill_diagonal(J, 2.0 + 15.0 * x**2)
+    for i, nb in enumerate(neighborhoods):
+        J[i, nb] = -(1.0 + 2.0 * x[nb])
+    H = 2.0 * J.T @ J
+    d = 60.0 * x * r
+    for i, nb in enumerate(neighborhoods):
+        d[nb] += -4.0 * r[i]
+    H[np.arange(n), np.arange(n)] += d
+    return (r**2).sum(), 2.0 * J.T @ r, H
+
+
+@pytest.mark.parametrize("name, n, reference", [
+    ("woods", 4, _woods_reference), ("woods", 12, _woods_reference),
+    ("powellsg", 4, _powellsg_reference), ("powellsg", 12, _powellsg_reference),
+    ("box3", 3, _box3_reference),
+    ("broydenbd", 2, _broydenbd_reference), ("broydenbd", 10, _broydenbd_reference),
+    ("broydenbd", 23, _broydenbd_reference),
+])
+def test_rewritten_derivatives_equal_their_reference_formulas(name, n, reference):
+    p = make_problem(name, n)
+    rng = np.random.default_rng(n)
+    points = [p.x0] + [p.x0 + rng.uniform(-2.0, 2.0, n) for _ in range(50)]
+    for x in points:
+        f, g, H = reference(x)
+        assert p.fn(x) == f, x
+        assert np.array_equal(p.grad_fn(x), g), x
+        if H is not None:
+            assert np.array_equal(p.hess_fn(x), H), x
+
+
 def test_exact_lipschitz_is_computed_on_first_use(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
 
@@ -286,9 +369,26 @@ def test_exact_lipschitz_is_computed_on_first_use(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     p = make_problem("tridia", 1000)
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    assert p.lipschitz_exact
-    assert p.lipschitz_hint == eigvalsh(p.hess(p.x0))[-1]
+    assert p._lipschitz is None
+    # past the band crossover the first use bisects the bands, with no eigvalsh
+    # and no dense matrix
+    monkeypatch.setattr(hessian.Bands, "__array__", refuse)
+    got = p.lipschitz_hint
+    monkeypatch.undo()
+    assert p.lipschitz_exact and p._lipschitz == got
+    assert got == pytest.approx(eigvalsh(np.asarray(p.hess(p.x0)))[-1], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [512, 600])
+def test_banded_quadratic_lipschitz_is_an_upper_bound_within_a_few_ulps(n):
+    p = make_problem("tridia", n)
+    truth = np.linalg.eigvalsh(np.asarray(p.hess(p.x0)))[-1]
+    got = p.lipschitz_hint
+    # certified above the top eigenvalue up to the LDL^T's backward error
+    assert truth - 8 * np.spacing(truth) <= got <= truth + 8 * np.spacing(truth)
+    # below the crossover it stays eigvalsh's
+    below = make_problem("tridia", 511)
+    assert below.lipschitz_hint == np.linalg.eigvalsh(np.asarray(below.hess(below.x0)))[-1]
 
 
 def test_noise_level_zero_is_identity():

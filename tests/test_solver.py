@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from offo import bench, problems, solver
+from offo import bench, problems, sharpness, solver
 from offo.hessian import Bands, LbfgsModel, make_model
 from offo.problems import NoisyOracle, ProblemInstance, base_problem, fresh_stream, make_problem
 from offo.scaling import ScalingRule, rule_from_name
@@ -126,6 +126,33 @@ def test_zero_model_closed_form_cauchy_matches_matvec_path_bitwise(geometry):
         s_b, q_b = solve_subproblem(g, zero, radii, geometry, product, tau=0.1, tol=1e-10)
         assert s_a.tobytes() == s_b.tobytes() == product.s_L.tobytes()
         assert _same_float(q_a, q_b)
+
+
+def _assert_zero_model_box_steps(tr):
+    """Each step of a box zero-model run is copysign(radii, -g), its model
+    value g.s and its bound residual 0, as read from the recorded vectors."""
+    assert tr.steps > 0
+    xs = tr.x_hist[1:] + [tr.x_final]
+    for k in range(tr.steps):
+        g = tr.g_hist[k]
+        s = np.copysign(trust_radius(g, tr.w_hist[k], "box"), -g)
+        assert (tr.x_hist[k] + s).tobytes() == xs[k].tobytes(), k
+        assert _same_float(tr.q_step[k], g @ s), k
+        assert _same_float(tr.sbound_resid[k], 0.0), k
+        assert _same_float(tr.step_norm[k], np.sqrt(s @ s)), k
+
+
+def test_zero_model_box_step_is_the_scaled_corner_on_rosenbrock():
+    cfg = Astr1Config(scaling=rule_from_name("adagrad"), eps=1e-3, max_iter=3000,
+                      record_vectors=True)
+    for target in (make_problem("rosenbr", 10), NoisyOracle(make_problem("rosenbr", 10), 0.15, 2)):
+        _assert_zero_model_box_steps(astr1_run(target, cfg))
+
+
+@pytest.mark.parametrize("kind", sharpness.KINDS)
+def test_zero_model_box_step_is_the_scaled_corner_in_a_replay(kind):
+    seq = sharpness.build_sequence(kind, 300)
+    _assert_zero_model_box_steps(sharpness.replay(seq, sharpness.hermite_build(seq)).trace)
 
 
 def test_subproblem_interior_solution_1d():
