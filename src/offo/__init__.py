@@ -1,13 +1,5 @@
 """Objective-function-free trust-region optimization toolkit."""
 
-import contextlib
-import ctypes
-
-# Pin glibc's M_MMAP_THRESHOLD (-3): once it rises, n x n matrices share the heap
-# and a run's peak memory depends on the order of small allocations (no-op elsewhere).
-with contextlib.suppress(AttributeError, OSError, TypeError):
-    ctypes.CDLL(None).mallopt(-3, 1 << 20)
-
 from .problems import (
     CapabilityError,
     CatalogError,

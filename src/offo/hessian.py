@@ -6,7 +6,8 @@ product costs O(n M); ``bb`` is its memory 0) and ``ExactModel`` (``exact``,
 the true Hessian, refreshed per iterate).  Each supplies a raw operator and
 its spectral norm ||B||, computed once per operator: ``|scale|`` for bb, a
 2M x 2M eigenproblem from the compact form (O(n M^2)) for L-BFGS, and for
-exact one dense ``eigvalsh`` or, for a tri- or pentadiagonal Hessian that
+exact ``spectral_norm``, which also gives a quadratic's Lipschitz constant:
+one dense ``eigvalsh`` or, for a tri- or pentadiagonal Hessian that
 arrives as ``Bands`` (its diagonal and upper bands, the form banded problems
 return) past the measured crossover, a bisection on inertia tests of those
 bands (Golub & Van Loan, Matrix Computations, 4th ed., 8.4; Kahan 1966); a
@@ -260,19 +261,6 @@ def _ritz_range(bands: Bands) -> tuple:
     return theta[0], theta[-1]
 
 
-def _gershgorin(bands: Bands) -> tuple:
-    """``(lo, hi, scale)``: Gershgorin ends bracketing the spectrum, padded
-    past the rounding of a +- radius, and the larger of their magnitudes."""
-    a = bands[0]
-    radius = np.zeros_like(a)
-    for k, band in enumerate(bands[1:], 1):
-        radius[:-k] += np.abs(band)
-        radius[k:] += np.abs(band)
-    glo, ghi = float((a - radius).min()), float((a + radius).max())
-    scale = max(-glo, ghi)
-    return glo - 8 * _EPS * scale, ghi + 8 * _EPS * scale, scale
-
-
 def _band_norm(bands: Bands) -> float:
     """An upper bound on max|eigenvalue| of a symmetric band matrix, within a
     few ulps of it; each inertia test is exact for a matrix within the
@@ -284,11 +272,19 @@ def _band_norm(bands: Bands) -> float:
     tests to full precision, and one positive-definiteness test rules the
     other side out; should that test fail, the other side is bisected too.
     """
-    glo, ghi, scale = _gershgorin(bands)
+    a = bands[0]
+    radius = np.zeros_like(a)
+    for k, band in enumerate(bands[1:], 1):
+        radius[:-k] += np.abs(band)
+        radius[k:] += np.abs(band)
+    glo, ghi = float((a - radius).min()), float((a + radius).max())
+    scale = max(-glo, ghi)
     if not np.isfinite(scale):
         return float("nan")  # as eigvalsh gives for such a matrix
     if scale == 0.0:
         return 0.0
+    # padded past the rounding of a +- radius
+    glo, ghi = glo - 8 * _EPS * scale, ghi + 8 * _EPS * scale
     tol = 4 * _EPS * scale
     tmin, tmax = _ritz_range(bands)
     if tmax < -tmin:
@@ -311,14 +307,13 @@ def in_band_form(H: Array | Bands) -> bool:
     return isinstance(H, Bands) and H[0].size >= _BAND_MIN_N and len(H) <= _MAX_BAND + 1
 
 
-def largest_eigenvalue(H: Array | Bands) -> float:
-    """The largest eigenvalue of a symmetric H: one dense ``eigvalsh``, or for
-    H in band form the certified upper end of a bisection from its
-    Gershgorin bracket, an upper bound up to the LDL^T's backward error."""
-    if not in_band_form(H):
-        return float(np.linalg.eigvalsh(H)[-1])
-    lo, hi, scale = _gershgorin(H)
-    return _band_top(H, lo, hi, 4 * _EPS * scale) if scale > 0.0 else 0.0
+def spectral_norm(H: Array | Bands) -> float:
+    """max|eigenvalue| of a symmetric H: ``_band_norm`` for H in band form,
+    an upper bound up to the LDL^T's backward error, and one dense
+    ``eigvalsh`` otherwise."""
+    if in_band_form(H):
+        return _band_norm(H)
+    return float(np.abs(np.linalg.eigvalsh(H)).max())
 
 
 @dataclass(frozen=True)
@@ -357,9 +352,7 @@ class ExactModel(CurvatureModel):
         return self.H @ v
 
     def _raw_norm(self) -> float:
-        if isinstance(self.H, Bands):
-            return _band_norm(self.H)
-        return 0.0 if self.H is None else float(np.abs(np.linalg.eigvalsh(self.H)).max())
+        return 0.0 if self.H is None else spectral_norm(self.H)
 
 
 def make_model(kind: str, kappa_B: float = 1e5) -> CurvatureModel:

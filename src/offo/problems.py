@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hessian import Bands, largest_eigenvalue
+from .hessian import Bands, spectral_norm
 
 Array = np.ndarray
 
@@ -46,9 +46,9 @@ class ProblemInstance:
     ``f_low`` is a certified lower bound on f (attained or not); when
     ``lower_bound_certified`` is set, ``f(x) >= f_low`` holds everywhere by
     construction and is assertable during any run.  ``lipschitz_hint`` is the
-    gradient Lipschitz constant: exact for quadratics (largest Hessian
-    eigenvalue, computed on first use; for a large banded one, an upper
-    bound within a few ulps), sampled otherwise.
+    gradient Lipschitz constant: exact for quadratics (the Hessian's spectral
+    norm, computed on first use by the exact model's ``spectral_norm``; for a
+    large banded one, an upper bound within a few ulps), sampled otherwise.
     """
 
     name: str
@@ -69,7 +69,7 @@ class ProblemInstance:
     @property
     def lipschitz_hint(self) -> float:
         if self._lipschitz is None:
-            self._lipschitz = (largest_eigenvalue(self.hess(self.x0))
+            self._lipschitz = (spectral_norm(self.hess(self.x0))
                                if self.lipschitz_exact else _sampled_lipschitz(self))
         return self._lipschitz
 
@@ -601,19 +601,15 @@ def _woods(n):
         return g
 
     def hess(x):
-        H = np.zeros((n, n))
-        for base in range(0, n, 4):
-            a, b, c, d = x[base], x[base + 1], x[base + 2], x[base + 3]
-            blk = np.zeros((4, 4))
-            blk[0, 0] = -400.0 * (b - a**2) + 800.0 * a**2 + 2.0
-            blk[0, 1] = blk[1, 0] = -400.0 * a
-            blk[1, 1] = 200.0 + 20.0 + 0.2
-            blk[1, 3] = blk[3, 1] = 20.0 - 0.2
-            blk[2, 2] = -360.0 * (d - c**2) + 720.0 * c**2 + 2.0
-            blk[2, 3] = blk[3, 2] = -360.0 * c
-            blk[3, 3] = 180.0 + 20.0 + 0.2
-            H[base : base + 4, base : base + 4] = blk
-        return H
+        # the 4 x 4 blocks' entries on the diagonal and upper bands 1 and 2
+        a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
+        diag, up1, up2 = np.zeros(n), np.zeros(n - 1), np.zeros(n - 2)
+        diag[0::4] = -400.0 * (b - a**2) + 800.0 * a**2 + 2.0
+        diag[1::4] = 200.0 + 20.0 + 0.2
+        diag[2::4] = -360.0 * (d - c**2) + 720.0 * c**2 + 2.0
+        diag[3::4] = 180.0 + 20.0 + 0.2
+        up1[0::4], up1[2::4], up2[1::4] = -400.0 * a, -360.0 * c, 20.0 - 0.2
+        return Bands((diag, up1, up2))
 
     x0 = np.tile([-3.0, -1.0, -3.0, -1.0], n // 4)
     return ProblemInstance("woods", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
@@ -641,20 +637,14 @@ def _powellsg(n):
         return g
 
     def hess(x):
-        H = np.zeros((n, n))
-        for base in range(0, n, 4):
-            a, b, c, d = x[base], x[base + 1], x[base + 2], x[base + 3]
-            blk = np.zeros((4, 4))
-            blk[0, 0] = 2.0 + 120.0 * (a - d) ** 2
-            blk[0, 1] = blk[1, 0] = 20.0
-            blk[0, 3] = blk[3, 0] = -120.0 * (a - d) ** 2
-            blk[1, 1] = 200.0 + 12.0 * (b - 2.0 * c) ** 2
-            blk[1, 2] = blk[2, 1] = -24.0 * (b - 2.0 * c) ** 2
-            blk[2, 2] = 10.0 + 48.0 * (b - 2.0 * c) ** 2
-            blk[2, 3] = blk[3, 2] = -10.0
-            blk[3, 3] = 10.0 + 120.0 * (a - d) ** 2
-            H[base : base + 4, base : base + 4] = blk
-        return H
+        # the 4 x 4 blocks' entries on the diagonal and upper bands 1 to 3
+        a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
+        ad2, bc2 = (a - d) ** 2, (b - 2.0 * c) ** 2
+        diag, up1, up3 = np.zeros(n), np.zeros(n - 1), np.zeros(n - 3)
+        diag[0::4], diag[1::4] = 2.0 + 120.0 * ad2, 200.0 + 12.0 * bc2
+        diag[2::4], diag[3::4] = 10.0 + 48.0 * bc2, 10.0 + 120.0 * ad2
+        up1[0::4], up1[1::4], up1[2::4], up3[0::4] = 20.0, -24.0 * bc2, -10.0, -120.0 * ad2
+        return Bands((diag, up1, np.zeros(n - 2), up3))
 
     x0 = np.tile([3.0, -1.0, 0.0, 1.0], n // 4)
     return ProblemInstance("powellsg", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
@@ -776,6 +766,11 @@ def _vardim(n):
 
 @_register("nondquar", 10, lambda n: n >= 3, "n >= 3")
 def _nondquar(n):
+    # term i adds 12 u_i^2 at every pair of (i, i + 1, n - 1), in the order
+    # (term, row, column) that fixes how each entry accumulates
+    idx = np.stack([np.arange(n - 2), np.arange(1, n - 1), np.full(n - 2, n - 1)], axis=1)
+    rows, cols = np.repeat(idx, 3, axis=1).ravel(), np.tile(idx, 3).ravel()
+
     def fn(x):
         u = x[:-2] + x[1:-1] + x[-1]
         return (x[0] - x[1]) ** 2 + (x[-2] + x[-1]) ** 2 + (u**4).sum()
@@ -798,12 +793,7 @@ def _nondquar(n):
         H = np.zeros((n, n))
         H[:2, :2] += [[2.0, -2.0], [-2.0, 2.0]]
         H[-2:, -2:] += 2.0
-        sq = 12.0 * u**2
-        for i in range(n - 2):
-            idx = (i, i + 1, n - 1)
-            for a in idx:
-                for b in idx:
-                    H[a, b] += sq[i]
+        np.add.at(H, (rows, cols), np.repeat(12.0 * u**2, 9))
         return H
 
     x0 = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)

@@ -283,11 +283,11 @@ def test_band_pivots_on_exact_zero_pivots():
     assert list((piv < 0).all(axis=0)) == [False, True]
 
 
-@pytest.mark.parametrize("name", ["rosenbr", "broyden3d", "tridia"])
+@pytest.mark.parametrize("name", ["rosenbr", "broyden3d", "tridia", "woods"])
 def test_band_form_at_large_n(name):
     p = make_problem(name, 1000)
     m = make_model("exact").with_matrix(p.hess(p.x0))
-    assert isinstance(m.H, Bands) and len(m.H) == (3 if name == "broyden3d" else 2)
+    assert isinstance(m.H, Bands) and len(m.H) == (3 if name in ("broyden3d", "woods") else 2)
     H = np.asarray(m.H)
     rng = np.random.default_rng(2)
     for v in (rng.standard_normal(1000), rng.standard_normal((1000, 7)), np.eye(1000)):
@@ -298,7 +298,7 @@ def test_band_form_at_large_n(name):
     assert m.H is None and m.norm_estimate() == 0.0
 
 
-@pytest.mark.parametrize("name", ["tridia", "broyden3d"])
+@pytest.mark.parametrize("name", ["tridia", "broyden3d", "woods"])
 def test_large_banded_problem_runs_without_a_dense_matrix(name, monkeypatch):
     def refuse(self, dtype=None, copy=None):
         raise AssertionError("a band matrix was made dense")
@@ -325,6 +325,12 @@ def test_band_form_symmetrizes_and_dense_hessians_stay_dense():
     p = make_problem("broyden3d", 500)
     m = make_model("exact").with_matrix(p.hess(p.x0))
     assert isinstance(m.H, np.ndarray) and m.H.tobytes() == np.asarray(p.hess(p.x0)).tobytes()
+    # past the crossover, bands wider than pentadiagonal are made dense too
+    p = make_problem("powellsg", 600)
+    H = p.hess(p.x0)
+    assert isinstance(H, Bands) and len(H) == 4
+    m = make_model("exact").with_matrix(H)
+    assert isinstance(m.H, np.ndarray) and m.H.tobytes() == np.asarray(H).tobytes()
 
 
 @pytest.mark.parametrize("name", ["broyden3d", "tridia"])

@@ -135,6 +135,15 @@ def test_quadratics_have_exact_lipschitz():
         assert p.lipschitz_hint == pytest.approx(np.linalg.eigvalsh(H)[-1], rel=1e-12)
 
 
+def test_exact_lipschitz_is_the_spectral_norm():
+    # an indefinite quadratic's gradient is Lipschitz with constant ||A||_2,
+    # not with its largest eigenvalue
+    A = np.diag([1.0, -3.0])
+    p = problems.ProblemInstance("indefinite", 2, np.ones(2), -np.inf, lambda x: 0.5 * x @ A @ x,
+                                 lambda x: A @ x, lambda x: A, lipschitz_exact=True)
+    assert p.lipschitz_hint == 3.0
+
+
 def test_sampled_lipschitz_is_positive():
     p = make_problem("rosenbr", 4)
     assert not p.lipschitz_exact
@@ -361,17 +370,90 @@ def test_rewritten_derivatives_equal_their_reference_formulas(name, n, reference
             assert np.array_equal(p.hess_fn(x), H), x
 
 
+def _woods_hessian_loop(x):
+    H = np.zeros((x.size, x.size))
+    for base in range(0, x.size, 4):
+        a, b, c, d = x[base], x[base + 1], x[base + 2], x[base + 3]
+        blk = np.zeros((4, 4))
+        blk[0, 0] = -400.0 * (b - a**2) + 800.0 * a**2 + 2.0
+        blk[0, 1] = blk[1, 0] = -400.0 * a
+        blk[1, 1] = 200.0 + 20.0 + 0.2
+        blk[1, 3] = blk[3, 1] = 20.0 - 0.2
+        blk[2, 2] = -360.0 * (d - c**2) + 720.0 * c**2 + 2.0
+        blk[2, 3] = blk[3, 2] = -360.0 * c
+        blk[3, 3] = 180.0 + 20.0 + 0.2
+        H[base : base + 4, base : base + 4] = blk
+    return H
+
+
+def _powellsg_hessian_loop(x):
+    H = np.zeros((x.size, x.size))
+    for base in range(0, x.size, 4):
+        a, b, c, d = x[base], x[base + 1], x[base + 2], x[base + 3]
+        blk = np.zeros((4, 4))
+        blk[0, 0] = 2.0 + 120.0 * (a - d) ** 2
+        blk[0, 1] = blk[1, 0] = 20.0
+        blk[0, 3] = blk[3, 0] = -120.0 * (a - d) ** 2
+        blk[1, 1] = 200.0 + 12.0 * (b - 2.0 * c) ** 2
+        blk[1, 2] = blk[2, 1] = -24.0 * (b - 2.0 * c) ** 2
+        blk[2, 2] = 10.0 + 48.0 * (b - 2.0 * c) ** 2
+        blk[2, 3] = blk[3, 2] = -10.0
+        blk[3, 3] = 10.0 + 120.0 * (a - d) ** 2
+        H[base : base + 4, base : base + 4] = blk
+    return H
+
+
+def _nondquar_hessian_loop(x):
+    n = x.size
+    u = x[:-2] + x[1:-1] + x[-1]
+    H = np.zeros((n, n))
+    H[:2, :2] += [[2.0, -2.0], [-2.0, 2.0]]
+    H[-2:, -2:] += 2.0
+    sq = 12.0 * u**2
+    for i in range(n - 2):
+        idx = (i, i + 1, n - 1)
+        for a in idx:
+            for b in idx:
+                H[a, b] += sq[i]
+    return H
+
+
+@pytest.mark.parametrize("name, n, loop", [
+    ("woods", 12, _woods_hessian_loop), ("woods", 40, _woods_hessian_loop),
+    ("powellsg", 12, _powellsg_hessian_loop), ("powellsg", 40, _powellsg_hessian_loop),
+    ("nondquar", 10, _nondquar_hessian_loop), ("nondquar", 37, _nondquar_hessian_loop),
+])
+def test_vectorized_hessians_equal_their_loop_assembly(name, n, loop):
+    p = make_problem(name, n)
+    rng = np.random.default_rng(n)
+    for x in [p.x0] + [p.x0 + rng.uniform(-2.0, 2.0, n) for _ in range(50)]:
+        got, ref = np.asarray(p.hess_fn(x)), loop(x)
+        if name == "nondquar":
+            assert np.array_equal(got, ref), x
+        else:
+            # the loops square numpy scalars, which can round differently by one
+            # ulp from squaring a vector
+            assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref))), x
+
+
 def test_exact_lipschitz_is_computed_on_first_use(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
 
     def refuse(*args, **kwargs):
         raise AssertionError("eigvalsh called while building the problem")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    def refuse_n_by_n(a, *args, **kwargs):
+        # the banded norm's Lanczos step solves a tridiagonal of at most
+        # _LANCZOS_STEPS rows; an n x n eigensolve is what must not happen
+        if len(a) > hessian._LANCZOS_STEPS:
+            refuse()
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse_n_by_n)
     p = make_problem("tridia", 1000)
     assert p._lipschitz is None
-    # past the band crossover the first use bisects the bands, with no eigvalsh
-    # and no dense matrix
+    # past the band crossover the first use bisects the bands, with no n x n
+    # eigvalsh and no dense matrix
     monkeypatch.setattr(hessian.Bands, "__array__", refuse)
     got = p.lipschitz_hint
     monkeypatch.undo()
