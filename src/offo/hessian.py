@@ -155,6 +155,8 @@ _GRID = np.arange(1, 129) / 129.0
 _LADDER = 2.0 ** -np.linspace(0.0, 52.0, 128)
 #: Lanczos steps that place the first sweep near the largest |eigenvalue|
 _LANCZOS_STEPS = 20
+#: rows of pivots an inertia sweep holds at once
+_PIVOT_ROWS = 256
 _EPS = np.finfo(float).eps
 
 
@@ -187,41 +189,65 @@ class Bands(tuple):
         return Bands(band.copy() for band in self)
 
 
-def _band_pivots(bands: Bands, shifts: Array) -> Array:
-    """Pivots of the unpivoted LDL^T of A - s I, one column per shift s.
+def _band_pivots(bands: Bands, shifts: Array) -> tuple:
+    """Whether every pivot of the unpivoted LDL^T of A - s I is negative, and
+    whether every one is positive: two flags per shift s.
 
     By Sylvester's law of inertia the pivots' signs are the eigenvalue
     signs of A - s I, so A - s I is negative definite exactly when every
     pivot in its column is negative: s lies above the spectrum.  A zero
-    pivot (or the NaN or infinity it leads to) fails that test, which is
+    pivot (or the NaN or infinity it leads to) fails both tests, which is
     the side that keeps an upper bound safe.  The Sturm recurrence for
-    b = 1, the banded one for b = 2; one row at a time for all shifts.
+    b = 1, the banded one for b = 2; one row at a time for all shifts.  The
+    pivots are made and reduced ``_PIVOT_ROWS`` rows at a time, the two rows
+    before a block carried over, so a sweep holds O(_PIVOT_ROWS) rows at any n.
     """
-    D = np.subtract.outer(bands[0], shifts)
+    a = bands[0]
+    n = a.size
+    neg = np.ones(shifts.size, dtype=bool)
+    pos = neg.copy()
+    # rows lo - 2 and lo - 1, then the block's rows lo..hi-1: row i is D[i - lo + 2]
+    D = np.empty((_PIVOT_ROWS + 2, shifts.size))
     t = np.empty_like(shifts)
+    u = np.empty_like(shifts)
+    b = len(bands) - 1
+    # coefficients are Python floats and rows come from iterating D: both
+    # spare per-row indexing in the loops of n steps
+    if b == 1:
+        e2 = (bands[1] * bands[1]).tolist()
+    elif b == 2:
+        a1, a2 = bands[1].tolist(), bands[2]
+        e2, m = (a2 * a2).tolist(), (-a2).tolist()
     # a zero pivot divides by zero; the infinity or NaN it yields is handled
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # rows come from iterating D and coefficients are Python floats: both
-        # spare per-row indexing in this loop of n steps
-        if len(bands) == 2:
-            for e2, prev, row in zip((bands[1] * bands[1]).tolist(), D, D[1:]):
-                np.divide(e2, prev, out=t)
-                row -= t
-        elif len(bands) == 3:
-            a1, a2 = bands[1].tolist(), bands[2]
-            u = np.empty_like(shifts)
-            l = a1[0] / D[0]  # L[i-1, i-2], the previous row's multiplier
-            D[1] -= a1[0] * l
-            for e2, m, c, prev2, prev, row in zip((a2 * a2).tolist(), (-a2).tolist(), a1[1:],
-                                                  D, D[1:], D[2:]):
-                np.divide(e2, prev2, out=t)
-                row -= t
-                np.multiply(l, m, out=u)
-                u += c  # L[i, i-1] D[i-1]
-                np.divide(u, prev, out=l)
-                u *= l
-                row -= u
-    return D
+        for lo in range(0, n, _PIVOT_ROWS):
+            hi = min(lo + _PIVOT_ROWS, n)
+            block = D[2 : hi - lo + 2]
+            np.subtract.outer(a[lo:hi], shifts, out=block)
+            # the first row that the general recurrence serves
+            g = max(lo, b)
+            if b == 1:
+                for c, prev, row in zip(e2[g - 1 : hi - 1], D[g - lo + 1 :], block[g - lo :]):
+                    np.divide(c, prev, out=t)
+                    row -= t
+            elif b == 2:
+                if lo <= 1 < hi:
+                    l = a1[0] / D[2 - lo]  # L[i-1, i-2], the previous row's multiplier
+                    D[3 - lo] -= a1[0] * l
+                for e, mi, c, prev2, prev, row in zip(e2[g - 2 : hi - 2], m[g - 2 : hi - 2],
+                                                      a1[g - 1 : hi - 1], D[g - lo :],
+                                                      D[g - lo + 1 :], block[g - lo :]):
+                    np.divide(e, prev2, out=t)
+                    row -= t
+                    np.multiply(l, mi, out=u)
+                    u += c  # L[i, i-1] D[i-1]
+                    np.divide(u, prev, out=l)
+                    u *= l
+                    row -= u
+            neg &= (block < 0).all(axis=0)
+            pos &= (block > 0).all(axis=0)
+            D[:2] = D[hi - lo : hi - lo + 2]
+    return neg, pos
 
 
 def _narrow(lo: float, hi: float, shifts: Array, above: Array) -> tuple:
@@ -236,7 +262,7 @@ def _band_top(bands: Bands, lo: float, hi: float, tol: float) -> float:
     until the bracket is at most tol wide; returns its certified upper end."""
     while hi - lo > tol:
         shifts = lo + (hi - lo) * _GRID
-        lo, hi = _narrow(lo, hi, shifts, (_band_pivots(bands, shifts) < 0).all(axis=0))
+        lo, hi = _narrow(lo, hi, shifts, _band_pivots(bands, shifts)[0])
     return float(hi)
 
 
@@ -291,9 +317,8 @@ def _band_norm(bands: Bands) -> float:
         bands, glo, ghi, tmax = Bands(-band for band in bands), -ghi, -glo, -tmin
     x = tmax * (1.0 - 2.0**-30)  # just below the top, for the other side's test
     shifts = np.concatenate(([x], tmax + (ghi - tmax) * _LADDER))
-    piv = _band_pivots(bands, np.append(shifts, -x))
-    above, bottom_clear = (piv[:, :-1] < 0).all(axis=0), (piv[:, -1] > 0).all()
-    del piv  # the bisection below makes pivots of its own
+    neg, pos = _band_pivots(bands, np.append(shifts, -x))
+    above, bottom_clear = neg[:-1], pos[-1]
     lo, hi = _narrow(glo, ghi, shifts, above)
     hi = _band_top(bands, lo, hi, tol)
     if x <= hi and bottom_clear:

@@ -99,6 +99,9 @@ _STEP_COLS = (
     "w_min", "w_max", "delta_min", "delta_max", "gamma", "q_step",
     "q_cauchy", "norm_B", "sbound_resid", "gcp_resid", "step_norm",
 )
+#: elements of each of a trace's three step blocks: a block holds
+#: max(1, _BLOCK // n) steps, so 8 KB up to n = _BLOCK and one step above it
+_BLOCK = 1024
 
 
 @dataclass
@@ -110,9 +113,20 @@ class IterationTrace:
     taken.  ``sbound_resid`` is max_i (|s_i| - Delta_i) / (1 + Delta_i) (the
     ball analogue uses norms); ``gcp_resid`` is q(s) - tau * q(s_Q).
 
-    A run builds its trace with :meth:`open`, appends to the columns while
-    they are ``array("d")`` buffers (8 bytes per value and no float object),
-    and :meth:`close` turns each buffer into a numpy column without a copy.
+    A run builds its trace with :meth:`open`, records each step with
+    :meth:`add_step` while the columns are ``array("d")`` buffers (8 bytes
+    per value and no float object), and :meth:`close` turns each buffer into
+    a numpy column without a copy.  ``add_step`` appends the scalar columns
+    at once but copies the step's weights, radii and s into rows of three
+    preallocated ``(max(1, _BLOCK // n), n)`` blocks, 24 KB in all up to
+    n = ``_BLOCK``.  A full block, and the partial one left at ``close``, is reduced
+    once per column (row minima and maxima for the weight and radius
+    columns, the row maximum of (|s| - Delta) / (1 + Delta) for
+    ``sbound_resid``) and appended to the buffers; min and max are exact and
+    the elementwise operations are those of a single step, so every value is
+    bit for bit the per-step one.  A ball step fills its radius and step
+    rows with the scalar radius and the step norm.  The blocks are dropped at
+    ``close``.
     """
 
     status: str
@@ -140,11 +154,16 @@ class IterationTrace:
     w_hist: Optional[list] = None
 
     @classmethod
-    def open(cls, eps: float, record_vectors: bool = False) -> "IterationTrace":
-        """An empty trace of a run in progress; ``record_vectors`` keeps x, g and w."""
+    def open(cls, eps: float, n: int, record_vectors: bool = False) -> "IterationTrace":
+        """An empty trace of a run in progress in dimension n; ``record_vectors``
+        keeps x, g and w."""
         hist = [[] for _ in range(3)] if record_vectors else [None] * 3
-        return cls("running", eps, array("d"), array("d"), *(array("d") for _ in _STEP_COLS),
-                   None, np.nan, 0, 0, 0, *hist)
+        tr = cls("running", eps, array("d"), array("d"), *(array("d") for _ in _STEP_COLS),
+                 None, np.nan, 0, 0, 0, *hist)
+        # not dataclass fields: a closed trace is its fields alone
+        tr._w, tr._radii, tr._s = np.empty((3, max(1, _BLOCK // n), n))
+        tr._row = 0
+        return tr
 
     def add_eval(self, normg, f_val, x=None, g=None):
         self.normg.append(normg)
@@ -153,7 +172,41 @@ class IterationTrace:
             self.x_hist.append(np.array(x, copy=True))
             self.g_hist.append(np.array(g, copy=True))
 
+    def add_step(self, w, radii, s, gamma, q_step, q_cauchy, norm_B, gcp_resid, step_norm):
+        """Record one step: ``radii`` and ``s`` are the box radii and step, or
+        for a ball the radius and the step norm."""
+        i = self._row
+        self._w[i] = w
+        self._radii[i] = radii
+        self._s[i] = s
+        self._row = i = i + 1
+        if i == len(self._w):
+            self._flush()
+        self.gamma.append(gamma)
+        self.q_step.append(q_step)
+        self.q_cauchy.append(q_cauchy)
+        self.norm_B.append(norm_B)
+        self.gcp_resid.append(gcp_resid)
+        self.step_norm.append(step_norm)
+        if self.w_hist is not None:
+            self.w_hist.append(np.array(w, copy=True))
+
+    def _flush(self):
+        """Reduce the block's filled rows into the buffers and empty it."""
+        k, self._row = self._row, 0
+        w, radii, s = self._w[:k], self._radii[:k], self._s[:k]
+        self.w_min.frombytes(w.min(axis=1).tobytes())
+        self.w_max.frombytes(w.max(axis=1).tobytes())
+        self.delta_min.frombytes(radii.min(axis=1).tobytes())
+        self.delta_max.frombytes(radii.max(axis=1).tobytes())
+        np.abs(s, out=s)
+        s -= radii
+        s /= 1.0 + radii
+        self.sbound_resid.frombytes(s.max(axis=1).tobytes())
+
     def close(self, status, x_final, oracle) -> "IterationTrace":
+        self._flush()
+        del self._w, self._radii, self._s, self._row
         self.status = status
         # read from the buffer, so that it is a Python float
         self.final_normg = self.normg[-1] if self.normg else np.nan
@@ -403,12 +456,6 @@ def solve_subproblem(g, model, radii, geometry, cauchy: CauchyStep, tau: float, 
     return s, q_s
 
 
-def _sbound_residual(s, radii, geometry, step_norm):
-    if geometry == "box":
-        return float(((np.abs(s) - radii) / (1.0 + radii)).max())
-    return (step_norm - radii) / (1.0 + radii)
-
-
 def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
     """Run the adaptively scaled trust-region iteration on a problem or oracle."""
     base = base_problem(problem)
@@ -419,7 +466,7 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
     geometry = cfg.geometry
     state = new_state(rule, n)
     model = make_model(cfg.model, kappa_B=cfg.kappa_B)
-    tr = IterationTrace.open(cfg.eps, cfg.record_vectors)
+    tr = IterationTrace.open(cfg.eps, n, cfg.record_vectors)
     prev_g = None
     prev_s = None
     status = "max_iter"
@@ -450,20 +497,8 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
         if not math.isfinite(step_norm) and not np.isfinite(s).all():
             status = "overflow"
             break
-        if tr.w_hist is not None:
-            tr.w_hist.append(np.array(w, copy=True))
-        # one append per column of _STEP_COLS; a ball radius is a float
-        tr.w_min.append(w.min())
-        tr.w_max.append(w.max())
-        tr.delta_min.append(radii.min() if geometry == "box" else radii)
-        tr.delta_max.append(radii.max() if geometry == "box" else radii)
-        tr.gamma.append(cs.gamma)
-        tr.q_step.append(q_s)
-        tr.q_cauchy.append(cs.q_Q)
-        tr.norm_B.append(model.norm_estimate())
-        tr.sbound_resid.append(_sbound_residual(s, radii, geometry, step_norm))
-        tr.gcp_resid.append(q_s - cfg.tau * cs.q_Q)
-        tr.step_norm.append(step_norm)
+        tr.add_step(w, radii, s if geometry == "box" else step_norm, cs.gamma, q_s, cs.q_Q,
+                    model.norm_estimate(), q_s - cfg.tau * cs.q_Q, step_norm)
         x = x + s
         prev_g, prev_s = g, s
     return tr.close(status, x, oracle)
@@ -485,7 +520,7 @@ def sdba_run(problem, eps: float = 1e-6, max_iter: int = 100_000) -> IterationTr
     base = base_problem(problem)
     oracle = _CountingOracle(fresh_stream(problem))
     x = np.array(base.x0, dtype=float)
-    tr = IterationTrace.open(eps)
+    tr = IterationTrace.open(eps, base.n)
     status = "max_iter"
     try:
         g = oracle.grad(x)
@@ -515,8 +550,9 @@ def sdba_run(problem, eps: float = 1e-6, max_iter: int = 100_000) -> IterationTr
         if not accepted:
             status = "linesearch_failure"
             break
-        for c in _STEP_COLS:
-            getattr(tr, c).append(float(alpha * normg) if c == "step_norm" else np.nan)
+        # no model and no radius: every column but the step norm is NaN
+        tr.add_step(np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan,
+                    float(alpha * normg))
         x = x_try
         f = f_try
         try:

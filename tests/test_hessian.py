@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from offo import bench
+from offo import bench, hessian
 from offo.hessian import (Bands, ExactModel, LbfgsModel, ZeroModel, _band_norm, _band_pivots,
                           make_model)
 from offo.problems import make_problem
@@ -269,18 +269,71 @@ def test_band_norm_on_indefinite_diagonal_and_split_matrices(bands):
     assert got >= truth * (1 - 1e-15) and got == pytest.approx(truth, rel=1e-12, abs=0.0)
 
 
+def reference_pivots(bands, shifts):
+    """Every pivot of the unpivoted LDL^T of A - s I, one column per shift: the
+    whole-matrix loop that ``_band_pivots`` reduces block by block."""
+    D = np.subtract.outer(bands[0], shifts)
+    t = np.empty_like(shifts)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if len(bands) == 2:
+            for e2, prev, row in zip((bands[1] * bands[1]).tolist(), D, D[1:]):
+                np.divide(e2, prev, out=t)
+                row -= t
+        elif len(bands) == 3:
+            a1, a2 = bands[1].tolist(), bands[2]
+            u = np.empty_like(shifts)
+            l = a1[0] / D[0]
+            D[1] -= a1[0] * l
+            for e2, m, c, prev2, prev, row in zip((a2 * a2).tolist(), (-a2).tolist(), a1[1:],
+                                                  D, D[1:], D[2:]):
+                np.divide(e2, prev2, out=t)
+                row -= t
+                np.multiply(l, m, out=u)
+                u += c
+                np.divide(u, prev, out=l)
+                u *= l
+                row -= u
+    return D
+
+
+def _assert_flags_match_reference(bands, shifts):
+    piv = reference_pivots(bands, shifts)
+    neg, pos = _band_pivots(bands, shifts)
+    assert neg.tolist() == (piv < 0).all(axis=0).tolist()
+    assert pos.tolist() == (piv > 0).all(axis=0).tolist()
+    return piv, neg, pos
+
+
 def test_band_pivots_on_exact_zero_pivots():
     # [[0, 1], [1, 0]] has eigenvalues -1 and 1; shift 0 makes the first pivot
     # zero, shift 1 the last one; neither shift is above the spectrum
-    piv = _band_pivots(Bands((np.zeros(2), np.ones(1))), np.array([0.0, 1.0, 1.5]))
+    piv, neg, _ = _assert_flags_match_reference(Bands((np.zeros(2), np.ones(1))),
+                                                np.array([0.0, 1.0, 1.5]))
     assert piv[0, 0] == 0.0 and piv[1, 1] == 0.0
-    assert list((piv < 0).all(axis=0)) == [False, False, True]
+    assert neg.tolist() == [False, False, True]
     # a zero pivot before a zero off-diagonal entry gives 0/0 = NaN, which
     # must not read as negative either
     bands = Bands((np.array([2.0, 1.0, 3.0]), np.array([0.0, 0.0]), np.array([1.0])))
-    piv = _band_pivots(bands, np.array([2.0, 4.0]))  # eigenvalues 1, 1.38, 3.62
+    piv, neg, _ = _assert_flags_match_reference(bands, np.array([2.0, 4.0]))  # eigenvalues 1, 1.38, 3.62
     assert np.isnan(piv[2, 0])
-    assert list((piv < 0).all(axis=0)) == [False, True]
+    assert neg.tolist() == [False, True]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, None])
+@pytest.mark.parametrize("b", [1, 2])
+def test_band_pivot_flags_match_the_full_pivot_loop_across_blocks(b, rows, monkeypatch):
+    if rows is not None:
+        monkeypatch.setattr(hessian, "_PIVOT_ROWS", rows)
+    n = 2 * hessian._PIVOT_ROWS + 3 if rows else hessian._PIVOT_ROWS + 37
+    rng = np.random.default_rng(b)
+    bands = Bands([rng.standard_normal(n)] + [rng.standard_normal(n - k) for k in range(1, b + 1)])
+    bound = sum(np.abs(band).max() for band in bands) * 2.0
+    # a NaN shift, and a shift equal to the first diagonal entry: a zero pivot at row 0
+    shifts = np.concatenate((np.linspace(-bound, bound, 61), [np.nan, bands[0][0]]))
+    piv, neg, pos = _assert_flags_match_reference(bands, shifts)
+    assert piv[0, -1] == 0.0 and not neg[-1] and not pos[-1]
+    assert not neg[-2] and not pos[-2]
+    assert neg[-3] and pos[0]
 
 
 @pytest.mark.parametrize("name", ["rosenbr", "broyden3d", "tridia", "woods"])

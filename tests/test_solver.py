@@ -542,11 +542,15 @@ def reference_run(problem, cfg):
     theta = float(np.sqrt(n)) if rule.theta_auto else rule.theta
     acc, k = np.zeros(1 if rule.aggregated else n), -1
     model = make_model(cfg.model, kappa_B=cfg.kappa_B)
-    normgs, cols = [], {c: [] for c in _STEP_COLUMNS}
+    normgs, cols = [], {c: [] for c in _STEP_COLUMNS + ("w",)}
     prev_g = prev_s = None
     status = "max_iter"
     for _ in range(cfg.max_iter):
-        g = oracle.grad(x)
+        try:
+            g = oracle.grad(x)
+        except problems.NonFiniteError:
+            status = "overflow"
+            break
         normg = float(np.linalg.norm(g))
         normgs.append(normg)
         if normg <= cfg.eps:
@@ -579,31 +583,58 @@ def reference_run(problem, cfg):
                q_s - cfg.tau * cs.q_Q, float(np.linalg.norm(s)))
         for c, v in zip(_STEP_COLUMNS, row):
             cols[c].append(v)
+        cols["w"].append(w)
         x = x + s
         prev_g, prev_s = g, s
     return status, normgs, cols, x
+
+
+def _assert_matches_reference(tr, reference, tag):
+    status, normgs, cols, x = reference
+    assert tr.status == status, tag
+    # the gradient that overflowed was counted but not recorded
+    assert tr.g_evals == len(normgs) + (status == "overflow"), tag
+    assert tr.normg.tobytes() == np.asarray(normgs, dtype=float).tobytes(), tag
+    assert tr.f.tobytes() == np.full(len(normgs), np.nan).tobytes(), tag
+    for c in _STEP_COLUMNS:
+        assert getattr(tr, c).tobytes() == np.asarray(cols[c], dtype=float).tobytes(), tag + (c,)
+    assert tr.x_final.tobytes() == x.tobytes(), tag
+    assert _same_float(tr.final_normg, normgs[-1]), tag
 
 
 @pytest.mark.parametrize("model", ["none", "bb"])
 @pytest.mark.parametrize("rule_name,geometry", [
     ("adagrad", "box"), ("adagnorm", "box"), ("adagnorm", "ball"), ("adam", "box"), ("maxg", "box"),
 ])
-def test_loop_matches_reference_loop_bitwise(rule_name, geometry, model):
+def test_loop_matches_reference_loop_bitwise(rule_name, geometry, model, monkeypatch):
+    default_block = solver._BLOCK
     for name, n in (("rosenbr", 10), ("woods", 12), ("beale", 2)):
         noisy = NoisyOracle(make_problem(name, n), 0.15, seed=0)
         cfg = Astr1Config(scaling=rule_from_name(rule_name), model=model, geometry=geometry,
                           eps=1e-4, max_iter=300)
-        tr = astr1_run(noisy, cfg)
-        status, normgs, cols, x = reference_run(noisy, cfg)
-        tag = (name, rule_name, geometry, model)
-        assert tr.status == status, tag
-        assert tr.g_evals == len(normgs), tag
-        assert tr.normg.tobytes() == np.asarray(normgs, dtype=float).tobytes(), tag
-        assert tr.f.tobytes() == np.full(len(normgs), np.nan).tobytes(), tag
-        for c in _STEP_COLUMNS:
-            assert getattr(tr, c).tobytes() == np.asarray(cols[c], dtype=float).tobytes(), tag + (c,)
-        assert tr.x_final.tobytes() == x.tobytes(), tag
-        assert _same_float(tr.final_normg, normgs[-1]), tag
+        reference = reference_run(noisy, cfg)
+        # trace blocks of one step, of seven steps and of the default size
+        for block in (1, 7 * n, default_block):
+            monkeypatch.setattr(solver, "_BLOCK", block)
+            tr = astr1_run(noisy, cfg)
+            _assert_matches_reference(tr, reference, (name, rule_name, geometry, model, block))
+
+
+@pytest.mark.parametrize("case", ["converged", "overflow", "vectors"])
+def test_trace_block_left_partly_filled_is_reduced_at_the_end(case, monkeypatch):
+    target = ramp("grad") if case == "overflow" else make_problem("tridia", 4)
+    cfg = Astr1Config(scaling=rule_from_name("adagrad"), eps=1e-4, max_iter=200,
+                      record_vectors=case == "vectors")
+    rows = 4
+    monkeypatch.setattr(solver, "_BLOCK", rows * target.n)
+    tr = astr1_run(target, cfg)
+    assert tr.status == ("overflow" if case == "overflow" else "converged")
+    # the run filled at least one block and stopped inside the next
+    assert tr.steps > rows and tr.steps % rows
+    reference = reference_run(target, cfg)
+    _assert_matches_reference(tr, reference, (case,))
+    if case == "vectors":
+        assert [w.tobytes() for w in tr.w_hist] == [w.tobytes() for w in reference[2]["w"]]
 
 
 def _reference_apply_noise(oracle, value, stream_position):
