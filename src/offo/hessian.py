@@ -244,8 +244,11 @@ def _band_pivots(bands: Bands, shifts: Array) -> tuple:
                     np.divide(u, prev, out=l)
                     u *= l
                     row -= u
-            neg &= (block < 0).all(axis=0)
-            pos &= (block > 0).all(axis=0)
+            # a flag once cleared stays so: most sweeps clear one kind in the first block
+            if neg.any():
+                neg &= (block < 0).all(axis=0)
+            if pos.any():
+                pos &= (block > 0).all(axis=0)
             D[:2] = D[hi - lo : hi - lo + 2]
     return neg, pos
 

@@ -100,8 +100,10 @@ _STEP_COLS = (
     "q_cauchy", "norm_B", "sbound_resid", "gcp_resid", "step_norm",
 )
 #: elements of each of a trace's three step blocks: a block holds
-#: max(1, _BLOCK // n) steps, so 8 KB up to n = _BLOCK and one step above it
-_BLOCK = 1024
+#: max(1, _BLOCK // n) steps, so 32 KB up to n = _BLOCK and one step above
+#: it.  A block reduction costs about twice a per-step one, so n = 1000 needs
+#: several steps per block to gain
+_BLOCK = 4096
 
 
 @dataclass
@@ -114,19 +116,16 @@ class IterationTrace:
     ball analogue uses norms); ``gcp_resid`` is q(s) - tau * q(s_Q).
 
     A run builds its trace with :meth:`open`, records each step with
-    :meth:`add_step` while the columns are ``array("d")`` buffers (8 bytes
-    per value and no float object), and :meth:`close` turns each buffer into
-    a numpy column without a copy.  ``add_step`` appends the scalar columns
-    at once but copies the step's weights, radii and s into rows of three
-    preallocated ``(max(1, _BLOCK // n), n)`` blocks, 24 KB in all up to
-    n = ``_BLOCK``.  A full block, and the partial one left at ``close``, is reduced
-    once per column (row minima and maxima for the weight and radius
-    columns, the row maximum of (|s| - Delta) / (1 + Delta) for
-    ``sbound_resid``) and appended to the buffers; min and max are exact and
-    the elementwise operations are those of a single step, so every value is
-    bit for bit the per-step one.  A ball step fills its radius and step
-    rows with the scalar radius and the step norm.  The blocks are dropped at
-    ``close``.
+    :meth:`add_step` and ends it with :meth:`close`.  The columns are
+    ``array("d")`` buffers (8 bytes per value, no float object) until
+    ``close`` turns each into a numpy column without a copy.  ``add_step``
+    appends the scalar columns and copies w, the radii and s into rows of
+    three ``(max(1, _BLOCK // n), n)`` blocks, 96 KB in all up to
+    n = ``_BLOCK``; a full block, and the partial one at ``close``, is
+    reduced once per column into the buffers.  min and max are exact and the
+    elementwise operations are those of one step, so every value is the
+    per-step one bit for bit.  A ball step fills its radius and step rows
+    with the radius and the step norm.
     """
 
     status: str
