@@ -120,12 +120,12 @@ class IterationTrace:
     ``array("d")`` buffers (8 bytes per value, no float object) until
     ``close`` turns each into a numpy column without a copy.  ``add_step``
     appends the scalar columns and copies w, the radii and s into rows of
-    three ``(max(1, _BLOCK // n), n)`` blocks, 96 KB in all up to
+    three blocks of ``max(1, _BLOCK // n)`` rows, 96 KB in all up to
     n = ``_BLOCK``; a full block, and the partial one at ``close``, is
     reduced once per column into the buffers.  min and max are exact and the
     elementwise operations are those of one step, so every value is the
-    per-step one bit for bit.  A ball step fills its radius and step rows
-    with the radius and the step norm.
+    per-step one bit for bit.  A ball's radius and step blocks are one
+    column wide, holding the radius and the step norm.
     """
 
     status: str
@@ -153,14 +153,17 @@ class IterationTrace:
     w_hist: Optional[list] = None
 
     @classmethod
-    def open(cls, eps: float, n: int, record_vectors: bool = False) -> "IterationTrace":
-        """An empty trace of a run in progress in dimension n; ``record_vectors``
-        keeps x, g and w."""
+    def open(cls, eps: float, n: int, width: int, record_vectors: bool = False) -> "IterationTrace":
+        """An empty trace of a run whose steps have n weights and ``width``
+        radii and step entries (1 for a ball); ``record_vectors`` keeps x, g
+        and w."""
         hist = [[] for _ in range(3)] if record_vectors else [None] * 3
         tr = cls("running", eps, array("d"), array("d"), *(array("d") for _ in _STEP_COLS),
                  None, np.nan, 0, 0, 0, *hist)
         # not dataclass fields: a closed trace is its fields alone
-        tr._w, tr._radii, tr._s = np.empty((3, max(1, _BLOCK // n), n))
+        rows = max(1, _BLOCK // n)
+        tr._w = np.empty((rows, n))
+        tr._radii, tr._s = np.empty((2, rows, width))
         tr._row = 0
         return tr
 
@@ -465,7 +468,7 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
     geometry = cfg.geometry
     state = new_state(rule, n)
     model = make_model(cfg.model, kappa_B=cfg.kappa_B)
-    tr = IterationTrace.open(cfg.eps, n, cfg.record_vectors)
+    tr = IterationTrace.open(cfg.eps, n, n if geometry == "box" else 1, cfg.record_vectors)
     prev_g = None
     prev_s = None
     status = "max_iter"
@@ -519,7 +522,7 @@ def sdba_run(problem, eps: float = 1e-6, max_iter: int = 100_000) -> IterationTr
     base = base_problem(problem)
     oracle = _CountingOracle(fresh_stream(problem))
     x = np.array(base.x0, dtype=float)
-    tr = IterationTrace.open(eps, base.n)
+    tr = IterationTrace.open(eps, 1, 1)
     status = "max_iter"
     try:
         g = oracle.grad(x)

@@ -314,7 +314,8 @@ def test_band_pivots_on_exact_zero_pivots():
     # a zero pivot before a zero off-diagonal entry gives 0/0 = NaN, which
     # must not read as negative either
     bands = Bands((np.array([2.0, 1.0, 3.0]), np.array([0.0, 0.0]), np.array([1.0])))
-    piv, neg, _ = _assert_flags_match_reference(bands, np.array([2.0, 4.0]))  # eigenvalues 1, 1.38, 3.62
+    # eigenvalues 1, 1.38, 3.62
+    piv, neg, _ = _assert_flags_match_reference(bands, np.array([2.0, 4.0]))
     assert np.isnan(piv[2, 0])
     assert neg.tolist() == [False, True]
 
