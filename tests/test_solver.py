@@ -637,6 +637,17 @@ def test_trace_block_left_partly_filled_is_reduced_at_the_end(case, monkeypatch)
         assert [w.tobytes() for w in tr.w_hist] == [w.tobytes() for w in reference[2]["w"]]
 
 
+def test_sdba_trace_is_the_same_across_block_edges(monkeypatch):
+    p = make_problem("tridia", 6)
+    whole = sdba_run(p, eps=1e-4, max_iter=2000)
+    monkeypatch.setattr(solver, "_BLOCK", 4)
+    tr = sdba_run(p, eps=1e-4, max_iter=2000)
+    assert tr.status == whole.status == "converged" and tr.steps > 4 and tr.steps % 4
+    for c in _STEP_COLUMNS:
+        assert getattr(tr, c).tobytes() == getattr(whole, c).tobytes(), c
+    assert np.isnan(tr.sbound_resid).all() and np.isfinite(tr.step_norm).all()
+
+
 def _reference_apply_noise(oracle, value, stream_position):
     if oracle.level == 0.0:
         return value
