@@ -117,14 +117,8 @@ class LbfgsModel(CurvatureModel):
         yts = float(y @ s)
         if not (sts > 0.0 and yts >= SECANT_GUARD * sts):
             return replace(self, rejected=self.rejected + 1)
-        if not self.memory:
-            # bb keeps no pair: the empty compact form carries over, and only
-            # the scale and the norm and cap it fixes change
-            new = object.__new__(LbfgsModel)
-            new.__dict__.update(self.__dict__, scale=sts / yts)
-            CurvatureModel.__post_init__(new)
-            return new
-        pairs = (self.pairs + ((s.copy(), y.copy()),))[-self.memory :]
+        # bb (memory 0) keeps no pair; [-0:] would keep them all
+        pairs = (self.pairs + ((s.copy(), y.copy()),))[-self.memory :] if self.memory else ()
         return replace(self, scale=sts / yts, pairs=pairs)
 
     def _raw_matvec(self, v: Array) -> Array:

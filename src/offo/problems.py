@@ -43,12 +43,12 @@ class CapabilityError(RuntimeError):
 class ProblemInstance:
     """A differentiable test function with derivatives and metadata.
 
-    ``f_low`` is a certified lower bound on f (attained or not); when
-    ``lower_bound_certified`` is set, ``f(x) >= f_low`` holds everywhere by
-    construction and is assertable during any run.  ``lipschitz_hint`` is the
-    gradient Lipschitz constant: exact for quadratics (the Hessian's spectral
-    norm, computed on first use by the exact model's ``spectral_norm``; for a
-    large banded one, an upper bound within a few ulps), sampled otherwise.
+    ``f_low`` is a certified lower bound on f (attained or not).
+    ``lipschitz_hint`` is the gradient Lipschitz constant of a quadratic
+    (``lipschitz_exact``): the Hessian's spectral norm, computed on first use
+    by the exact model's ``spectral_norm``; for a large banded one, an upper
+    bound within a few ulps.  Any other problem raises
+    :class:`CapabilityError`.
     """
 
     name: str
@@ -58,19 +58,15 @@ class ProblemInstance:
     fn: Callable[[Array], float]
     grad_fn: Callable[[Array], Array]
     hess_fn: Optional[Callable[[Array], Array]] = None
-    lower_bound_certified: bool = False
     lipschitz_exact: bool = False
     _lipschitz: Optional[float] = field(default=None, repr=False)
 
     @property
-    def has_hessian(self) -> bool:
-        return self.hess_fn is not None
-
-    @property
     def lipschitz_hint(self) -> float:
+        if not self.lipschitz_exact:
+            raise CapabilityError(f"problem '{self.name}' has no exact Lipschitz constant")
         if self._lipschitz is None:
-            self._lipschitz = (spectral_norm(self.hess(self.x0))
-                               if self.lipschitz_exact else _sampled_lipschitz(self))
+            self._lipschitz = spectral_norm(self.hess(self.x0))
         return self._lipschitz
 
     def _eval(self, fn, x: Array, what: str):
@@ -112,29 +108,6 @@ class ProblemInstance:
                 "f_low": self.f_low,
             }
         )
-
-
-#: random point pairs, and the seed drawing them, of the sampled Lipschitz estimate
-_LIPSCHITZ_PAIRS = 30
-_LIPSCHITZ_SEED = 0
-
-
-def _sampled_lipschitz(problem: ProblemInstance) -> float:
-    """Crude gradient-difference estimate of L in a unit box around x0."""
-    rng = np.random.default_rng(_LIPSCHITZ_SEED)
-    best = 0.0
-    for _ in range(_LIPSCHITZ_PAIRS):
-        x = problem.x0 + rng.uniform(-0.5, 0.5, problem.n)
-        y = problem.x0 + rng.uniform(-0.5, 0.5, problem.n)
-        d = np.linalg.norm(x - y)
-        if d == 0:
-            continue
-        try:
-            ratio = np.linalg.norm(problem.grad(x) - problem.grad(y)) / d
-        except NonFiniteError:
-            continue
-        best = max(best, ratio)
-    return 1.5 * best if best > 0 else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +375,7 @@ def _sum_of_squares(name, n, x0, residual, jac=None, curvature=None, both=None):
         curvature(x, r, H)
         return H
 
-    return ProblemInstance(name, n, x0, 0.0, fn, grad, hess if curvature else None,
-                           lower_bound_certified=True)
+    return ProblemInstance(name, n, x0, 0.0, fn, grad, hess if curvature else None)
 
 
 # -- individual families ----------------------------------------------------
@@ -429,7 +401,7 @@ def _rosenbr(n):
         return Bands((d, -400.0 * x[:-1]))
 
     x0 = np.where(np.arange(n) % 2 == 0, -1.2, 1.0)
-    return ProblemInstance("rosenbr", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
+    return ProblemInstance("rosenbr", n, x0, 0.0, fn, grad, hess)
 
 
 @_register("broyden3d", 10, lambda n: n >= 2, "n >= 2")
@@ -460,7 +432,7 @@ def _broyden3d(n):
                       np.full(n - 2, 4.0)))
 
     x0 = -np.ones(n)
-    return ProblemInstance("broyden3d", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
+    return ProblemInstance("broyden3d", n, x0, 0.0, fn, grad, hess)
 
 
 @_register("broydenbd", 10, lambda n: n >= 2, "n >= 2")
@@ -513,7 +485,7 @@ def _arwhead(n):
         return H
 
     x0 = np.ones(n)
-    return ProblemInstance("arwhead", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
+    return ProblemInstance("arwhead", n, x0, 0.0, fn, grad, hess)
 
 
 def _quadratic_instance(name, n, A, b, c, x0, f_low):
@@ -529,8 +501,7 @@ def _quadratic_instance(name, n, A, b, c, x0, f_low):
     def hess(x):
         return A.copy()
 
-    return ProblemInstance(name, n, x0, f_low, fn, grad, hess,
-                           lower_bound_certified=True, lipschitz_exact=True)
+    return ProblemInstance(name, n, x0, f_low, fn, grad, hess, lipschitz_exact=True)
 
 
 @_register("tridia", 10, lambda n: n >= 2, "n >= 2")
@@ -612,7 +583,7 @@ def _woods(n):
         return Bands((diag, up1, up2))
 
     x0 = np.tile([-3.0, -1.0, -3.0, -1.0], n // 4)
-    return ProblemInstance("woods", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
+    return ProblemInstance("woods", n, x0, 0.0, fn, grad, hess)
 
 
 @_register("powellsg", 12, lambda n: n >= 4 and n % 4 == 0, "n a positive multiple of 4")
@@ -647,7 +618,7 @@ def _powellsg(n):
         return Bands((diag, up1, np.zeros(n - 2), up3))
 
     x0 = np.tile([3.0, -1.0, 0.0, 1.0], n // 4)
-    return ProblemInstance("powellsg", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
+    return ProblemInstance("powellsg", n, x0, 0.0, fn, grad, hess)
 
 
 @_register("engval1", 10, lambda n: n >= 2, "n >= 2")
@@ -671,7 +642,7 @@ def _engval1(n):
         return Bands((d, 8.0 * x[:-1] * x[1:]))
 
     x0 = np.full(n, 2.0)
-    return ProblemInstance("engval1", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
+    return ProblemInstance("engval1", n, x0, 0.0, fn, grad, hess)
 
 
 @_register("beale", 2, lambda n: n == 2, "n = 2")
@@ -741,7 +712,7 @@ def _cube(n):
         )
 
     x0 = np.array([-1.2, 1.0])
-    return ProblemInstance("cube", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
+    return ProblemInstance("cube", n, x0, 0.0, fn, grad, hess)
 
 
 @_register("vardim", 10, lambda n: n >= 1, "n >= 1")
@@ -761,7 +732,7 @@ def _vardim(n):
         return 2.0 * np.eye(n) + (2.0 + 12.0 * r**2) * np.outer(j, j)
 
     x0 = 1.0 - j / n
-    return ProblemInstance("vardim", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
+    return ProblemInstance("vardim", n, x0, 0.0, fn, grad, hess)
 
 
 @_register("nondquar", 10, lambda n: n >= 3, "n >= 3")
@@ -797,7 +768,7 @@ def _nondquar(n):
         return H
 
     x0 = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return ProblemInstance("nondquar", n, x0, 0.0, fn, grad, hess, lower_bound_certified=True)
+    return ProblemInstance("nondquar", n, x0, 0.0, fn, grad, hess)
 
 
 @_register("nlminsurf", 16, lambda n: n >= 1 and math.isqrt(n) ** 2 == n, "n a perfect square")
@@ -846,7 +817,7 @@ def _nlminsurf(n):
 
     x0 = np.zeros(n)
     # surface area is at least the area of its planar projection
-    return ProblemInstance("nlminsurf", n, x0, 1.0, fn, grad, None, lower_bound_certified=True)
+    return ProblemInstance("nlminsurf", n, x0, 1.0, fn, grad, None)
 
 
 @_register("dixmaana", 12, lambda n: n >= 3 and n % 3 == 0, "n a positive multiple of 3")
@@ -878,7 +849,7 @@ def _dixmaana(n):
         return np.diag(d) + np.diag(u, m) + np.diag(u, -m) + np.diag(c, 2 * m) + np.diag(c, -2 * m)
 
     x0 = np.full(n, 2.0)
-    return ProblemInstance("dixmaana", n, x0, 1.0, fn, grad, hess, lower_bound_certified=True)
+    return ProblemInstance("dixmaana", n, x0, 1.0, fn, grad, hess)
 
 
 @_register("helix", 3, lambda n: n == 3, "n = 3")

@@ -132,7 +132,7 @@ def update(state: ScalingState, rule: ScalingRule, g_k: Array) -> ScalingState:
 
 
 def weights(state: ScalingState, rule: ScalingRule) -> Array:
-    """Current weight vector w_k (length n; identical entries when aggregated)."""
+    """Current weight vector w_k (length n; one entry when aggregated)."""
     if state.k < 0:
         raise ValueError("weights requested before any scaling update")
     sig = state.sig
@@ -143,8 +143,6 @@ def weights(state: ScalingState, rule: ScalingRule) -> Array:
     else:
         v = state.acc if rule.variant == "diminishing-max" else state.acc / (state.k + 1)
         w = state.theta * np.maximum(sig, v) * (state.k + 1) ** rule.nu
-    if rule.aggregated:
-        return np.full(state.n, w[0])
     return w
 
 

@@ -100,9 +100,9 @@ _STEP_COLS = (
     "q_cauchy", "norm_B", "sbound_resid", "gcp_resid", "step_norm",
 )
 #: elements of each of a trace's three step blocks: a block holds
-#: max(1, _BLOCK // n) steps, so 32 KB up to n = _BLOCK and one step above
-#: it.  A block reduction costs about twice a per-step one, so n = 1000 needs
-#: several steps per block to gain
+#: max(1, _BLOCK // n) steps, n the wider of the weight and step widths
+#: (32 KB up to n = _BLOCK, one step above it).  A block reduction costs
+#: about twice a per-step one, so n = 1000 needs several steps to gain
 _BLOCK = 4096
 
 
@@ -124,8 +124,9 @@ class IterationTrace:
     n = ``_BLOCK``; a full block, and the partial one at ``close``, is
     reduced once per column into the buffers.  min and max are exact and the
     elementwise operations are those of one step, so every value is the
-    per-step one bit for bit.  A ball's radius and step blocks are one
-    column wide, holding the radius and the step norm.
+    per-step one bit for bit.  An aggregated rule's weight block is one
+    column wide, and so are a ball's radius and step blocks, holding the
+    radius and the step norm.
     """
 
     status: str
@@ -153,16 +154,16 @@ class IterationTrace:
     w_hist: Optional[list] = None
 
     @classmethod
-    def open(cls, eps: float, n: int, width: int, record_vectors: bool = False) -> "IterationTrace":
-        """An empty trace of a run whose steps have n weights and ``width``
-        radii and step entries (1 for a ball); ``record_vectors`` keeps x, g
-        and w."""
+    def open(cls, eps: float, n_w: int, width: int, record_vectors: bool = False) -> "IterationTrace":
+        """An empty trace of a run whose steps have ``n_w`` weights (1 for an
+        aggregated rule) and ``width`` radii and step entries (1 for a ball);
+        ``record_vectors`` keeps x, g and w."""
         hist = [[] for _ in range(3)] if record_vectors else [None] * 3
         tr = cls("running", eps, array("d"), array("d"), *(array("d") for _ in _STEP_COLS),
                  None, np.nan, 0, 0, 0, *hist)
         # not dataclass fields: a closed trace is its fields alone
-        rows = max(1, _BLOCK // n)
-        tr._w = np.empty((rows, n))
+        rows = max(1, _BLOCK // max(n_w, width))
+        tr._w = np.empty((rows, n_w))
         tr._radii, tr._s = np.empty((2, rows, width))
         tr._row = 0
         return tr
@@ -203,7 +204,8 @@ class IterationTrace:
         self.delta_max.frombytes(radii.max(axis=1).tobytes())
         np.abs(s, out=s)
         s -= radii
-        s /= 1.0 + radii
+        radii += 1.0
+        s /= radii
         self.sbound_resid.frombytes(s.max(axis=1).tobytes())
 
     def close(self, status, x_final, oracle) -> "IterationTrace":
@@ -281,17 +283,15 @@ def _max_feasible(s, p, delta, free):
     moves), the mask of coordinates reaching it first, and each
     coordinate's bound in the direction of p.
     """
-    n = s.size
-    alphas = np.full(n, np.inf)
     moving = free & (p != 0.0)
     bound = np.where(p > 0.0, delta, -delta)
-    alphas[moving] = (bound[moving] - s[moving]) / p[moving]
-    alphas = np.maximum(alphas, 0.0)
-    if not moving.any():
-        return np.inf, np.inf, moving, bound
+    alphas = np.divide(bound - s, p, out=np.full(s.size, np.inf), where=moving)
+    np.maximum(alphas, 0.0, out=alphas)
     a_bd = float(alphas.min())
+    if a_bd == np.inf:
+        return a_bd, a_bd, moving, bound
     binding = moving & (alphas <= a_bd * (1.0 + 1e-12))
-    return a_bd, float(alphas[moving].max()), binding, bound
+    return a_bd, float(alphas.max(where=moving, initial=0.0)), binding, bound
 
 
 #: halvings of the projected search before it settles for the truncated point
@@ -468,7 +468,8 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
     geometry = cfg.geometry
     state = new_state(rule, n)
     model = make_model(cfg.model, kappa_B=cfg.kappa_B)
-    tr = IterationTrace.open(cfg.eps, n, n if geometry == "box" else 1, cfg.record_vectors)
+    tr = IterationTrace.open(cfg.eps, state.acc.size, n if geometry == "box" else 1,
+                             cfg.record_vectors)
     prev_g = None
     prev_s = None
     status = "max_iter"

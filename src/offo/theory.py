@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import CapabilityError, ProblemInstance, make_problem
+from .problems import ProblemInstance, make_problem
 from .scaling import ScalingRule, as4_floor, rule_from_name
 from .solver import Astr1Config, IterationTrace, astr1_run
 
@@ -61,12 +61,9 @@ def params_for_run(
     """Assemble bound constants for a finished run.
 
     ``kappa_B`` is the tightest valid cap: 1 for zero-curvature runs, else the
-    largest recorded model norm.  Requires an exact Lipschitz hint.
+    largest recorded model norm.  Requires an exact Lipschitz hint
+    (:class:`CapabilityError` otherwise).
     """
-    if not problem.lipschitz_exact:
-        raise CapabilityError(
-            f"problem '{problem.name}' has no exact Lipschitz constant"
-        )
     kappa_B = 1.0
     if trace is not None and len(trace.norm_B):
         finite = trace.norm_B[np.isfinite(trace.norm_B)]

@@ -98,7 +98,7 @@ def test_gradient_matches_finite_differences(name, n):
 
 
 @pytest.mark.parametrize("name,n", [(nm, d) for nm, d in default_suite()
-                                    if make_problem(nm, d).has_hessian])
+                                    if make_problem(nm, d).hess_fn is not None])
 def test_hessian_matches_finite_differences(name, n):
     p = make_problem(name, n)
     rng = np.random.default_rng(11)
@@ -120,8 +120,6 @@ def test_lower_bound_holds_at_random_points():
     rng = np.random.default_rng(3)
     for name, n in default_suite():
         p = make_problem(name, n)
-        if not p.lower_bound_certified:
-            continue
         for _ in range(5):
             x = p.x0 + rng.uniform(-1.0, 1.0, n)
             assert p.value(x) >= p.f_low - 1e-12, name
@@ -144,10 +142,11 @@ def test_exact_lipschitz_is_the_spectral_norm():
     assert p.lipschitz_hint == 3.0
 
 
-def test_sampled_lipschitz_is_positive():
+def test_lipschitz_hint_of_a_nonquadratic_is_a_capability_error():
     p = make_problem("rosenbr", 4)
     assert not p.lipschitz_exact
-    assert p.lipschitz_hint > 0
+    with pytest.raises(CapabilityError, match="no exact Lipschitz constant"):
+        p.lipschitz_hint
 
 
 def test_evaluate_orders():

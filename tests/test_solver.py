@@ -23,7 +23,7 @@ def quad1d(x0=1.0):
         lambda x: 0.5 * float(x[0]) ** 2,
         lambda x: x.copy(),
         lambda x: np.eye(1),
-        lower_bound_certified=True, lipschitz_exact=True, _lipschitz=1.0,
+        lipschitz_exact=True, _lipschitz=1.0,
     )
 
 
@@ -314,6 +314,49 @@ def test_box_subproblem_matvec_budget_at_large_n(monkeypatch):
     tr = astr1_run(p, cfg)
     assert tr.steps == len(counted) == 4
     assert sum(counted) <= 1000
+
+
+def _reference_max_feasible(s, p, delta, free):
+    """``solver._max_feasible`` filling the breakpoints by fancy indexing."""
+    n = s.size
+    alphas = np.full(n, np.inf)
+    moving = free & (p != 0.0)
+    bound = np.where(p > 0.0, delta, -delta)
+    alphas[moving] = (bound[moving] - s[moving]) / p[moving]
+    alphas = np.maximum(alphas, 0.0)
+    if not moving.any():
+        return np.inf, np.inf, moving, bound
+    a_bd = float(alphas.min())
+    binding = moving & (alphas <= a_bd * (1.0 + 1e-12))
+    return a_bd, float(alphas[moving].max()), binding, bound
+
+
+@pytest.mark.parametrize("frozen", ["some", "all", "none"])
+def test_max_feasible_equals_the_fancy_index_reference_bitwise(frozen):
+    rng = np.random.default_rng(17)
+    for trial in range(300):
+        n = int(rng.integers(1, 12))
+        delta = rng.uniform(0.0, 2.0, n)
+        s = rng.uniform(-1.0, 1.0, n) * delta
+        # some coordinates start on a bound
+        at_bound = rng.random(n) < 0.2
+        s[at_bound] = np.copysign(delta, rng.normal(size=n))[at_bound]
+        p = rng.normal(size=n)
+        # exact zeros, and subnormals whose quotients overflow to inf; every
+        # tenth trial moves only along subnormals
+        kind = rng.integers(0, 4, n) if trial % 10 else np.full(n, 2)
+        p[kind == 1] = 0.0
+        tiny = np.copysign(5e-324 * rng.integers(1, 1 << 20, n), rng.normal(size=n))
+        p[kind == 2] = tiny[kind == 2]
+        free = {"some": rng.random(n) < 0.7, "all": np.zeros(n, bool),
+                "none": np.ones(n, bool)}[frozen]
+        with np.errstate(over="ignore"):
+            got = solver._max_feasible(s, p, delta, free)
+            want = _reference_max_feasible(s, p, delta, free)
+        tag = (trial, s, p, delta, free)
+        assert _same_float(got[0], want[0]) and _same_float(got[1], want[1]), tag
+        assert got[2].dtype == want[2].dtype and got[2].tobytes() == want[2].tobytes(), tag
+        assert got[3].tobytes() == want[3].tobytes(), tag
 
 
 def test_noisy_runs_own_their_stream():
