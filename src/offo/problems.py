@@ -221,8 +221,11 @@ def apply_noise(oracle: "NoisyOracle", value, stream_position: int):
         return value
     value = np.asarray(value, dtype=float)
     z = _normal_draw()(oracle._seed_words(stream_position), value.shape)
-    noisy = value * (1.0 + oracle.level * z)
-    return noisy if value.shape else float(noisy)
+    # value * (1 + level * z) on the fresh draw: each product commutes exactly
+    z *= oracle.level
+    z += 1.0
+    z *= value
+    return z if value.shape else float(z)
 
 
 @dataclass

@@ -148,23 +148,29 @@ class HermiteInterpolant:
     c3: Array
 
     def evaluate(self, t: float):
-        """Value, slope and curvature at t, as (f, g, H)."""
-        xs, fs, gs = self.xs, self.fs, self.gs
+        """Value, slope and curvature at t, as (f, g, H).
+
+        The coefficients are read with ``item``, so the arithmetic runs on
+        Python floats, which cost less per operation than numpy scalars; the
+        operations and their order are those on numpy scalars, so the bits
+        are too.
+        """
+        xs, fs, gs, c2, c3 = self.xs, self.fs, self.gs, self.c2, self.c3
         K = len(xs) - 1
-        if t < xs[0]:
-            d = t - xs[0]
-            c = self.c2[0]
-            return self._quad(fs[0], gs[0], c, d)
-        if t >= xs[K]:
-            d = t - xs[K]
-            h = xs[K] - xs[K - 1]
-            c_end = self.c2[K - 1] + 3.0 * self.c3[K - 1] * h
-            return self._quad(fs[K], gs[K], c_end, d)
-        i = int(np.searchsorted(xs, t, side="right")) - 1
-        d = t - xs[i]
-        f = fs[i] + d * (gs[i] + d * (self.c2[i] + d * self.c3[i]))
-        g = gs[i] + d * (2.0 * self.c2[i] + 3.0 * self.c3[i] * d)
-        H = 2.0 * self.c2[i] + 6.0 * self.c3[i] * d
+        if t < xs.item(0):
+            d = t - xs.item(0)
+            return self._quad(fs.item(0), gs.item(0), c2.item(0), d)
+        if t >= xs.item(K):
+            d = t - xs.item(K)
+            h = xs.item(K) - xs.item(K - 1)
+            c_end = c2.item(K - 1) + 3.0 * c3.item(K - 1) * h
+            return self._quad(fs.item(K), gs.item(K), c_end, d)
+        i = int(xs.searchsorted(t, side="right")) - 1
+        d = t - xs.item(i)
+        a2, a3, g_i = c2.item(i), c3.item(i), gs.item(i)
+        f = fs.item(i) + d * (g_i + d * (a2 + d * a3))
+        g = g_i + d * (2.0 * a2 + 3.0 * a3 * d)
+        H = 2.0 * a2 + 6.0 * a3 * d
         return f, g, H
 
     @staticmethod
@@ -201,13 +207,13 @@ def as_problem(interp: HermiteInterpolant, name: str = "sharp") -> ProblemInstan
     """Wrap a univariate interpolant as a solvable problem instance."""
 
     def fn(x):
-        return interp.evaluate(float(x[0]))[0]
+        return interp.evaluate(x.item(0))[0]
 
     def grad(x):
-        return np.array([interp.evaluate(float(x[0]))[1]])
+        return np.array([interp.evaluate(x.item(0))[1]])
 
     def hess(x):
-        return np.array([[interp.evaluate(float(x[0]))[2]]])
+        return np.array([[interp.evaluate(x.item(0))[2]]])
 
     return ProblemInstance(name, 1, np.zeros(1), 0.0, fn, grad, hess)
 

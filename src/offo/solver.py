@@ -122,9 +122,9 @@ class IterationTrace:
     appends the scalar columns and copies w, the radii and s into rows of
     three blocks of ``max(1, _BLOCK // n)`` rows, 96 KB in all up to
     n = ``_BLOCK``; a full block, and the partial one at ``close``, is
-    reduced once per column into the buffers.  min and max are exact and the
-    elementwise operations are those of one step, so every value is the
-    per-step one bit for bit.  An aggregated rule's weight block is one
+    reduced once per column into one preallocated row, which the buffers
+    read in place.  min and max are exact and the elementwise operations are
+    those of one step, so every value is the per-step one bit for bit.  An aggregated rule's weight block is one
     column wide, and so are a ball's radius and step blocks, holding the
     radius and the step norm.
     """
@@ -165,6 +165,7 @@ class IterationTrace:
         rows = max(1, _BLOCK // max(n_w, width))
         tr._w = np.empty((rows, n_w))
         tr._radii, tr._s = np.empty((2, rows, width))
+        tr._red = np.empty(rows)
         tr._row = 0
         return tr
 
@@ -172,8 +173,8 @@ class IterationTrace:
         self.normg.append(normg)
         self.f.append(np.nan if f_val is None else f_val)
         if self.x_hist is not None:
-            self.x_hist.append(np.array(x, copy=True))
-            self.g_hist.append(np.array(g, copy=True))
+            self.x_hist.append(x.copy())
+            self.g_hist.append(g.copy())
 
     def add_step(self, w, radii, s, gamma, q_step, q_cauchy, norm_B, gcp_resid, step_norm):
         """Record one step: ``radii`` and ``s`` are the box radii and step, or
@@ -192,25 +193,30 @@ class IterationTrace:
         self.gcp_resid.append(gcp_resid)
         self.step_norm.append(step_norm)
         if self.w_hist is not None:
-            self.w_hist.append(np.array(w, copy=True))
+            self.w_hist.append(w.copy())
 
     def _flush(self):
         """Reduce the block's filled rows into the buffers and empty it."""
         k, self._row = self._row, 0
         w, radii, s = self._w[:k], self._radii[:k], self._s[:k]
-        self.w_min.frombytes(w.min(axis=1).tobytes())
-        self.w_max.frombytes(w.max(axis=1).tobytes())
-        self.delta_min.frombytes(radii.min(axis=1).tobytes())
-        self.delta_max.frombytes(radii.max(axis=1).tobytes())
+        # every row reduction goes into one row; frombytes takes bytes, not
+        # float64 items, so it reads the row through a uint8 view
+        red = self._red[:k]
+        raw = red.view(np.uint8)
+        for col, reduce in ((self.w_min, w.min), (self.w_max, w.max),
+                            (self.delta_min, radii.min), (self.delta_max, radii.max)):
+            reduce(axis=1, out=red)
+            col.frombytes(raw)
         np.abs(s, out=s)
         s -= radii
         radii += 1.0
         s /= radii
-        self.sbound_resid.frombytes(s.max(axis=1).tobytes())
+        s.max(axis=1, out=red)
+        self.sbound_resid.frombytes(raw)
 
     def close(self, status, x_final, oracle) -> "IterationTrace":
         self._flush()
-        del self._w, self._radii, self._s, self._row
+        del self._w, self._radii, self._s, self._red, self._row
         self.status = status
         # read from the buffer, so that it is a Python float
         self.final_normg = self.normg[-1] if self.normg else np.nan
@@ -466,10 +472,11 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
     n = base.n
     rule = cfg.scaling
     geometry = cfg.geometry
+    box = geometry == "box"
+    eps, tau, instrument_f = cfg.eps, cfg.tau, cfg.instrument_f
     state = new_state(rule, n)
     model = make_model(cfg.model, kappa_B=cfg.kappa_B)
-    tr = IterationTrace.open(cfg.eps, state.acc.size, n if geometry == "box" else 1,
-                             cfg.record_vectors)
+    tr = IterationTrace.open(eps, state.acc.size, n if box else 1, cfg.record_vectors)
     prev_g = None
     prev_s = None
     status = "max_iter"
@@ -477,8 +484,8 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
         try:
             g = oracle.grad(x)
             normg = math.sqrt(float(g @ g))
-            tr.add_eval(normg, oracle.value(x) if cfg.instrument_f else None, x=x, g=g)
-            if normg <= cfg.eps:
+            tr.add_eval(normg, oracle.value(x) if instrument_f else None, x=x, g=g)
+            if normg <= eps:
                 status = "converged"
                 break
             if prev_g is not None and not model.is_zero:
@@ -493,15 +500,15 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
         radii = trust_radius(g, w, geometry)
         cs = cauchy_step(g, None if model.is_zero else model.matvec, radii, geometry)
         tol = max(_CG_ABS, _CG_REL * normg)
-        s, q_s = solve_subproblem(g, model, radii, geometry, cs, cfg.tau, tol)
+        s, q_s = solve_subproblem(g, model, radii, geometry, cs, tau, tol)
         step_norm = math.sqrt(float(s @ s))
         # a finite norm means a finite step; an infinite one may still come
         # from a finite step whose squares overflow
         if not math.isfinite(step_norm) and not np.isfinite(s).all():
             status = "overflow"
             break
-        tr.add_step(w, radii, s if geometry == "box" else step_norm, cs.gamma, q_s, cs.q_Q,
-                    model.norm_estimate(), q_s - cfg.tau * cs.q_Q, step_norm)
+        tr.add_step(w, radii, s if box else step_norm, cs.gamma, q_s, cs.q_Q,
+                    model.norm_estimate(), q_s - tau * cs.q_Q, step_norm)
         x = x + s
         prev_g, prev_s = g, s
     return tr.close(status, x, oracle)

@@ -102,13 +102,14 @@ def series_bound(a, xi: float, alpha: float) -> SeriesBound:
     xi^(1-alpha) / (alpha-1) for alpha > 1.
     """
     a = np.asarray(a, dtype=float)
-    if np.any(a < 0) or not np.all(np.isfinite(a)):
+    # min is NaN, and fails the test, when some a_j is
+    if a.size and not (a.min() >= 0.0 and a.max() < np.inf):
         raise ValueError("sequence must be non-negative and finite")
     if xi <= 0 or alpha <= 0:
         raise ValueError("xi and alpha must be positive")
-    b = np.cumsum(a)
-    lhs = float(np.sum(a / (xi + b) ** alpha))
-    bk = float(b[-1]) if b.size else 0.0
+    b = a.cumsum()
+    lhs = float((a / (xi + b) ** alpha).sum())
+    bk = b.item(-1) if b.size else 0.0
     if alpha == 1.0:
         rhs = float(np.log((xi + bk) / xi))
         majorant = None
@@ -244,24 +245,34 @@ def check_decrease(trace: IterationTrace, p: TheoryParams, sigma_floor: float) -
     Evaluates, for every recorded step j,
         f_{j+1} <= f_j - sum_i tau * s_min * g_ij^2 / (2 kB w_ij)
                        + (kB + L) / 2 * sum_i g_ij^2 / w_ij^2
-    and returns max(lhs - rhs, 0) over the trace.  Requires an instrumented
-    run with recorded vectors.
+    and returns max(lhs - rhs, 0) over the trace, NaN margins left out.
+    Requires an instrumented run with recorded vectors.
+    """
+    margins = decrease_margins(trace, p, sigma_floor)
+    # fmax skips NaN; max with 0.0 returns +0.0 whenever no margin is positive
+    return max(0.0, float(np.fmax.reduce(margins, initial=-np.inf)))
+
+
+def decrease_margins(trace: IterationTrace, p: TheoryParams, sigma_floor: float) -> Array:
+    """Per-step margins f_{j+1} - rhs_j of :func:`check_decrease`'s bound.
+
+    The steps' g and w are stacked into (steps, n) rows: every elementwise
+    operation is a step's own and each row sum is that step's sum.
     """
     if trace.g_hist is None or trace.w_hist is None:
         raise ValueError("decrease check requires record_vectors=True")
-    if np.all(np.isnan(trace.f)):
+    f = trace.f
+    if np.isnan(f).all():
         raise ValueError("decrease check requires instrument_f=True")
     s_min = min(sigma_floor, 1.0)
-    worst = 0.0
-    steps = min(len(trace.w_hist), len(trace.f) - 1)
-    for j in range(steps):
-        g = trace.g_hist[j]
-        w = trace.w_hist[j]
-        drop = np.sum(p.tau * s_min * g**2 / (2.0 * p.kappa_B * w))
-        rise = 0.5 * (p.kappa_B + p.L) * np.sum(g**2 / w**2)
-        rhs = trace.f[j] - drop + rise
-        worst = max(worst, trace.f[j + 1] - rhs)
-    return worst
+    steps = min(len(trace.w_hist), len(f) - 1)
+    if steps <= 0:
+        return np.empty(0)
+    g2 = np.square(trace.g_hist[:steps])
+    w = np.array(trace.w_hist[:steps])
+    drop = (p.tau * s_min * g2 / (2.0 * p.kappa_B * w)).sum(axis=1)
+    rise = 0.5 * (p.kappa_B + p.L) * (g2 / w**2).sum(axis=1)
+    return f[1:steps + 1] - (f[:steps] - drop + rise)
 
 
 # ---------------------------------------------------------------------------

@@ -562,6 +562,25 @@ def test_apply_noise_bitwise_equals_default_rng_formula(shape):
             assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (seed, pos)
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (10,), (16,)])
+def test_in_place_noise_equals_the_formula_bytewise(shape):
+    # apply_noise scales the fresh draw in place; the formula makes new arrays
+    rng = np.random.default_rng(11)
+    oracle = NoisyOracle(make_problem("cube", 2), 0.15, seed=4)
+    draw = problems._normal_draw()
+    for pos in range(3000):
+        mags = 10.0 ** rng.uniform(-300.0, 300.0, shape)
+        value = np.where(rng.random(shape) < 0.5, -mags, mags)
+        value = float(value) if shape == () else value
+        z = draw(oracle._seed_words(pos), shape)
+        ref = value * (1.0 + oracle.level * z)
+        got = apply_noise(oracle, value, pos)
+        if shape == ():
+            assert isinstance(got, float)
+            ref = float(ref)
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (pos, value)
+
+
 def test_noisy_oracle_stream_across_two_to_the_32_matches_reference():
     p = make_problem("rosenbr", 4)
     x = p.x0 + 0.1

@@ -128,6 +128,46 @@ def test_hermite_second_derivative_bounded():
         assert abs(H) <= bound + 1e-12
 
 
+def reference_evaluate(interp, t):
+    """The interpolant evaluated on numpy scalars, as before the Python-float lookup."""
+    xs, fs, gs = interp.xs, interp.fs, interp.gs
+    K = len(xs) - 1
+    if t < xs[0]:
+        d = t - xs[0]
+        c = interp.c2[0]
+        return interp._quad(fs[0], gs[0], c, d)
+    if t >= xs[K]:
+        d = t - xs[K]
+        h = xs[K] - xs[K - 1]
+        c_end = interp.c2[K - 1] + 3.0 * interp.c3[K - 1] * h
+        return interp._quad(fs[K], gs[K], c_end, d)
+    i = int(np.searchsorted(xs, t, side="right")) - 1
+    d = t - xs[i]
+    f = fs[i] + d * (gs[i] + d * (interp.c2[i] + d * interp.c3[i]))
+    g = gs[i] + d * (2.0 * interp.c2[i] + 3.0 * interp.c3[i] * d)
+    H = 2.0 * interp.c2[i] + 6.0 * interp.c3[i] * d
+    return f, g, H
+
+
+@pytest.mark.parametrize("kind", ["thm31", "thm41"])
+def test_hermite_evaluate_equals_the_numpy_scalar_reference_bitwise(kind):
+    seq = build_sequence(kind, 300)
+    interp = hermite_build(seq)
+    x = seq.x
+    points = np.concatenate((
+        x,
+        np.nextafter(x, -np.inf),
+        np.nextafter(x, np.inf),
+        0.5 * (x[:-1] + x[1:]),
+        x[0] - np.array([1e-300, 1e-9, 0.5, 7.0]),
+        x[-1] + np.array([1e-300, 1e-9, 0.5, 7.0]),
+    ))
+    for t in points.tolist():
+        got = interp.evaluate(t)
+        ref = reference_evaluate(interp, t)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in ref], t
+
+
 def test_hermite_extension_is_c1():
     seq = build_sequence("thm31", 10)
     interp = hermite_build(seq)

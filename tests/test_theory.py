@@ -10,15 +10,18 @@ from offo.scaling import as4_floor, rule_from_name
 from offo.solver import Astr1Config, astr1_run
 from offo.theory import (
     TheoryParams,
+    _exact_l_traces,
     bracket_threshold,
     check_bracket,
     check_decrease,
     check_envelope,
+    decrease_margins,
     envelope_constant,
     lambert_tail_bound,
     lambert_w_m1,
     lambert_w_m1_at_exp,
     params_for_run,
+    run_series_suite,
     series_bound,
 )
 
@@ -87,6 +90,26 @@ def test_series_bound_input_validation():
         series_bound([-1.0], 1.0, 0.5)
     with pytest.raises(ValueError):
         series_bound([1.0], 0.0, 0.5)
+
+
+@pytest.mark.parametrize("a", [
+    [], [0.0], [-0.0], [-1e-320], [1.0, -1.0], [np.nan], [2.0, np.nan, 1.0], [np.inf],
+    [-np.inf], [1e300, 1e300], [5e-324, 0.0], 3.0, -3.0, [[1.0, 2.0], [0.5, -0.5]],
+])
+def test_series_bound_rejects_the_inputs_the_wrapper_checks_rejected(a):
+    arr = np.asarray(a, dtype=float)
+    rejected = bool(np.any(arr < 0) or not np.all(np.isfinite(arr)))
+    if rejected:
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            series_bound(a, 1.0, 0.5)
+    else:
+        series_bound(a, 1.0, 0.5)
+
+
+def test_series_suite_values_are_pinned():
+    out = run_series_suite(0)
+    assert out["max_violation"] == float.fromhex("-0x1.5932ca61d6d40p-9")
+    assert out["continuity_gap"] == float.fromhex("0x1.b4e6cbe6959efp-20")
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +277,48 @@ def test_decrease_inequality_with_curvature_model():
     assert p.kappa_B >= 1.0
     viol = check_decrease(trace, p, as4_floor(rule, prob.n))
     assert viol <= 1e-8
+
+
+def reference_decrease(trace, p, sigma_floor):
+    """The per-step loop of the decrease check: its margins and its result."""
+    s_min = min(sigma_floor, 1.0)
+    worst = 0.0
+    margins = []
+    for j in range(min(len(trace.w_hist), len(trace.f) - 1)):
+        g = trace.g_hist[j]
+        w = trace.w_hist[j]
+        drop = np.sum(p.tau * s_min * g**2 / (2.0 * p.kappa_B * w))
+        rise = 0.5 * (p.kappa_B + p.L) * np.sum(g**2 / w**2)
+        rhs = trace.f[j] - drop + rise
+        margins.append(trace.f[j + 1] - rhs)
+        worst = max(worst, trace.f[j + 1] - rhs)
+    return np.array(margins), worst
+
+
+def test_decrease_margins_equal_the_per_step_loop_bitwise():
+    for prob, rule, cfg, trace in _exact_l_traces(max_iter=5000, instrument=True):
+        p = params_for_run(prob, rule, cfg.tau, trace)
+        floor = as4_floor(rule, prob.n)
+        ref, worst = reference_decrease(trace, p, floor)
+        got = decrease_margins(trace, p, floor)
+        assert got.shape == (trace.steps,), prob.name
+        assert got.tobytes() == ref.tobytes(), prob.name
+        assert float(check_decrease(trace, p, floor)).hex() == float(worst).hex(), prob.name
+
+
+@pytest.mark.parametrize("rule_name", ["adagrad", "adagnorm"])
+def test_decrease_check_keeps_the_loops_maximum_over_positive_and_nan_margins(rule_name):
+    prob, rule, cfg, trace = run_instrumented("tridia", rule_name, max_iter=40)
+    p = params_for_run(prob, rule, cfg.tau, trace)
+    f = trace.f.copy()
+    for edit in ({}, {5: np.nan}, {3: f[3] + 1e4, 9: f[9] + 1e3}, {3: f[3] + 1e4, 4: np.nan}):
+        trace.f = f.copy()
+        for j, v in edit.items():
+            trace.f[j] = v
+        ref, worst = reference_decrease(trace, p, 0.1)
+        assert (worst > 0.0) == (3 in edit), edit
+        assert decrease_margins(trace, p, 0.1).tobytes() == ref.tobytes(), edit
+        assert float(check_decrease(trace, p, 0.1)).hex() == float(worst).hex(), edit
 
 
 def test_decrease_requires_vectors_and_f():
