@@ -221,14 +221,8 @@ def apply_noise(oracle: "NoisyOracle", value, stream_position: int):
         return value
     value = np.asarray(value, dtype=float)
     z = _normal_draw()(oracle._seed_words(stream_position), value.shape)
-    if not value.shape:
-        # in-place operations on a 0-d array cost more than Python floats
-        return value.item() * (1.0 + oracle.level * z.item())
-    # value * (1 + level * z) on the fresh draw: each product commutes exactly
-    z *= oracle.level
-    z += 1.0
-    z *= value
-    return z
+    noisy = value * (1.0 + oracle.level * z)
+    return noisy if value.shape else float(noisy)
 
 
 @dataclass

@@ -122,9 +122,9 @@ class IterationTrace:
     appends the scalar columns and copies w, the radii and s into rows of
     three blocks of ``max(1, _BLOCK // n)`` rows, 96 KB in all up to
     n = ``_BLOCK``; a full block, and the partial one at ``close``, is
-    reduced once per column into one preallocated row, which the buffers
-    read in place.  min and max are exact and the elementwise operations are
-    those of one step, so every value is the per-step one bit for bit.  An aggregated rule's weight block is one
+    reduced once per column into the buffers.  min and max are exact and the
+    elementwise operations are those of one step, so every value is the
+    per-step one bit for bit.  An aggregated rule's weight block is one
     column wide, and so are a ball's radius and step blocks, holding the
     radius and the step norm.
     """
@@ -165,7 +165,6 @@ class IterationTrace:
         rows = max(1, _BLOCK // max(n_w, width))
         tr._w = np.empty((rows, n_w))
         tr._radii, tr._s = np.empty((2, rows, width))
-        tr._red = np.empty(rows)
         tr._row = 0
         return tr
 
@@ -199,24 +198,19 @@ class IterationTrace:
         """Reduce the block's filled rows into the buffers and empty it."""
         k, self._row = self._row, 0
         w, radii, s = self._w[:k], self._radii[:k], self._s[:k]
-        # every row reduction goes into one row; frombytes takes bytes, not
-        # float64 items, so it reads the row through a uint8 view
-        red = self._red[:k]
-        raw = red.view(np.uint8)
-        for col, reduce in ((self.w_min, w.min), (self.w_max, w.max),
-                            (self.delta_min, radii.min), (self.delta_max, radii.max)):
-            reduce(axis=1, out=red)
-            col.frombytes(raw)
+        self.w_min.frombytes(w.min(axis=1).tobytes())
+        self.w_max.frombytes(w.max(axis=1).tobytes())
+        self.delta_min.frombytes(radii.min(axis=1).tobytes())
+        self.delta_max.frombytes(radii.max(axis=1).tobytes())
         np.abs(s, out=s)
         s -= radii
         radii += 1.0
         s /= radii
-        s.max(axis=1, out=red)
-        self.sbound_resid.frombytes(raw)
+        self.sbound_resid.frombytes(s.max(axis=1).tobytes())
 
     def close(self, status, x_final, oracle) -> "IterationTrace":
         self._flush()
-        del self._w, self._radii, self._s, self._red, self._row
+        del self._w, self._radii, self._s, self._row
         self.status = status
         # read from the buffer, so that it is a Python float
         self.final_normg = self.normg[-1] if self.normg else np.nan

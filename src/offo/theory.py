@@ -246,18 +246,21 @@ def check_decrease(trace: IterationTrace, p: TheoryParams, sigma_floor: float) -
         f_{j+1} <= f_j - sum_i tau * s_min * g_ij^2 / (2 kB w_ij)
                        + (kB + L) / 2 * sum_i g_ij^2 / w_ij^2
     and returns max(lhs - rhs, 0) over the trace, NaN margins left out.
-    Requires an instrumented run with recorded vectors.
+    Requires an instrumented run with recorded vectors; takes O(steps * n)
+    memory.
     """
-    margins = decrease_margins(trace, p, sigma_floor)
+    margins = _decrease_margins(trace, p, sigma_floor)
     # fmax skips NaN; max with 0.0 returns +0.0 whenever no margin is positive
     return max(0.0, float(np.fmax.reduce(margins, initial=-np.inf)))
 
 
-def decrease_margins(trace: IterationTrace, p: TheoryParams, sigma_floor: float) -> Array:
+def _decrease_margins(trace: IterationTrace, p: TheoryParams, sigma_floor: float) -> Array:
     """Per-step margins f_{j+1} - rhs_j of :func:`check_decrease`'s bound.
 
     The steps' g and w are stacked into (steps, n) rows: every elementwise
-    operation is a step's own and each row sum is that step's sum.
+    operation is a step's own and each row sum is that step's sum.  The
+    stack and its temporaries take O(steps * n) memory, a few times the
+    size of ``g_hist``.
     """
     if trace.g_hist is None or trace.w_hist is None:
         raise ValueError("decrease check requires record_vectors=True")

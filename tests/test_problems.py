@@ -549,36 +549,24 @@ def test_block_hash_equals_seed_sequence(seed):
 @pytest.mark.parametrize("shape", [(), (3,), (4, 4)])
 def test_apply_noise_bitwise_equals_default_rng_formula(shape):
     base = 1.0 + np.arange(int(np.prod(shape)), dtype=float).reshape(shape)
-    value = float(base) if shape == () else base
+    # signed magnitudes from 1e-300 to 1e300 as well
+    rng = np.random.default_rng(11)
+    mags = 10.0 ** rng.uniform(-300.0, 300.0, (2, *shape))
+    wide = np.where(rng.random((2, *shape)) < 0.5, -mags, mags)
+    values = [base, *wide]
+    if shape == ():
+        values = [float(v) for v in values]
     positions = [1030, 5, 1023, 1024, 5, 2047, 2048, 0, 1024, 1023, 2**32 - 1, 2**32, 3]
     for seed in (0, 7, 2**33 + 1):
         oracle = NoisyOracle(make_problem("cube", 2), 0.15, seed=seed)
-        for pos in positions:
-            got = apply_noise(oracle, value, pos)
-            ref = reference_noise(seed, 0.15, value, pos)
-            if shape == ():
-                assert isinstance(got, float)
-                ref = float(ref)
-            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (seed, pos)
-
-
-@pytest.mark.parametrize("shape", [(), (1,), (10,), (16,)])
-def test_in_place_noise_equals_the_formula_bytewise(shape):
-    # apply_noise scales the fresh draw in place; the formula makes new arrays
-    rng = np.random.default_rng(11)
-    oracle = NoisyOracle(make_problem("cube", 2), 0.15, seed=4)
-    draw = problems._normal_draw()
-    for pos in range(3000):
-        mags = 10.0 ** rng.uniform(-300.0, 300.0, shape)
-        value = np.where(rng.random(shape) < 0.5, -mags, mags)
-        value = float(value) if shape == () else value
-        z = draw(oracle._seed_words(pos), shape)
-        ref = value * (1.0 + oracle.level * z)
-        got = apply_noise(oracle, value, pos)
-        if shape == ():
-            assert isinstance(got, float)
-            ref = float(ref)
-        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (pos, value)
+        for value in values:
+            for pos in positions:
+                got = apply_noise(oracle, value, pos)
+                ref = reference_noise(seed, 0.15, value, pos)
+                if shape == ():
+                    assert isinstance(got, float)
+                    ref = float(ref)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (seed, pos, value)
 
 
 def test_noisy_oracle_stream_across_two_to_the_32_matches_reference():

@@ -10,12 +10,12 @@ from offo.scaling import as4_floor, rule_from_name
 from offo.solver import Astr1Config, astr1_run
 from offo.theory import (
     TheoryParams,
+    _decrease_margins,
     _exact_l_traces,
     bracket_threshold,
     check_bracket,
     check_decrease,
     check_envelope,
-    decrease_margins,
     envelope_constant,
     lambert_tail_bound,
     lambert_w_m1,
@@ -300,7 +300,7 @@ def test_decrease_margins_equal_the_per_step_loop_bitwise():
         p = params_for_run(prob, rule, cfg.tau, trace)
         floor = as4_floor(rule, prob.n)
         ref, worst = reference_decrease(trace, p, floor)
-        got = decrease_margins(trace, p, floor)
+        got = _decrease_margins(trace, p, floor)
         assert got.shape == (trace.steps,), prob.name
         assert got.tobytes() == ref.tobytes(), prob.name
         assert float(check_decrease(trace, p, floor)).hex() == float(worst).hex(), prob.name
@@ -317,7 +317,7 @@ def test_decrease_check_keeps_the_loops_maximum_over_positive_and_nan_margins(ru
             trace.f[j] = v
         ref, worst = reference_decrease(trace, p, 0.1)
         assert (worst > 0.0) == (3 in edit), edit
-        assert decrease_margins(trace, p, 0.1).tobytes() == ref.tobytes(), edit
+        assert _decrease_margins(trace, p, 0.1).tobytes() == ref.tobytes(), edit
         assert float(check_decrease(trace, p, 0.1)).hex() == float(worst).hex(), edit
 
 
