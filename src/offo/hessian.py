@@ -9,15 +9,17 @@ its spectral norm ||B||, computed once per operator: ``|scale|`` for bb, a
 exact ``spectral_norm``, which also gives a quadratic's Lipschitz constant:
 one dense ``eigvalsh`` or, for a tri- or pentadiagonal Hessian that
 arrives as ``Bands`` (its diagonal and upper bands, the form banded problems
-return) past the measured crossover, a bisection on inertia tests of those
-bands (Golub & Van Loan, Matrix Computations, 4th ed., 8.4; Kahan 1966); a
-band Hessian is never made dense on that path.  Every raw norm is
+return) past the measured crossover, a Newton estimate certified by inertia
+tests of those bands (Wilkinson, The Algebraic Eigenvalue Problem, 1965;
+Golub & Van Loan, Matrix Computations, 4th ed., 8.4; Kahan 1966); a band
+Hessian is never made dense on that path.  Every raw norm is
 exact up to a backward error of order eps ||B|| (the banded one errs upward);
 the shared cap rescales the operator by ``kappa_B / ||B||`` whenever
 ``||B|| > kappa_B``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -147,6 +149,10 @@ _BAND_MIN_N = 512
 #: one shift) and of the first sweep's geometric ladder above a Ritz value
 _GRID = np.arange(1, 129) / 129.0
 _LADDER = 2.0 ** -np.linspace(0.0, 52.0, 128)
+#: the closing sweep's 128 shifts around a Newton estimate, in units of tol
+_CLOSE = (np.arange(128) - 63.5) / 4.0
+#: Newton steps on the characteristic polynomial before the closing sweep
+_NEWTON_STEPS = 8
 #: Lanczos steps that place the first sweep near the largest |eigenvalue|
 _LANCZOS_STEPS = 20
 #: rows of pivots an inertia sweep holds at once
@@ -254,18 +260,99 @@ def _narrow(lo: float, hi: float, shifts: Array, above: Array) -> tuple:
     return lo, hi
 
 
+def _band_slope(bands: Bands, s: float) -> float:
+    """S(s) = sum_i D_i'/D_i = sum_j 1/(s - lambda_j), from the pivots D_i of
+    the unpivoted LDL^T of A - s I and their derivatives in s; NaN on a zero
+    pivot.
+
+    det(A - s I) is the product of the pivots, so S is the derivative of
+    log|det(A - s I)| and s - 1/S a Newton step on the characteristic
+    polynomial.  The derivatives follow the recurrences of ``_band_pivots``
+    term by term, one row at a time on Python floats.
+    """
+    a = (bands[0] - s).tolist()
+    b = len(bands) - 1
+    try:
+        if b == 0:
+            return -sum(1.0 / d for d in a)
+        # the previous row's pivot and its derivative
+        d, dp = a[0], -1.0
+        total = dp / d
+        if b == 1:
+            for ai, e in zip(a[1:], (bands[1] * bands[1]).tolist()):
+                r = e / d
+                d, dp = ai - r, r * dp / d - 1.0
+                total += dp / d
+            return total
+        # and the pivot two rows back, L[i-1, i-2] and their derivatives
+        a1 = bands[1].tolist()
+        l = a1[0] / d
+        lp = -l * dp / d
+        d2, dp2, d, dp = d, dp, a[1] - a1[0] * l, l * l * dp - 1.0
+        total += dp / d
+        for ai, e, m, c in zip(a[2:], (bands[2] * bands[2]).tolist(), (-bands[2]).tolist(),
+                               a1[1:]):
+            u, up = c + l * m, lp * m  # L[i, i-1] D[i-1] and its derivative
+            l = u / d
+            lp = (up - l * dp) / d
+            r = e / d2
+            d2, dp2, d, dp = d, dp, ai - r - u * l, r * dp2 / d2 - 2.0 * l * up + l * l * dp - 1.0
+            total += dp / d
+        return total
+    except ZeroDivisionError:
+        return float("nan")
+
+
+def _newton_top(bands: Bands, lo: float, hi: float, tol: float) -> float:
+    """Newton's estimate of the largest eigenvalue in [lo, hi], from hi.
+
+    From above the spectrum a step s - 1/S(s) lands in [lambda_max, s), and
+    the steps converge quadratically once s - lambda_max is below the top
+    gap.  The steps stop on one below tol / 8, on a slope that is not finite
+    and positive, and on an iterate outside (lo, hi); at most
+    ``_NEWTON_STEPS`` are taken.  The estimate is not certified.
+    """
+    s = hi
+    for _ in range(_NEWTON_STEPS):
+        slope = _band_slope(bands, s)
+        if not 0.0 < slope < math.inf:
+            break
+        step = 1.0 / slope
+        if not lo < s - step < hi:
+            break
+        s -= step
+        if step < tol / 8:
+            break
+    return s
+
+
 def _band_top(bands: Bands, lo: float, hi: float, tol: float) -> float:
-    """Bisect the largest eigenvalue in [lo, hi], hi certified above it,
-    until the bracket is at most tol wide; returns its certified upper end."""
+    """The certified upper end of a bracket at most tol wide on the largest
+    eigenvalue in [lo, hi], hi certified above it.
+
+    One uniform sweep narrows the bracket, Newton steps from its upper end
+    estimate the eigenvalue, and a sweep spaced tol / 4 around the estimate
+    closes the bracket; while it is still wider than tol, uniform sweeps
+    bisect it.  Only the inertia tests certify.
+    """
+    newton = True
     while hi - lo > tol:
         shifts = lo + (hi - lo) * _GRID
         lo, hi = _narrow(lo, hi, shifts, _band_pivots(bands, shifts)[0])
+        if newton and hi - lo > tol:
+            newton = False
+            shifts = _newton_top(bands, lo, hi, tol) + tol * _CLOSE
+            lo, hi = _narrow(lo, hi, shifts, _band_pivots(bands, shifts)[0])
     return float(hi)
 
 
 def _ritz_range(bands: Bands) -> tuple:
     """The extreme Ritz values of a few Lanczos steps: inside the spectrum."""
-    q = np.random.default_rng(0).standard_normal(bands[0].size)  # fixed start
+    # a fixed chirp, whose frequency runs from 0 to 2 pi along the vector, so
+    # it meets every eigenvector of a Toeplitz-like band; being no random
+    # draw, it leaves numpy.random unimported
+    n = bands[0].size
+    q = np.cos(np.arange(n) ** 2 * (np.pi / n) + 1.0)
     q /= np.linalg.norm(q)
     q_prev, beta = np.zeros_like(q), 0.0
     alphas, betas = [], []
@@ -291,9 +378,10 @@ def _band_norm(bands: Bands) -> float:
 
     Gershgorin bounds bracket the spectrum; Lanczos Ritz values pick the
     side that holds max|eigenvalue| (the matrix is negated when it is the
-    bottom) and place the first sweep.  The top is bisected on inertia
-    tests to full precision, and one positive-definiteness test rules the
-    other side out; should that test fail, the other side is bisected too.
+    bottom) and place the first sweep.  The top is found to full precision
+    by ``_band_top``, a Newton estimate certified by inertia tests, and one
+    positive-definiteness test in the first sweep rules the other side out;
+    should that test fail, the other side goes through ``_band_top`` too.
     """
     a = bands[0]
     radius = np.zeros_like(a)
@@ -338,25 +426,36 @@ def spectral_norm(H: Array | Bands) -> float:
     return float(np.abs(np.linalg.eigvalsh(H)).max())
 
 
+def _same_bands(a: Bands, b: Bands) -> bool:
+    """Whether two band matrices are equal band for band, bit for bit."""
+    return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
 @dataclass(frozen=True)
 class ExactModel(CurvatureModel):
     """The true Hessian at the current iterate, bound by ``with_matrix``.
 
     A ``Bands`` Hessian of half-bandwidth b <= 2 with n at or above
     ``_BAND_MIN_N`` is kept as it is: the matvec is the O(n b) band product
-    and the norm a bisection on inertia tests (``_band_norm``) whose upper
-    end it returns, an upper bound up to the LDL^T's backward error of order
-    eps ||H||.  Any other Hessian is made dense and symmetric, with a dense
-    ``H @ v`` and one ``eigvalsh``.  ``update`` drops the matrix: it belongs
-    to the previous iterate, and freeing it before the next Hessian is
-    evaluated keeps one n x n array fewer alive.
+    and the norm a Newton estimate certified by inertia tests
+    (``_band_norm``) whose upper end it returns, an upper bound up to the
+    LDL^T's backward error of order eps ||H||.  Any other Hessian is made
+    dense and symmetric, with a dense ``H @ v`` and one ``eigvalsh``.
+    ``update`` drops the matrix: it belongs to the previous iterate, and
+    freeing it before the next Hessian is evaluated keeps one n x n array
+    fewer alive.  A band Hessian is kept aside with its norm, so that the
+    next iterate's, when equal band for band (a quadratic's), reuses the
+    norm and skips the search.
     """
 
     needs_hessian = True
     H: Optional[Array | Bands] = None
+    #: the previous iterate's band Hessian and its norm
+    _kept: Optional[tuple] = field(default=None, repr=False)
 
     def update(self, s: Array, y: Array) -> "ExactModel":
-        return replace(self, H=None)
+        kept = (self.H, self.raw_norm) if isinstance(self.H, Bands) else None
+        return replace(self, H=None, _kept=kept)
 
     def with_matrix(self, H: Array | Bands) -> "ExactModel":
         if in_band_form(H):
@@ -374,7 +473,12 @@ class ExactModel(CurvatureModel):
         return self.H @ v
 
     def _raw_norm(self) -> float:
-        return 0.0 if self.H is None else spectral_norm(self.H)
+        if self.H is None:
+            return 0.0
+        kept = self._kept
+        if kept is not None and isinstance(self.H, Bands) and _same_bands(kept[0], self.H):
+            return kept[1]
+        return spectral_norm(self.H)
 
 
 def make_model(kind: str, kappa_B: float = 1e5) -> CurvatureModel:

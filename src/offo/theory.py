@@ -107,9 +107,13 @@ def series_bound(a, xi: float, alpha: float) -> SeriesBound:
         raise ValueError("sequence must be non-negative and finite")
     if xi <= 0 or alpha <= 0:
         raise ValueError("xi and alpha must be positive")
-    b = a.cumsum()
-    lhs = float((a / (xi + b) ** alpha).sum())
+    # the terms are non-negative, so the sums grow and overflow at the last if at all
+    with np.errstate(over="ignore"):
+        b = a.cumsum()
     bk = b.item(-1) if b.size else 0.0
+    if not bk < np.inf:
+        raise ValueError("the prefix sums of the sequence must stay finite")
+    lhs = float((a / (xi + b) ** alpha).sum())
     if alpha == 1.0:
         rhs = float(np.log((xi + bk) / xi))
         majorant = None

@@ -1,11 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from offo import bench, hessian
 from offo.hessian import (Bands, ExactModel, LbfgsModel, ZeroModel, _band_norm, _band_pivots,
-                          make_model)
+                          _band_slope, make_model)
 from offo.problems import make_problem
 from offo.scaling import rule_from_name
 from offo.solver import Astr1Config, astr1_run
@@ -267,6 +268,114 @@ def test_band_norm_on_indefinite_diagonal_and_split_matrices(bands):
     truth = np.abs(np.linalg.eigvalsh(H)).max()
     got = _band_norm(Bands(bands))
     assert got >= truth * (1 - 1e-15) and got == pytest.approx(truth, rel=1e-12, abs=0.0)
+
+
+def _dense(bands):
+    return sum(np.diag(band, k) + (np.diag(band, -k) if k else 0) for k, band in enumerate(bands))
+
+
+@pytest.mark.parametrize("b", [0, 1, 2])
+def test_band_slope_matches_the_eigenvalue_sum_above_the_spectrum(b):
+    rng = np.random.default_rng(20 + b)
+    n = 60
+    bands = Bands([rng.standard_normal(n)] + [rng.standard_normal(n - k) for k in range(1, b + 1)])
+    lam = np.linalg.eigvalsh(_dense(bands))
+    scale = np.abs(lam).max()
+    # from 1e-4 up, the oracle's own error (eps / gap) is below the tolerance
+    for gap in (1e-4, 1e-2, 1.0, 100.0):
+        s = lam[-1] + gap * scale
+        truth = (1.0 / (s - lam)).sum()
+        assert _band_slope(bands, s) == pytest.approx(truth, rel=1e-10, abs=0.0)
+
+
+def _jittered_hessians(name):
+    p = make_problem(name, 1000)
+    rng = np.random.default_rng(0)
+    yield p.hess(p.x0)
+    for _ in range(3):
+        yield p.hess(p.x0 + 1e-3 * (1.0 + np.abs(p.x0)) * rng.standard_normal(p.n))
+
+
+@pytest.mark.parametrize("name", ["broyden3d", "tridia"])
+def test_band_norm_takes_at_most_three_sweeps_at_large_n(name, monkeypatch):
+    sweeps = []
+
+    def counting(bands, shifts):
+        sweeps.append(shifts.size)
+        return _band_pivots(bands, shifts)
+
+    monkeypatch.setattr(hessian, "_band_pivots", counting)
+    for H in _jittered_hessians(name):
+        sweeps.clear()
+        got = _band_norm(H)
+        assert len(sweeps) <= 3
+        truth = np.abs(np.linalg.eigvalsh(np.asarray(H))).max()
+        assert got == pytest.approx(truth, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda lo, hi, tol: np.nan,
+    lambda lo, hi, tol: hi + 1e6 * (hi - lo),
+    lambda lo, hi, tol: lo - 1e6 * (hi - lo),
+    lambda lo, hi, tol: hi,
+])
+def test_band_norm_bisects_past_a_useless_newton_estimate(estimate, monkeypatch):
+    monkeypatch.setattr(hessian, "_newton_top", lambda bands, lo, hi, tol: estimate(lo, hi, tol))
+    for n in (512, 600):
+        p = make_problem("tridia", n)
+        H = p.hess(p.x0)
+        truth = np.linalg.eigvalsh(np.asarray(H))[-1]
+        got = _band_norm(H)
+        assert truth - 8 * np.spacing(truth) <= got <= truth + 8 * np.spacing(truth)
+    for H in _jittered_hessians("broyden3d"):
+        truth = np.abs(np.linalg.eigvalsh(np.asarray(H))).max()
+        assert _band_norm(H) == pytest.approx(truth, rel=1e-12, abs=0.0)
+
+
+def test_band_slope_is_nan_on_a_zero_pivot_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # diagonal: s equal to an entry
+        assert np.isnan(_band_slope(Bands((np.array([-3.0, 0.0, 2.0]),)), 2.0))
+        # [[0, 1], [1, 0]]: a zero first pivot at s = 0, a zero last one at s = 1
+        assert np.isnan(_band_slope(Bands((np.zeros(2), np.ones(1))), 0.0))
+        assert np.isnan(_band_slope(Bands((np.zeros(2), np.ones(1))), 1.0))
+        # pentadiagonal, split by zero first-band entries: a zero middle pivot at s = 1
+        bands = Bands((np.array([2.0, 1.0, 3.0]), np.array([0.0, 0.0]), np.array([1.0])))
+        assert np.isnan(_band_slope(bands, 1.0))
+        # a split tridiagonal above its spectrum: zero off-diagonal entries are no zero pivots
+        bands = Bands((np.array([1.0, -4.0, 2.0, 0.5]), np.array([1.0, 0.0, -1.0])))
+        lam = np.linalg.eigvalsh(_dense(bands))
+        assert _band_slope(bands, 5.0) == pytest.approx((1.0 / (5.0 - lam)).sum(), rel=1e-12)
+
+
+def _trace_fields(tr):
+    return {f.name: (v.tobytes() if isinstance(v, np.ndarray) else repr(v))
+            for f in dataclasses.fields(tr) for v in [getattr(tr, f.name)]}
+
+
+@pytest.mark.parametrize("name, norms", [("tridia", 1), ("broyden3d", 2)])
+def test_an_equal_band_hessian_reuses_the_norm(name, norms, monkeypatch):
+    calls = []
+
+    def counting(bands):
+        calls.append(bands)
+        return _band_norm(bands)
+
+    monkeypatch.setattr(hessian, "_band_norm", counting)
+    p = make_problem(name, 1000)
+    reused = bench.solve("adagH", p, 1e-12, 2)
+    assert reused.steps == 2 and len(calls) == norms
+    monkeypatch.setattr(hessian, "_same_bands", lambda a, b: False)
+    calls.clear()
+    fresh = bench.solve("adagH", p, 1e-12, 2)
+    assert len(calls) == 2
+    assert _trace_fields(reused) == _trace_fields(fresh)
+
+
+def test_a_dense_hessian_is_not_kept_across_update():
+    m = make_model("exact").with_matrix(np.diag([1.0, 2.0])).update(np.ones(2), np.ones(2))
+    assert m.H is None and m._kept is None
 
 
 def reference_pivots(bands, shifts):

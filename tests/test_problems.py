@@ -617,3 +617,12 @@ def test_import_offo_leaves_numpy_random_unloaded():
     code = ("import sys, offo; assert 'numpy.random' not in sys.modules, 'numpy.random loaded'; "
             "assert 'concurrent.futures.process' not in sys.modules, 'process pool loaded'")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_a_banded_norm_leaves_numpy_random_unloaded():
+    src = os.path.dirname(os.path.dirname(problems.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; from offo.problems import make_problem; "
+            "make_problem('tridia', 1000).lipschitz_hint; "
+            "assert 'numpy.random' not in sys.modules, 'numpy.random loaded'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

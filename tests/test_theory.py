@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,14 @@ def test_series_bound_rejects_the_inputs_the_wrapper_checks_rejected(a):
             series_bound(a, 1.0, 0.5)
     else:
         series_bound(a, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("a", [[1e308, 1e308], [1.7e308, 0.0, 1e308, 1.0]])
+def test_series_bound_rejects_prefix_sums_that_overflow(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="prefix sums"):
+            series_bound(a, 1.0, 0.5)
 
 
 def test_series_suite_values_are_pinned():
