@@ -143,11 +143,27 @@ def _run_spec(args):
     return run_one(*args)
 
 
-def matrix_seeds(noise_levels: Sequence[float], seeds: Sequence[int]) -> list:
-    """The seeds a matrix runs: ``seeds``, or seed 0 alone for noise-free runs."""
+def check_matrix(methods: Sequence[str], problems: Sequence[tuple],
+                 noise_levels: Sequence[float], seeds: Sequence[int], eps: float,
+                 max_iter: int) -> list:
+    """The seeds a matrix runs: ``seeds``, or seed 0 alone for noise-free runs.
+
+    Every method, problem and dimension, noise level and seed is checked
+    first, as its run would check it: the first bad one raises ValueError
+    or CatalogError.
+    """
+    for m in methods:
+        method_config(m, eps, max_iter)
+    built = [make_problem(name, n) for name, n in problems]
     if any(lv > 0 for lv in noise_levels) and not seeds:
         raise ValueError("noisy runs need at least one seed")
-    return list(seeds) or [0]
+    seeds = list(seeds) or [0]
+    if built:
+        # the oracle checks a level and a seed the same way whatever its problem
+        for level in noise_levels:
+            for seed in seeds:
+                NoisyOracle(built[0], level, seed)
+    return seeds
 
 
 def run_matrix(
@@ -161,12 +177,11 @@ def run_matrix(
 ) -> list[RunRecord]:
     """One record per (method, problem, noise, seed), order-independent.
 
-    A noise-free run does not depend on its seed, so it runs once, for the
+    :func:`check_matrix` checks every input before the first run.  A
+    noise-free run does not depend on its seed, so it runs once, for the
     first seed, and its record is copied to the others.
     """
-    for m in methods:
-        method_config(m, eps, max_iter)
-    seeds = matrix_seeds(noise_levels, seeds)
+    seeds = check_matrix(methods, problems, noise_levels, seeds, eps, max_iter)
     specs = [
         (m, name, n, noise, seed, eps, max_iter)
         for m in methods

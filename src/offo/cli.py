@@ -148,13 +148,8 @@ def bench_cmd(methods, problems, noise, seeds, eps, max_iter, jobs, outdir):
                                ("--noise", noise_levels)):
             if not values:
                 raise ValueError(f"{option} lists nothing")
-        for m in method_list:
-            bench_mod.method_config(m, eps, max_iter)
-        for name, n in problem_list:
-            problem = make_problem(name, n)
-            for level in noise_levels:
-                NoisyOracle(problem, level)
-        seed_list = bench_mod.matrix_seeds(noise_levels, range(seeds))
+        seed_list = bench_mod.check_matrix(method_list, problem_list, noise_levels,
+                                           range(seeds), eps, max_iter)
     records = bench_mod.run_matrix(
         method_list, problem_list, noise_levels, seed_list,
         eps=eps, max_iter=max_iter, jobs=jobs,

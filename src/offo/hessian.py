@@ -4,18 +4,19 @@ Three classes: ``ZeroModel`` (``none``), ``LbfgsModel`` (``lbfgsM``, M direct
 BFGS updates on the spectral base scale * I, held in compact form so that a
 product costs O(n M); ``bb`` is its memory 0) and ``ExactModel`` (``exact``,
 the true Hessian, refreshed per iterate).  Each supplies a raw operator and
-its spectral norm ||B||, computed once per operator: ``|scale|`` for bb, a
-2M x 2M eigenproblem from the compact form (O(n M^2)) for L-BFGS, and for
-exact ``spectral_norm``, which also gives a quadratic's Lipschitz constant:
-one dense ``eigvalsh`` or, for a tri- or pentadiagonal Hessian that
-arrives as ``Bands`` (its diagonal and upper bands, the form banded problems
-return) past the measured crossover, a Newton estimate certified by inertia
-tests of those bands (Wilkinson, The Algebraic Eigenvalue Problem, 1965;
-Golub & Van Loan, Matrix Computations, 4th ed., 8.4; Kahan 1966); a band
-Hessian is never made dense on that path.  Every raw norm is
-exact up to a backward error of order eps ||B|| (the banded one errs upward);
-the shared cap rescales the operator by ``kappa_B / ||B||`` whenever
-``||B|| > kappa_B``.
+its spectral norm ||B||, computed once per operator: ``|scale|`` for bb,
+``spectral_norm`` of a 2M x 2M matrix from the compact form (O(n M^2)) for
+L-BFGS, and for exact ``spectral_norm``, which also gives a quadratic's
+Lipschitz constant: one dense ``eigvalsh`` or, for a tri- or pentadiagonal
+Hessian that arrives as ``Bands`` (its diagonal and upper bands, the form
+banded problems return) past the measured crossover, a Newton estimate
+certified by inertia tests of those bands (Wilkinson, The Algebraic
+Eigenvalue Problem, 1965; Golub & Van Loan, Matrix Computations, 4th ed.,
+8.4; Kahan 1966), its Newton slopes from one recurrence for every band
+width; a band Hessian is never made dense.  Every raw norm is exact up to a
+backward error of order eps ||B|| (the banded one errs upward); every
+product goes through the shared cap, which rescales the operator by
+``kappa_B / ||B||`` whenever ``||B|| > kappa_B``.
 """
 from __future__ import annotations
 
@@ -73,8 +74,8 @@ class CurvatureModel:
 class ZeroModel(CurvatureModel):
     is_zero = True
 
-    def matvec(self, v: Array) -> Array:
-        return np.zeros_like(np.asarray(v, dtype=float))
+    def _raw_matvec(self, v: Array) -> Array:
+        return np.zeros_like(v)
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,7 @@ class LbfgsModel(CurvatureModel):
         if not self.D.size:
             return abs(self.scale)
         R = np.linalg.qr(self.W, mode="r")
-        lam = np.linalg.eigvalsh(self.scale * np.eye(R.shape[0]) + (R * self.D) @ R.T)
-        norm = float(np.abs(lam).max())
+        norm = spectral_norm(self.scale * np.eye(R.shape[0]) + (R * self.D) @ R.T)
         return norm if R.shape[0] == self.W.shape[0] else max(norm, abs(self.scale))
 
 
@@ -267,31 +267,21 @@ def _band_slope(bands: Bands, s: float) -> float:
 
     det(A - s I) is the product of the pivots, so S is the derivative of
     log|det(A - s I)| and s - 1/S a Newton step on the characteristic
-    polynomial.  The derivatives follow the recurrences of ``_band_pivots``
-    term by term, one row at a time on Python floats.
+    polynomial.  The derivatives follow ``_band_pivots``' b = 2 recurrence
+    term by term, one row at a time on Python floats; it is the only one, and
+    a diagonal or tridiagonal matrix runs it with zero upper bands.
     """
-    a = (bands[0] - s).tolist()
-    b = len(bands) - 1
+    # row i's entries (i - 1, i) and (i - 2, i): band k moved down k rows, zero where absent
+    shifted = np.zeros((2, bands[0].size))
+    for k, band in enumerate(bands[1:], 1):
+        shifted[k - 1, k:] = band
+    a1, a2 = shifted
+    # pivots one and two rows back, L[i-1, i-2], derivatives: row 0 gets a_0 - s and -1
+    d2 = d = 1.0
+    dp2 = dp = l = lp = total = 0.0
     try:
-        if b == 0:
-            return -sum(1.0 / d for d in a)
-        # the previous row's pivot and its derivative
-        d, dp = a[0], -1.0
-        total = dp / d
-        if b == 1:
-            for ai, e in zip(a[1:], (bands[1] * bands[1]).tolist()):
-                r = e / d
-                d, dp = ai - r, r * dp / d - 1.0
-                total += dp / d
-            return total
-        # and the pivot two rows back, L[i-1, i-2] and their derivatives
-        a1 = bands[1].tolist()
-        l = a1[0] / d
-        lp = -l * dp / d
-        d2, dp2, d, dp = d, dp, a[1] - a1[0] * l, l * l * dp - 1.0
-        total += dp / d
-        for ai, e, m, c in zip(a[2:], (bands[2] * bands[2]).tolist(), (-bands[2]).tolist(),
-                               a1[1:]):
+        for ai, c, e, m in zip((bands[0] - s).tolist(), a1.tolist(), (a2 * a2).tolist(),
+                               (-a2).tolist()):
             u, up = c + l * m, lp * m  # L[i, i-1] D[i-1] and its derivative
             l = u / d
             lp = (up - l * dp) / d
@@ -384,10 +374,7 @@ def _band_norm(bands: Bands) -> float:
     should that test fail, the other side goes through ``_band_top`` too.
     """
     a = bands[0]
-    radius = np.zeros_like(a)
-    for k, band in enumerate(bands[1:], 1):
-        radius[:-k] += np.abs(band)
-        radius[k:] += np.abs(band)
+    radius = Bands([np.zeros_like(a)] + [np.abs(band) for band in bands[1:]]) @ np.ones_like(a)
     glo, ghi = float((a - radius).min()), float((a + radius).max())
     scale = max(-glo, ghi)
     if not np.isfinite(scale):
@@ -481,17 +468,24 @@ class ExactModel(CurvatureModel):
         return spectral_norm(self.H)
 
 
+def check_kappa_B(kappa_B: float) -> None:
+    """ValueError unless the cap kappa_B is at least 1 (NaN is not)."""
+    if not kappa_B >= 1.0:
+        raise ValueError("kappa_B must be >= 1")
+
+
 def make_model(kind: str, kappa_B: float = 1e5) -> CurvatureModel:
     """Build a curvature model from its selection string (none|bb|lbfgsM|exact).
 
     ``lbfgsM`` keeps the M latest secant pairs; bare ``lbfgs`` keeps 3 and
     ``bb`` none.
     """
+    check_kappa_B(kappa_B)
     if kind == "none":
         return ZeroModel(kappa_B=kappa_B)
     if kind == "bb":
         return LbfgsModel(kappa_B=kappa_B, memory=0)
-    if kind.startswith("lbfgs"):
+    if kind.startswith("lbfgs") and (kind[5:] or "3").isdecimal():
         mem = int(kind[5:] or 3)
         if mem < 1:
             raise ValueError("lbfgs memory must be positive")

@@ -325,10 +325,10 @@ def make_problem(name: str, n: Optional[int] = None) -> ProblemInstance:
     builder, default_n, check, reason = _REGISTRY[name]
     if n is None:
         n = default_n
-    n = int(n)
-    if check is not None and not check(n):
+    # a non-integral n fails its check too, where int() would round it down
+    if n != int(n) or (check is not None and not check(int(n))):
         raise DimensionError(f"problem '{name}' requires {reason}, got n={n}")
-    return builder(n)
+    return builder(int(n))
 
 
 def evaluate(problem: ProblemInstance, x: Array, order: int = 0):

@@ -52,12 +52,13 @@ class ScalingRule:
             raise ValueError("mu must lie in (0, 1)")
         if not 0.0 < self.vartheta <= 1.0:
             raise ValueError("vartheta must lie in (0, 1]")
-        if self.theta <= 0.0:
+        if not self.theta > 0.0:
             raise ValueError("theta must be positive")
         if not 0.0 < self.beta2 < 1.0:
             raise ValueError("beta2 must lie in (0, 1)")
         sig = np.atleast_1d(np.asarray(self.sigma, dtype=float))
-        if np.any(sig <= 0.0) or np.any(sig > 1.0):
+        # all() of an empty sigma is True; its min() would fail later, in new_state
+        if not (sig.size and np.all((sig > 0.0) & (sig <= 1.0))):
             raise ValueError("sigma must lie in (0, 1]")
         if self.variant.startswith("diminishing") and not 0.0 < self.nu <= self.mu:
             raise ValueError("diminishing rules need 0 < nu <= mu")

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hessian import make_model
+from .hessian import check_kappa_B, make_model
 from .problems import NonFiniteError, base_problem, fresh_stream
 from .scaling import ScalingRule, new_state, update, weights
 
@@ -53,8 +53,7 @@ class Astr1Config:
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
-        if self.kappa_B < 1.0:
-            raise ValueError("kappa_B must be >= 1")
+        check_kappa_B(self.kappa_B)
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"geometry must be one of {GEOMETRIES}")
         if self.geometry == "ball" and not self.scaling.aggregated:

@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from .hessian import check_kappa_B
 from .problems import ProblemInstance, make_problem
 from .scaling import ScalingRule, as4_floor, rule_from_name
 from .solver import Astr1Config, IterationTrace, astr1_run
@@ -42,10 +43,9 @@ class TheoryParams:
     sigma: float = 0.01
 
     def __post_init__(self):
-        if self.L < 0 or self.gamma0 < 0:
+        if not (self.L >= 0 and self.gamma0 >= 0):
             raise ValueError("L and gamma0 must be non-negative")
-        if self.kappa_B < 1.0:
-            raise ValueError("kappa_B must be >= 1")
+        check_kappa_B(self.kappa_B)
 
     @property
     def kappa_BBL(self) -> float:
@@ -105,7 +105,7 @@ def series_bound(a, xi: float, alpha: float) -> SeriesBound:
     # min is NaN, and fails the test, when some a_j is
     if a.size and not (a.min() >= 0.0 and a.max() < np.inf):
         raise ValueError("sequence must be non-negative and finite")
-    if xi <= 0 or alpha <= 0:
+    if not (xi > 0 and alpha > 0):
         raise ValueError("xi and alpha must be positive")
     # the terms are non-negative, so the sums grow and overflow at the last if at all
     with np.errstate(over="ignore"):
@@ -186,7 +186,8 @@ def lambert_tail_bound(x: float) -> tuple[float, float]:
 
 
 def envelope_constant(p: TheoryParams, mu: float) -> float:
-    """Constant kappa with sum_{j<=k} ||g_j||^2 <= kappa for every k.
+    """Constant kappa with sum_{j<=k} ||g_j||^2 <= kappa for every k; inf
+    when kappa leaves the float range.
 
     Dispatches on the accumulator exponent: mu below, at, or above 1/2.  The
     exact mu = 1/2 case goes through the lower Lambert branch; other values
@@ -194,6 +195,15 @@ def envelope_constant(p: TheoryParams, mu: float) -> float:
     """
     if not 0.01 <= mu <= 0.99:
         raise ValueError("mu must lie in [0.01, 0.99]")
+    # numpy overflows to inf quietly here; a Python float power raises instead
+    with np.errstate(over="ignore"):
+        try:
+            return _envelope_constant(p, mu)
+        except OverflowError:
+            return np.inf
+
+
+def _envelope_constant(p: TheoryParams, mu: float) -> float:
     s, th, vth = p.sigma, p.theta, p.vartheta
     kBL = p.kappa_B + p.L
     if abs(mu - 0.5) < 1e-12:
@@ -291,14 +301,17 @@ def bracket_threshold(p: TheoryParams, eta: float, nu: float) -> float:
     """Iteration index beyond which the decrease bracket must exceed eta.
 
     j_eta = (kappa_B (kappa_B + L) / (theta s_min (tau s_min - eta)))^(1/nu);
-    valid for 0 < eta < tau * s_min.
+    valid for 0 < eta < tau * s_min, and inf when it leaves the float range.
     """
     s_min = min(p.sigma, 1.0)
     if not 0.0 < eta < p.tau * s_min:
         raise ValueError("eta must lie in (0, tau * sigma_min)")
     if not 0.0 < nu < 1.0:
         raise ValueError("nu must lie in (0, 1)")
-    return float((p.kappa_BBL / (p.theta * s_min * (p.tau * s_min - eta))) ** (1.0 / nu))
+    try:
+        return float((p.kappa_BBL / (p.theta * s_min * (p.tau * s_min - eta))) ** (1.0 / nu))
+    except OverflowError:
+        return np.inf
 
 
 @dataclass(frozen=True)
@@ -311,13 +324,15 @@ class BracketReport:
 
 
 def check_bracket(trace: IterationTrace, p: TheoryParams, eta: float, nu: float) -> BracketReport:
-    """Verify tau*s_min - kappa_BBL / w_min_j > eta for all recorded j > j_eta."""
+    """Verify tau*s_min - kappa_BBL / w_min_j > eta for all recorded j > j_eta;
+    vacuous when no recorded j is past j_eta (an infinite j_eta included)."""
     j_eta = bracket_threshold(p, eta, nu)
     s_min = min(p.sigma, 1.0)
     w_min = trace.w_min
-    start = int(np.floor(j_eta)) + 1
-    if start >= len(w_min):
+    # j_eta >= 0, so the first j past it is int(j_eta) + 1
+    if j_eta >= len(w_min) - 1:
         return BracketReport(j_eta=j_eta, checked=0, min_bracket=np.inf, vacuous=True, passed=True)
+    start = int(j_eta) + 1
     brackets = p.tau * s_min - p.kappa_BBL / w_min[start:]
     mn = float(brackets.min())
     return BracketReport(

@@ -209,6 +209,36 @@ def test_records_csv_rows(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("bad", [
+    dict(methods=["nosuch", "adagrad"]),
+    dict(methods=["adagrad", "sdba", "nosuch"]),
+    dict(problems=[("nosuch", 3), ("rosenbr", 10)]),
+    dict(problems=[("rosenbr", 10), ("nosuch", 3)]),
+    dict(problems=[("rosenbr", 10), ("woods", 10)]),
+    dict(problems=[("rosenbr", 10.5), ("cube", 2)]),
+    dict(noise=[1.5, 0.0]),
+    dict(noise=[0.0, 0.1, 1.5]),
+    dict(seeds=[-1, 0]),
+    dict(seeds=[0, 1, -1]),
+    dict(noise=[0.0, 0.1], seeds=[]),
+])
+def test_run_matrix_checks_the_whole_matrix_before_its_first_run(bad, monkeypatch):
+    runs = []
+
+    def counted(*args):
+        runs.append(args)
+        return run_one(*args)
+
+    monkeypatch.setattr(bench, "run_one", counted)
+    matrix = dict(methods=["adagrad", "sdba"], problems=[("rosenbr", 10), ("cube", 2)],
+                  noise=[0.0, 0.1], seeds=[0, 1])
+    matrix.update(bad)
+    with pytest.raises((ValueError, KeyError)):
+        run_matrix(matrix["methods"], matrix["problems"], matrix["noise"], matrix["seeds"],
+                   eps=1e-3, max_iter=50)
+    assert runs == []
+
+
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         run_matrix(["notamethod"], [("cube", 2)], [0.0], [0])

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from offo.solver import (
     solve_subproblem,
     trust_radius,
 )
+from offo.theory import TheoryParams, series_bound
 
 
 def quad1d(x0=1.0):
@@ -729,3 +731,24 @@ def test_block_seeded_noise_gives_the_reference_traces(monkeypatch):
         assert _trace_fields(fast[r]) == _trace_fields(ref), r
         longest = max(longest, ref.f_evals + ref.g_evals)
     assert longest > 1024  # one stream crosses a block boundary
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ScalingRule("adagrad-like", theta=np.nan), "theta must be positive"),
+    (lambda: ScalingRule("adagrad-like", sigma=np.nan), "sigma must lie in (0, 1]"),
+    (lambda: ScalingRule("adagrad-like", sigma=np.array([])), "sigma must lie in (0, 1]"),
+    (lambda: Astr1Config(scaling=rule_from_name("adagrad"), kappa_B=np.nan),
+     "kappa_B must be >= 1"),
+    (lambda: TheoryParams(L=np.nan, gamma0=1.0, n=1), "L and gamma0 must be non-negative"),
+    (lambda: TheoryParams(L=1.0, gamma0=np.nan, n=1), "L and gamma0 must be non-negative"),
+    (lambda: TheoryParams(L=1.0, gamma0=1.0, n=1, kappa_B=np.nan), "kappa_B must be >= 1"),
+    (lambda: series_bound([1.0], xi=np.nan, alpha=0.5), "xi and alpha must be positive"),
+    (lambda: series_bound([1.0], xi=1.0, alpha=np.nan), "xi and alpha must be positive"),
+    (lambda: make_model("exact", kappa_B=0.5), "kappa_B must be >= 1"),
+    (lambda: make_model("none", kappa_B=np.nan), "kappa_B must be >= 1"),
+    (lambda: make_model("lbfgsx"), "unknown model kind 'lbfgsx'"),
+    (lambda: make_problem("rosenbr", 10.7), "problem 'rosenbr' requires n >= 2, got n=10.7"),
+])
+def test_nan_empty_and_non_integral_settings_are_rejected(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

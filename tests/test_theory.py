@@ -383,3 +383,19 @@ def test_bracket_check_nonvacuous_engineered():
     assert not rep.vacuous
     assert rep.checked > 0
     assert rep.j_eta == pytest.approx((1.0 / (1.0 - 1e-4)) ** (1 / 0.9))
+
+
+def test_bracket_threshold_that_overflows_is_inf_and_its_check_vacuous():
+    p = TheoryParams(L=1e3, gamma0=1.0, n=10)
+    assert bracket_threshold(p, eta=5e-4, nu=0.05) == pytest.approx(1.07e166, rel=1e-2)
+    assert bracket_threshold(p, eta=5e-4, nu=0.02) == math.inf
+    trace = astr1_run(make_problem("tridia", 10),
+                      Astr1Config(scaling=rule_from_name("maxg"), eps=1e-6, max_iter=50))
+    rep = check_bracket(trace, p, eta=5e-4, nu=0.02)
+    assert rep.j_eta == math.inf and rep.vacuous and rep.passed and rep.checked == 0
+
+
+@pytest.mark.parametrize("mu, gamma0", [(0.5, 1e6), (0.45, 1e40), (0.55, 1e300)])
+def test_envelope_constant_that_overflows_is_inf(mu, gamma0):
+    # warnings are errors in this suite, so an overflow warning fails here too
+    assert envelope_constant(TheoryParams(L=1.0, gamma0=gamma0, n=10), mu) == math.inf
