@@ -395,6 +395,17 @@ def test_bracket_threshold_that_overflows_is_inf_and_its_check_vacuous():
     assert rep.j_eta == math.inf and rep.vacuous and rep.passed and rep.checked == 0
 
 
+@pytest.mark.parametrize("steps, checked", [(5, 0), (6, 1)])
+def test_bracket_check_starts_past_an_integral_threshold(steps, checked):
+    # j_eta = (1 / 0.5)^2 = 4 exactly: only a recorded j = 5 is past it
+    p = TheoryParams(L=0.0, gamma0=1.0, n=10, tau=1.0, kappa_B=1.0, theta=1.0, sigma=1.0)
+    trace = astr1_run(make_problem("tridia", 10),
+                      Astr1Config(scaling=rule_from_name("maxg"), eps=1e-6, max_iter=steps))
+    assert len(trace.w_min) == steps
+    rep = check_bracket(trace, p, eta=0.5, nu=0.5)
+    assert rep.j_eta == 4.0 and rep.checked == checked and rep.vacuous == (checked == 0)
+
+
 @pytest.mark.parametrize("mu, gamma0", [(0.5, 1e6), (0.45, 1e40), (0.55, 1e300)])
 def test_envelope_constant_that_overflows_is_inf(mu, gamma0):
     # warnings are errors in this suite, so an overflow warning fails here too
