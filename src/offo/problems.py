@@ -49,6 +49,9 @@ class ProblemInstance:
     by the exact model's ``spectral_norm``; for a large banded one, an upper
     bound within a few ulps.  Any other problem raises
     :class:`CapabilityError`.
+
+    ``grad_fn`` returns a float array of shape (n,): a run uses it as it is,
+    where :meth:`grad` converts it.
     """
 
     name: str
@@ -69,24 +72,11 @@ class ProblemInstance:
             self._lipschitz = spectral_norm(self.hess(self.x0))
         return self._lipschitz
 
-    def _eval(self, fn, x: Array, what: str):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            v = fn(x)
-        if isinstance(v, Bands):  # checked band by band, never made dense
-            finite = all(np.isfinite(band).all() for band in v)
-        else:
-            v = np.asarray(v, dtype=float)
-            finite = np.isfinite(v).all()
-        if not finite:
-            raise NonFiniteError(f"non-finite {what} evaluating problem '{self.name}'")
-        return v
-
     def value(self, x: Array) -> float:
-        return float(self._eval(self.fn, x, "objective value"))
+        return float(_guarded(self, self.fn, x, "value"))
 
     def grad(self, x: Array) -> Array:
-        return self._eval(self.grad_fn, x, "gradient")
+        return _guarded(self, self.grad_fn, x, "gradient")
 
     def _required_hess_fn(self) -> Callable[[Array], Array]:
         """The analytic Hessian; CapabilityError when the problem has none."""
@@ -97,7 +87,22 @@ class ProblemInstance:
     def hess(self, x: Array) -> Array | Bands:
         """The Hessian at x: a dense array, or the ``Bands`` of a banded family,
         whose ``np.asarray`` is the dense matrix."""
-        return self._eval(self._required_hess_fn(), x, "Hessian")
+        return _guarded(self, self._required_hess_fn(), x, "Hessian")
+
+    def unguarded(self) -> tuple:
+        """The value, gradient and Hessian as functions of a float array x,
+        with no ``np.errstate``, no finiteness check and no conversion.
+
+        A run calls them inside one ``np.errstate`` of its own, checks each
+        result once and calls :meth:`reject` on a non-finite one.  The Hessian
+        function raises :class:`CapabilityError` when there is none.
+        """
+        return self.fn, self.grad_fn, lambda x: self._required_hess_fn()(x)
+
+    def reject(self, kind: str):
+        """Raise the NonFiniteError of a non-finite "value", "gradient" or "Hessian"."""
+        what = "objective value" if kind == "value" else kind
+        raise NonFiniteError(f"non-finite {what} evaluating problem '{self.name}'")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -108,6 +113,27 @@ class ProblemInstance:
                 "f_low": self.f_low,
             }
         )
+
+
+def all_finite(v) -> bool:
+    """Whether every entry of an evaluation is finite; a ``Bands`` is checked
+    band by band and never made dense."""
+    if isinstance(v, Bands):
+        return all(np.isfinite(band).all() for band in v)
+    return bool(np.isfinite(v).all())
+
+
+def _guarded(target, evaluate, x, kind: str):
+    """``evaluate(x)`` as a direct caller gets it: under its own
+    ``np.errstate``, as floats (a ``Bands`` as it is) and checked once."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        v = evaluate(x)
+    if not isinstance(v, Bands):
+        v = np.asarray(v, dtype=float)
+    if not all_finite(v):
+        target.reject(kind)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +256,9 @@ class NoisyOracle:
     """Evaluation oracle contaminating f, g and H with relative noise.
 
     Each evaluation runs the inner problem's raw function and the noise under
-    one ``np.errstate`` and checks the noisy result for finiteness once.  A
-    ``Bands`` Hessian is made dense first, so noise is drawn per n x n entry.
+    one ``np.errstate`` and checks the noisy result for finiteness once; a run
+    calls the same evaluations through :meth:`unguarded`.  A ``Bands`` Hessian
+    is made dense first, so noise is drawn per n x n entry.
     """
 
     inner: ProblemInstance
@@ -240,6 +267,8 @@ class NoisyOracle:
     _position: int = field(default=0, repr=False)
     #: ``((seed, block), words)`` of the block last drawn from; a copy starts empty
     _block: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    #: the raw evaluation of the last draw, which ``reject`` reads
+    _raw: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.level < 1.0:
@@ -255,28 +284,42 @@ class NoisyOracle:
             self._block = (key, _seed_block(self.seed, block))
         return self._block[1][row]
 
-    def _noisy(self, fn, x: Array, what: str):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            raw = np.asarray(fn(x), dtype=float)
-            out = apply_noise(self, raw, self._position)
-        if not np.isfinite(out).all():
-            # only a finite raw evaluation uses up its draw, as it always has, so
-            # a caller that catches the error (sdba's backtracking) keeps its stream
-            if np.isfinite(raw).all():
-                self._position += 1
-            raise NonFiniteError(f"non-finite {what} evaluating problem '{self.inner.name}'")
+    def _draw(self, fn, x: Array):
+        """fn(x) with the noise of the current position, which it uses up,
+        unguarded as :meth:`ProblemInstance.unguarded` is."""
+        self._raw = raw = fn(x)
+        out = apply_noise(self, raw, self._position)
         self._position += 1
         return out
 
     def value(self, x: Array) -> float:
-        return float(self._noisy(self.inner.fn, x, "noisy value"))
+        return float(_guarded(self, functools.partial(self._draw, self.inner.fn), x, "value"))
 
     def grad(self, x: Array) -> Array:
-        return self._noisy(self.inner.grad_fn, x, "noisy gradient")
+        return _guarded(self, functools.partial(self._draw, self.inner.grad_fn), x, "gradient")
 
     def hess(self, x: Array) -> Array:
-        return self._noisy(self.inner._required_hess_fn(), x, "noisy Hessian")
+        return _guarded(self, functools.partial(self._draw, self._dense_hess), x, "Hessian")
+
+    def _dense_hess(self, x: Array) -> Array:
+        return np.asarray(self.inner._required_hess_fn()(x), dtype=float)
+
+    def unguarded(self) -> tuple:
+        """The noisy value, gradient and Hessian, unguarded as
+        :meth:`ProblemInstance.unguarded` is; each call uses up a draw."""
+        fns = (self.inner.fn, self.inner.grad_fn, self._dense_hess)
+        return tuple(functools.partial(self._draw, fn) for fn in fns)
+
+    def reject(self, kind: str):
+        """Raise the NonFiniteError of a non-finite noisy evaluation.
+
+        Only a finite raw evaluation uses up its draw, as it always has, so a
+        caller that catches the error (sdba's backtracking) keeps its stream:
+        the draw of a non-finite raw value is given back.
+        """
+        if not all_finite(self._raw):
+            self._position -= 1
+        raise NonFiniteError(f"non-finite noisy {kind} evaluating problem '{self.inner.name}'")
 
 
 def base_problem(target) -> ProblemInstance:

@@ -18,7 +18,9 @@ give every coordinate the same weight (the "norm" variants).
 its :class:`ScalingRule`; it is the package's only list of them.
 
 A :class:`ScalingState` is mutable: :func:`update` changes its accumulator in
-place and returns the same object, so a run allocates its state once.
+place and returns the same object, so a run allocates its state once.  A run,
+whose gradients are already checked, calls :func:`update`'s unchecked step
+:func:`accumulate` directly.
 """
 from __future__ import annotations
 
@@ -114,10 +116,13 @@ def update(state: ScalingState, rule: ScalingRule, g_k: Array) -> ScalingState:
         raise FloatingPointError("non-finite gradient passed to scaling update")
     if g_k.shape != (state.n,):
         raise ValueError(f"gradient has shape {g_k.shape}, expected ({state.n},)")
-    if rule.aggregated:
-        mag = np.array([math.sqrt(float(g_k @ g_k))])
-    else:
-        mag = np.abs(g_k)
+    return accumulate(state, rule, math.sqrt(float(g_k @ g_k)) if rule.aggregated else np.abs(g_k))
+
+
+def accumulate(state: ScalingState, rule: ScalingRule, mag) -> ScalingState:
+    """:func:`update`'s step with no checks, for a gradient known to be finite
+    and of the right shape: ``mag`` is |g_k| per coordinate, or the float
+    ||g_k|| for an aggregated rule."""
     acc = state.acc
     if rule.variant == "adagrad-like":
         acc += mag * mag

@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .hessian import check_kappa_B, make_model
-from .problems import NonFiniteError, base_problem, fresh_stream
-from .scaling import ScalingRule, new_state, update, weights
+from .problems import NonFiniteError, all_finite, base_problem, fresh_stream
+from .scaling import ScalingRule, accumulate, new_state, weights
 
 Array = np.ndarray
 
@@ -67,30 +67,48 @@ class CauchyStep:
     gamma: float
     s_Q: Array
     q_Q: float
-    #: g.s_L, the model's linear term at s_L
-    q_L: float
 
 
 class _CountingOracle:
-    """Counts every oracle call; the zero-objective-call guarantee reads f_evals."""
+    """Counts every oracle call; the zero-objective-call guarantee reads f_evals.
+
+    It calls the target's unguarded evaluations, so the run enters one
+    ``np.errstate`` for its whole length, and checks each result once.
+    """
 
     def __init__(self, target):
         self.target = target
+        self._value, self._grad, self._hess = target.unguarded()
         self.f_evals = 0
         self.g_evals = 0
         self.h_evals = 0
 
     def value(self, x):
         self.f_evals += 1
-        return self.target.value(x)
+        v = float(self._value(x))
+        if not math.isfinite(v):
+            self.target.reject("value")
+        return v
 
     def grad(self, x):
+        """The gradient g and g.g, which is its one finiteness check: a finite
+        g.g means a finite g, and only an infinite one, which may come from a
+        finite g whose squares overflow, is checked entry by entry."""
         self.g_evals += 1
-        return self.target.grad(x)
+        g = self._grad(x)
+        # ndarray.dot spares part of @'s overhead and differs from @ only in
+        # the sign of a zero result, which is +0.0 for a sum of squares
+        gg = float(g.dot(g))
+        if not math.isfinite(gg) and not np.isfinite(g).all():
+            self.target.reject("gradient")
+        return g, gg
 
     def hess(self, x):
         self.h_evals += 1
-        return self.target.hess(x)
+        H = self._hess(x)
+        if not all_finite(H):
+            self.target.reject("Hessian")
+        return H
 
 
 #: the step-indexed columns of a trace, in field order
@@ -246,23 +264,26 @@ def trust_radius(g: Array, w: Array, geometry: str):
     return float(np.linalg.norm(g) / w[0])
 
 
-def cauchy_step(g: Array, matvec, radii, geometry: str) -> CauchyStep:
-    """Scaled steepest-descent step and its model minimizer along that ray.
+def zero_model_step(g: Array, radii, geometry: str):
+    """The zero model's step and its model value ``(s, g.s)``.
 
-    ``matvec=None`` stands for the zero model, whose step has the closed form
-    gamma = 1, s_Q = s_L and q_Q = g.s_L; :func:`solve_subproblem` takes s_L
-    and q_L as its step.
+    s is the scaled steepest-descent step s_L of every model's Cauchy step:
+    -sign(g_i) Delta_i per coordinate in a box, -Delta g / ||g|| in a ball.
+    Under the zero model it is also the Cauchy point (gamma = 1) and the
+    subproblem's solution.
     """
     if geometry == "box":
         # -sign(g) * radii, up to the sign of the zero step of a g_i = -0.0
-        s_L = np.copysign(radii, -g)
+        s = np.copysign(radii, -g)
     else:
         normg = np.linalg.norm(g)
-        s_L = -(radii / normg) * g if normg > 0 else np.zeros_like(g)
-    gs = float(g @ s_L)
-    if matvec is None:
-        # gs plus the curvature term s_L.(0 s_L) = +0.0, as the matvec path adds it
-        return CauchyStep(s_L=s_L, gamma=1.0, s_Q=s_L, q_Q=gs + 0.0, q_L=gs)
+        s = -(radii / normg) * g if normg > 0 else np.zeros_like(g)
+    return s, float(g @ s)
+
+
+def cauchy_step(g: Array, matvec, radii, geometry: str) -> CauchyStep:
+    """Scaled steepest-descent step and its model minimizer along that ray."""
+    s_L, gs = zero_model_step(g, radii, geometry)
     Bs = matvec(s_L)
     curv = float(s_L @ Bs)
     if curv > 0.0:
@@ -271,7 +292,7 @@ def cauchy_step(g: Array, matvec, radii, geometry: str) -> CauchyStep:
         gamma = 1.0
     s_Q = gamma * s_L
     q_Q = gamma * gs + 0.5 * gamma * gamma * curv
-    return CauchyStep(s_L=s_L, gamma=gamma, s_Q=s_Q, q_Q=q_Q, q_L=gs)
+    return CauchyStep(s_L=s_L, gamma=gamma, s_Q=s_Q, q_Q=q_Q)
 
 
 def _max_feasible(s, p, delta, free):
@@ -443,10 +464,11 @@ def solve_subproblem(g, model, radii, geometry, cauchy: CauchyStep, tau: float, 
 
     Returns ``(s, q(s))``; falls back to the scaled Cauchy point whenever the
     iterative solve misses the tau-fraction decrease, which makes the
-    decrease contract unconditional.
+    decrease contract unconditional.  The zero model's step is
+    :func:`zero_model_step`.
     """
     if model.is_zero:
-        return cauchy.s_L, cauchy.q_L
+        return zero_model_step(g, radii, geometry)
     if geometry == "box":
         s = _cg_box(g, model.matvec, radii, tol)
     else:
@@ -458,12 +480,17 @@ def solve_subproblem(g, model, radii, geometry, cauchy: CauchyStep, tau: float, 
 
 
 def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
-    """Run the adaptively scaled trust-region iteration on a problem or oracle."""
+    """Run the adaptively scaled trust-region iteration on a problem or oracle.
+
+    The run enters one ``np.errstate(all="ignore")`` for its whole length, and
+    each gradient is checked once, by its squared norm.
+    """
     base = base_problem(problem)
     oracle = _CountingOracle(fresh_stream(problem))
     x = np.array(base.x0, dtype=float)
     n = base.n
     rule = cfg.scaling
+    aggregated = rule.aggregated
     geometry = cfg.geometry
     box = geometry == "box"
     eps, tau, instrument_f = cfg.eps, cfg.tau, cfg.instrument_f
@@ -473,37 +500,46 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
     prev_g = None
     prev_s = None
     status = "max_iter"
-    for _ in range(cfg.max_iter):
-        try:
-            g = oracle.grad(x)
-            normg = math.sqrt(float(g @ g))
-            tr.add_eval(normg, oracle.value(x) if instrument_f else None, x=x, g=g)
-            if normg <= eps:
-                status = "converged"
+    with np.errstate(all="ignore"):
+        for _ in range(cfg.max_iter):
+            try:
+                g, gg = oracle.grad(x)
+                normg = math.sqrt(gg)
+                tr.add_eval(normg, oracle.value(x) if instrument_f else None, x=x, g=g)
+                if normg <= eps:
+                    status = "converged"
+                    break
+                if prev_g is not None and not model.is_zero:
+                    model = model.update(prev_s, g - prev_g)
+                if model.needs_hessian:
+                    model = model.with_matrix(oracle.hess(x))
+            except NonFiniteError:
+                status = "overflow"
                 break
-            if prev_g is not None and not model.is_zero:
-                model = model.update(prev_s, g - prev_g)
-            if model.needs_hessian:
-                model = model.with_matrix(oracle.hess(x))
-        except NonFiniteError:
-            status = "overflow"
-            break
-        update(state, rule, g)
-        w = weights(state, rule)
-        radii = trust_radius(g, w, geometry)
-        cs = cauchy_step(g, None if model.is_zero else model.matvec, radii, geometry)
-        tol = max(_CG_ABS, _CG_REL * normg)
-        s, q_s = solve_subproblem(g, model, radii, geometry, cs, tau, tol)
-        step_norm = math.sqrt(float(s @ s))
-        # a finite norm means a finite step; an infinite one may still come
-        # from a finite step whose squares overflow
-        if not math.isfinite(step_norm) and not np.isfinite(s).all():
-            status = "overflow"
-            break
-        tr.add_step(w, radii, s if box else step_norm, cs.gamma, q_s, cs.q_Q,
-                    model.norm_estimate(), q_s - tau * cs.q_Q, step_norm)
-        x = x + s
-        prev_g, prev_s = g, s
+            absg = np.abs(g)
+            accumulate(state, rule, normg if aggregated else absg)
+            w = weights(state, rule)
+            radii = absg / w if box else trust_radius(g, w, geometry)
+            if model.is_zero:
+                s, q_s = zero_model_step(g, radii, geometry)
+                # the step is its own Cauchy point; q_Q adds the curvature
+                # term s.(0 s) = +0.0, as a product with the zero model does
+                gamma, q_Q = 1.0, q_s + 0.0
+            else:
+                cs = cauchy_step(g, model.matvec, radii, geometry)
+                tol = max(_CG_ABS, _CG_REL * normg)
+                s, q_s = solve_subproblem(g, model, radii, geometry, cs, tau, tol)
+                gamma, q_Q = cs.gamma, cs.q_Q
+            step_norm = math.sqrt(float(s.dot(s)))  # as g.dot(g) in _CountingOracle.grad
+            # a finite norm means a finite step; an infinite one may still come
+            # from a finite step whose squares overflow
+            if not math.isfinite(step_norm) and not np.isfinite(s).all():
+                status = "overflow"
+                break
+            tr.add_step(w, radii, s if box else step_norm, gamma, q_s, q_Q,
+                        model.norm_estimate(), q_s - tau * q_Q, step_norm)
+            x = x + s
+            prev_g, prev_s = g, s
     return tr.close(status, x, oracle)
 
 
@@ -525,42 +561,43 @@ def sdba_run(problem, eps: float = 1e-6, max_iter: int = 100_000) -> IterationTr
     x = np.array(base.x0, dtype=float)
     tr = IterationTrace.open(eps, 1, 1)
     status = "max_iter"
-    try:
-        g = oracle.grad(x)
-        f = oracle.value(x)
-    except NonFiniteError:
-        return tr.close("overflow", x, oracle)
-    normg0 = float(np.linalg.norm(g))
-    alpha0 = 1.0 / normg0 if normg0 > 0 else 1.0
-    for _ in range(max_iter):
-        normg = float(np.linalg.norm(g))
-        tr.add_eval(normg, f)
-        if normg <= eps:
-            status = "converged"
-            break
-        alpha = alpha0
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS + 1):
-            x_try = x - alpha * g
-            try:
-                f_try = oracle.value(x_try)
-            except NonFiniteError:
-                f_try = np.inf
-            if f_try <= f - _ARMIJO_C1 * alpha * normg * normg:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            status = "linesearch_failure"
-            break
-        # no model and no radius: every column but the step norm is NaN
-        tr.add_step(np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan,
-                    float(alpha * normg))
-        x = x_try
-        f = f_try
+    with np.errstate(all="ignore"):
         try:
-            g = oracle.grad(x)
+            g, gg = oracle.grad(x)
+            f = oracle.value(x)
         except NonFiniteError:
-            status = "overflow"
-            break
+            return tr.close("overflow", x, oracle)
+        normg = math.sqrt(gg)
+        alpha0 = 1.0 / normg if normg > 0 else 1.0
+        for _ in range(max_iter):
+            tr.add_eval(normg, f)
+            if normg <= eps:
+                status = "converged"
+                break
+            alpha = alpha0
+            accepted = False
+            for _ in range(_MAX_BACKTRACKS + 1):
+                x_try = x - alpha * g
+                try:
+                    f_try = oracle.value(x_try)
+                except NonFiniteError:
+                    f_try = np.inf
+                if f_try <= f - _ARMIJO_C1 * alpha * normg * normg:
+                    accepted = True
+                    break
+                alpha *= 0.5
+            if not accepted:
+                status = "linesearch_failure"
+                break
+            # no model and no radius: every column but the step norm is NaN
+            tr.add_step(np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan,
+                        float(alpha * normg))
+            x = x_try
+            f = f_try
+            try:
+                g, gg = oracle.grad(x)
+            except NonFiniteError:
+                status = "overflow"
+                break
+            normg = math.sqrt(gg)
     return tr.close(status, x, oracle)

@@ -208,7 +208,12 @@ def _envelope_constant(p: TheoryParams, mu: float) -> float:
     kBL = p.kappa_B + p.L
     if abs(mu - 0.5) < 1e-12:
         big = 8.0 * p.n * p.kappa_B * kBL / (p.tau * vth**1.5 * th)
-        w = lambert_w_m1(-p.tau * s * th * vth**1.5 / (8.0 * p.n * p.kappa_B * kBL))
+        arg = -p.tau * s * th * vth**1.5 / (8.0 * p.n * p.kappa_B * kBL)
+        if arg == 0.0:
+            # arg = -s / big underflowed, so the last term, at least
+            # (0.5 / s) big**2 = 0.5 s / arg**2, is far above the float range
+            return np.inf
+        w = lambert_w_m1(arg)
         return max(
             s,
             0.5 * np.exp(2.0 * p.gamma0 * vth * th**2 / (p.n * kBL)),

@@ -626,3 +626,27 @@ def test_a_banded_norm_leaves_numpy_random_unloaded():
             "make_problem('tridia', 1000).lipschitz_hint; "
             "assert 'numpy.random' not in sys.modules, 'numpy.random loaded'")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_direct_nonfinite_evaluations_raise_without_a_warning():
+    # warnings are errors in this suite: each evaluation overflows under its own errstate
+    p = make_problem("rosenbr", 4)
+    x = np.full(4, 1e200)
+    for method, what in (("value", "objective value"), ("grad", "gradient"), ("hess", "Hessian")):
+        with pytest.raises(NonFiniteError, match=f"^non-finite {what} evaluating problem 'rosenbr'$"):
+            getattr(p, method)(x)
+    oracle = NoisyOracle(p, 0.15, seed=2)
+    for method, what in (("value", "value"), ("grad", "gradient"), ("hess", "Hessian")):
+        with pytest.raises(NonFiniteError, match=f"^non-finite noisy {what} evaluating problem 'rosenbr'$"):
+            getattr(oracle, method)(x)
+    # none of the raw evaluations was finite, so no draw was used up
+    assert oracle._position == 0
+
+
+def test_noisy_gradient_pushed_past_the_largest_float_uses_up_its_draw():
+    p = dataclasses.replace(make_problem("cube", 2), grad_fn=lambda x: np.full(2, 1.7e308))
+    pos = next(k for k in range(100) if np.random.default_rng([3, k]).standard_normal(2).max() > 1.0)
+    oracle = NoisyOracle(p, 0.5, seed=3, _position=pos)
+    with pytest.raises(NonFiniteError, match="non-finite noisy gradient"):
+        oracle.grad(p.x0)
+    assert oracle._position == pos + 1

@@ -15,6 +15,7 @@ from offo.solver import (
     sdba_run,
     solve_subproblem,
     trust_radius,
+    zero_model_step,
 )
 from offo.theory import TheoryParams, series_bound
 
@@ -118,16 +119,15 @@ def test_zero_model_closed_form_cauchy_matches_matvec_path_bitwise(geometry):
         if geometry == "ball":
             w[:] = w[0]
         radii = trust_radius(g, w, geometry)
-        closed = cauchy_step(g, None, radii, geometry)
+        s, q = zero_model_step(g, radii, geometry)
         product = cauchy_step(g, zero.matvec, radii, geometry)
-        assert closed.s_L.tobytes() == product.s_L.tobytes()
-        assert closed.s_Q.tobytes() == product.s_Q.tobytes()
-        assert _same_float(closed.gamma, product.gamma)
-        assert _same_float(closed.q_Q, product.q_Q)
-        s_a, q_a = solve_subproblem(g, zero, radii, geometry, closed, tau=0.1, tol=1e-10)
+        # the loop records the step as its own Cauchy point: gamma 1, q_Q = q + 0.0
+        assert s.tobytes() == product.s_L.tobytes() == product.s_Q.tobytes()
+        assert _same_float(1.0, product.gamma)
+        assert _same_float(q + 0.0, product.q_Q)
         s_b, q_b = solve_subproblem(g, zero, radii, geometry, product, tau=0.1, tol=1e-10)
-        assert s_a.tobytes() == s_b.tobytes() == product.s_L.tobytes()
-        assert _same_float(q_a, q_b)
+        assert s_b.tobytes() == s.tobytes()
+        assert _same_float(q_b, q)
 
 
 def _assert_zero_model_box_steps(tr):
@@ -474,6 +474,59 @@ def test_overflow_keeps_the_completed_evaluations(derivative, model):
         assert type(col) is np.ndarray and col.dtype == np.float64, c
     assert type(tr.final_normg) is float and tr.final_normg == tr.normg[-1]
     assert type(tr.x_final) is np.ndarray and tr.x_final.max() >= 3.0
+
+
+def _gradient_turning(bad, at=3.0):
+    """f = -x1 - x2 from 0, whose gradient's second entry turns ``bad`` once max(x) >= at."""
+    return ProblemInstance(f"turning-{bad}", 2, np.zeros(2), -np.inf, lambda x: -x.sum(),
+                           lambda x: -np.ones(2) if x.max() < at else np.array([-1.0, bad]))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.15])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_nonfinite_gradient_ends_the_run_as_overflow(bad, noise):
+    target = NoisyOracle(_gradient_turning(bad), noise, seed=1) if noise else _gradient_turning(bad)
+    cfg = Astr1Config(scaling=rule_from_name("adagrad"), max_iter=1000)
+    for tr in (astr1_run(target, cfg), sdba_run(target, max_iter=1000)):
+        assert tr.status == "overflow"
+        # the failing evaluation was counted but not recorded
+        assert tr.g_evals == len(tr.normg) + 1 and tr.steps == len(tr.normg) >= 2
+        assert np.isfinite(tr.normg).all() and tr.x_final.max() >= 3.0
+
+
+def test_a_finite_gradient_whose_squares_overflow_is_no_overflow():
+    # g.g = inf here, yet g is finite; warnings are errors in this suite
+    p = ProblemInstance("linear", 2, np.zeros(2), -np.inf, lambda x: 1e200 * x.sum(),
+                        lambda x: np.full(2, 1e200))
+    runs = {rule: astr1_run(p, Astr1Config(scaling=rule_from_name(rule), max_iter=5))
+            for rule in ("adagrad", "maxg")}
+    for rule, tr in runs.items():
+        assert tr.status == "max_iter" and tr.g_evals == tr.steps == 5, rule
+        assert (tr.normg == np.inf).all(), rule
+    # adagrad's weights are infinite, so its steps are zero; maxg's are not
+    assert (runs["adagrad"].step_norm == 0.0).all() and (runs["maxg"].step_norm > 0.0).all()
+    tr = sdba_run(p, max_iter=5)
+    assert tr.status == "linesearch_failure" and tr.g_evals == 1 and tr.f_evals == 52
+
+
+def test_the_run_oracle_keeps_the_noisy_draw_rule():
+    p = make_problem("box3", 3)
+    bad = np.array([-800.0, 1.0, 1.0])  # exp(-t x1) overflows
+    oracle = solver._CountingOracle(NoisyOracle(p, 0.15, seed=3))
+    huge = dataclasses.replace(p, fn=lambda x: 1.7e308)
+    pos = next(k for k in range(100) if np.random.default_rng([3, k]).standard_normal() > 1.0)
+    pushed = solver._CountingOracle(NoisyOracle(huge, 0.5, seed=3, _position=pos))
+    # a run calls its oracle inside one errstate of its own
+    with np.errstate(all="ignore"):
+        with pytest.raises(problems.NonFiniteError, match="non-finite noisy value"):
+            oracle.value(bad)
+        with pytest.raises(problems.NonFiniteError, match="non-finite noisy gradient"):
+            oracle.grad(bad)
+        # a finite value that the noise pushes past the largest float uses up its draw
+        with pytest.raises(problems.NonFiniteError):
+            pushed.value(p.x0)
+    assert oracle.target._position == 0 and oracle.f_evals == oracle.g_evals == 1
+    assert pushed.target._position == pos + 1
 
 
 def test_band_hessian_with_an_infinite_entry_ends_the_run_as_overflow(monkeypatch):

@@ -410,3 +410,25 @@ def test_bracket_check_starts_past_an_integral_threshold(steps, checked):
 def test_envelope_constant_that_overflows_is_inf(mu, gamma0):
     # warnings are errors in this suite, so an overflow warning fails here too
     assert envelope_constant(TheoryParams(L=1.0, gamma0=gamma0, n=10), mu) == math.inf
+
+
+@pytest.mark.parametrize("L", [1e306, 1e308])
+def test_envelope_constant_whose_lambert_argument_underflows_is_inf(L):
+    # at L = 1e308 the argument -s / big underflows to -0.0, outside the branch
+    assert envelope_constant(TheoryParams(L=L, gamma0=1.0, n=10), 0.5) == math.inf
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("tridia", "0x1.c8e7b508a587bp+47"),
+    ("hilbert", "0x1.96d6be99370f9p+35"),
+    ("arglina", "0x1.e978846db857bp+35"),
+])
+def test_criterion_4_envelope_constants_keep_their_bits(name, expected):
+    # criterion 4's zero-model runs have kappa_B = 1, so the trace is not needed
+    p = params_for_run(make_problem(name, 10), rule_from_name("adagrad"), 0.1)
+    assert envelope_constant(p, 0.5).hex() == expected
+
+
+@pytest.mark.parametrize("mu, expected", [(0.45, "0x1.5077f7605ab1ap+38"), (0.55, "0x1.270e185eb4320p+38")])
+def test_envelope_constant_off_one_half_keeps_its_bits(mu, expected):
+    assert envelope_constant(TheoryParams(L=4.0, gamma0=10.0, n=10), mu).hex() == expected
