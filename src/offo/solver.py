@@ -257,26 +257,26 @@ class IterationTrace:
                 wr.writerow([k, f"{self.normg[k]:.12g}", f_k, *stepped, self.status if k == last else ""])
 
 
-def trust_radius(g: Array, w: Array, geometry: str):
-    """Radii from the scaled gradient: per-coordinate (box) or scalar (ball)."""
+def trust_radius(g: Array, w: Array, geometry: str, normg: Optional[float] = None):
+    """Radii from the scaled gradient: per-coordinate (box) or scalar (ball; ``normg``: ||g|| if known)."""
     if geometry == "box":
         return np.abs(g) / w
-    return float(np.linalg.norm(g) / w[0])
+    return float((np.linalg.norm(g) if normg is None else normg) / w[0])
 
 
-def zero_model_step(g: Array, radii, geometry: str):
+def zero_model_step(g: Array, radii, geometry: str, normg: Optional[float] = None):
     """The zero model's step and its model value ``(s, g.s)``.
 
     s is the scaled steepest-descent step s_L of every model's Cauchy step:
     -sign(g_i) Delta_i per coordinate in a box, -Delta g / ||g|| in a ball.
     Under the zero model it is also the Cauchy point (gamma = 1) and the
-    subproblem's solution.
+    subproblem's solution.  ``normg`` is as in :func:`trust_radius`.
     """
     if geometry == "box":
         # -sign(g) * radii, up to the sign of the zero step of a g_i = -0.0
         s = np.copysign(radii, -g)
     else:
-        normg = np.linalg.norm(g)
+        normg = np.linalg.norm(g) if normg is None else normg
         s = -(radii / normg) * g if normg > 0 else np.zeros_like(g)
     return s, float(g @ s)
 
@@ -295,23 +295,21 @@ def cauchy_step(g: Array, matvec, radii, geometry: str) -> CauchyStep:
     return CauchyStep(s_L=s_L, gamma=gamma, s_Q=s_Q, q_Q=q_Q)
 
 
-def _max_feasible(s, p, delta, free):
-    """Breakpoints of the ray s + t p against the box |s_i| <= delta_i.
+def _breakpoints(s, p, delta, neg, free):
+    """Breakpoints of the ray s + t p against the box -delta <= s <= delta.
 
-    Returns ``(a_bd, a_last, binding, bound)``: the first and the last step
-    length at which a free coordinate reaches its bound (inf when none
-    moves), the mask of coordinates reaching it first, and each
-    coordinate's bound in the direction of p.
+    ``neg`` is -delta.  Returns ``(a_bd, alphas, moving, bound)``: the first
+    step length at which a free coordinate reaches its bound (inf when none
+    moves), each coordinate's step length to its bound (inf for those that
+    do not move), the mask of the free coordinates that move, and each
+    coordinate's bound in the direction of p.  The divide runs on every
+    coordinate, so the caller holds ``np.errstate``.
     """
     moving = free & (p != 0.0)
-    bound = np.where(p > 0.0, delta, -delta)
-    alphas = np.divide(bound - s, p, out=np.full(s.size, np.inf), where=moving)
+    bound = np.where(p > 0.0, delta, neg)
+    alphas = np.where(moving, (bound - s) / p, np.inf)
     np.maximum(alphas, 0.0, out=alphas)
-    a_bd = float(alphas.min())
-    if a_bd == np.inf:
-        return a_bd, a_bd, moving, bound
-    binding = moving & (alphas <= a_bd * (1.0 + 1e-12))
-    return a_bd, float(alphas.max(where=moving, initial=0.0)), binding, bound
+    return float(alphas.min()), alphas, moving, bound
 
 
 #: halvings of the projected search before it settles for the truncated point
@@ -320,26 +318,31 @@ _MAX_HALVINGS = 30
 _MAX_RELEASES = 3
 
 
-def _projected_search(g, matvec, s, p, delta, t, a_bd, q_bd, free):
+def _projected_search(g, matvec, s, p, delta, neg, t, a_bd, q_bd, free):
     """Projected backtracking along P(s + t p), P = clip(., -delta, delta).
 
     Halves t while t > a_bd, at most ``_MAX_HALVINGS`` times.  Returns
-    ``(y, active)`` for the first projected point y whose model value is at
-    most ``q_bd``, the value at the truncated point s + a_bd p; ``active``
-    marks the free coordinates y leaves on their bounds with the model
-    gradient pointing outward.  None if no trial does.
+    ``(y, By, g + By, q(y), active)`` for the first projected point y whose
+    model value q(y) is at most ``q_bd``, the value at the truncated point
+    s + a_bd p; ``active`` marks the free coordinates y leaves on their bounds
+    with the model gradient pointing outward.  None if no trial does.
     """
     for _ in range(_MAX_HALVINGS + 1):
         if not t > a_bd:
             break
-        y = np.clip(s + t * p, -delta, delta)
+        y = s + t * p
+        np.maximum(y, neg, out=y)
+        np.minimum(y, delta, out=y)
         By = matvec(y)
-        if float(g @ y + 0.5 * (y @ By)) <= q_bd:
-            return y, free & (np.abs(y) == delta) & (y * (g + By) <= 0.0)
+        q = float(g @ y + 0.5 * (y @ By))
+        if q <= q_bd:
+            grad = g + By
+            return y, By, grad, q, free & (np.abs(y) == delta) & (y * grad <= 0.0)
         t *= 0.5
     return None
 
 
+@np.errstate(all="ignore")  # breakpoint quotients of every coordinate, even p_i = 0
 def _cg_box(g, matvec, delta, tol):
     """Truncated conjugate gradients on the quadratic model inside the box.
 
@@ -354,16 +357,22 @@ def _cg_box(g, matvec, delta, tol):
     """
     n = g.size
     s = np.zeros(n)
+    neg = -delta
     fixed = delta <= 0.0
     releases = _MAX_RELEASES
     settled = False
+    # B s, g + B s and q(s) of the current s, for the next restart (from the
+    # accepted search point, or from the last restart); None once s moves on
+    Bs = None
     for _ in range((_MAX_RELEASES + 1) * (n + 1)):
         done = settled or fixed.all()
         # the frozen coordinates are the fixed ones with s_i != 0 (delta_i > 0)
         if done and not (releases and np.any(fixed & (s != 0.0))):
             break
-        Bs = matvec(s)
-        grad = g + Bs
+        if Bs is None:
+            Bs = matvec(s)
+            grad = g + Bs
+            q = float(g @ s + 0.5 * (s @ Bs))
         if done:
             back = fixed & (s * grad > 0.0)
             if not back.any():
@@ -371,50 +380,53 @@ def _cg_box(g, matvec, delta, tol):
             fixed = fixed & ~back
             releases -= 1
         free = ~fixed
-        q = float(g @ s + 0.5 * (s @ Bs))
         r = -grad
         r[fixed] = 0.0
         rr = float(r @ r)
         settled = True
-        if np.sqrt(rr) <= tol:
+        if math.sqrt(rr) <= tol:
             continue
         p = r.copy()
         for _ in range(2 * n + 5):
             Bp = matvec(p)
             Bp[fixed] = 0.0
             pBp = float(p @ Bp)
-            a_bd, a_last, binding, bound = _max_feasible(s, p, delta, free)
+            a_bd, alphas, moving, bound = _breakpoints(s, p, delta, neg, free)
             if pBp <= 0.0:
                 # negative curvature: search back from the last breakpoint
-                if not np.isfinite(a_bd):
+                if not math.isfinite(a_bd):
                     break
-                t = a_last
+                t = float(np.where(moving, alphas, 0.0).max())
             else:
                 alpha = rr / pBp
                 if alpha < a_bd:
                     s = s + alpha * p
+                    Bs = None
                     q -= alpha * rr - 0.5 * alpha * alpha * pBp
                     r = r - alpha * Bp
                     rr_new = float(r @ r)
-                    if np.sqrt(rr_new) <= tol:
+                    if math.sqrt(rr_new) <= tol:
                         break
                     p = r + (rr_new / rr) * p
                     rr = rr_new
                     continue
                 t = alpha
+            binding = moving & (alphas <= a_bd * (1.0 + 1e-12))
             q_bd = q - a_bd * rr + 0.5 * a_bd * a_bd * pBp
-            found = _projected_search(g, matvec, s, p, delta, t, a_bd, q_bd, free)
+            found = _projected_search(g, matvec, s, p, delta, neg, t, a_bd, q_bd, free)
             if found is None:
                 s = s + a_bd * p
                 s[binding] = bound[binding]
+                Bs = None
             else:
-                s, active = found
+                s, Bs, grad, q, active = found
                 if active.any():
                     binding = active
             fixed = fixed | binding
             settled = False
             break
-    np.clip(s, -delta, delta, out=s)
+    np.maximum(s, neg, out=s)
+    np.minimum(s, delta, out=s)
     return s
 
 
@@ -519,9 +531,9 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
             absg = np.abs(g)
             accumulate(state, rule, normg if aggregated else absg)
             w = weights(state, rule)
-            radii = absg / w if box else trust_radius(g, w, geometry)
+            radii = absg / w if box else trust_radius(g, w, geometry, normg)
             if model.is_zero:
-                s, q_s = zero_model_step(g, radii, geometry)
+                s, q_s = zero_model_step(g, radii, geometry, normg)
                 # the step is its own Cauchy point; q_Q adds the curvature
                 # term s.(0 s) = +0.0, as a product with the zero model does
                 gamma, q_Q = 1.0, q_s + 0.0

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -120,6 +121,11 @@ def test_zero_model_closed_form_cauchy_matches_matvec_path_bitwise(geometry):
             w[:] = w[0]
         radii = trust_radius(g, w, geometry)
         s, q = zero_model_step(g, radii, geometry)
+        # the run loop passes the norm it holds, sqrt(g.g)
+        normg = math.sqrt(float(g.dot(g)))
+        assert np.float64(trust_radius(g, w, geometry, normg)).tobytes() == np.float64(radii).tobytes()
+        s_n, q_n = zero_model_step(g, radii, geometry, normg)
+        assert s_n.tobytes() == s.tobytes() and _same_float(q_n, q)
         product = cauchy_step(g, zero.matvec, radii, geometry)
         # the loop records the step as its own Cauchy point: gamma 1, q_Q = q + 0.0
         assert s.tobytes() == product.s_L.tobytes() == product.s_Q.tobytes()
@@ -297,11 +303,8 @@ def test_box_cg_step_is_inside_and_beats_cauchy(kind):
         assert model_value(g, B, s) <= 0.1 * cs.q_Q, (kind, seed)
 
 
-def test_box_subproblem_matvec_budget_at_large_n(monkeypatch):
-    # four adagbfgs3 steps on broyden3d at n=1000 from a perturbed x0; one
-    # CG restart per bound hit took about 7900 matvecs here
-    p = make_problem("broyden3d", 1000)
-    p = dataclasses.replace(p, x0=p.x0 + 1e-3 * np.random.default_rng(0).standard_normal(p.n))
+def _count_subproblem_products(monkeypatch):
+    """The list to which each ``solve_subproblem`` call appends its matvec count."""
     counted = []
     original = solver.solve_subproblem
 
@@ -312,14 +315,27 @@ def test_box_subproblem_matvec_budget_at_large_n(monkeypatch):
         return out
 
     monkeypatch.setattr(solver, "solve_subproblem", counting)
+    return counted
+
+
+def _four_bfgs_steps_on_broyden3d():
+    """Four adagbfgs3 steps on broyden3d at n=1000 from a perturbed x0."""
+    p = make_problem("broyden3d", 1000)
+    p = dataclasses.replace(p, x0=p.x0 + 1e-3 * np.random.default_rng(0).standard_normal(p.n))
     cfg = Astr1Config(scaling=rule_from_name("adagrad"), model="lbfgs3", max_iter=4)
-    tr = astr1_run(p, cfg)
+    return astr1_run(p, cfg)
+
+
+def test_box_subproblem_matvec_budget_at_large_n(monkeypatch):
+    # one CG restart per bound hit took about 7900 matvecs here
+    counted = _count_subproblem_products(monkeypatch)
+    tr = _four_bfgs_steps_on_broyden3d()
     assert tr.steps == len(counted) == 4
     assert sum(counted) <= 1000
 
 
 def _reference_max_feasible(s, p, delta, free):
-    """``solver._max_feasible`` filling the breakpoints by fancy indexing."""
+    """The box breakpoints filled in by fancy indexing: ``(a_bd, a_last, binding, bound)``."""
     n = s.size
     alphas = np.full(n, np.inf)
     moving = free & (p != 0.0)
@@ -335,6 +351,8 @@ def _reference_max_feasible(s, p, delta, free):
 
 @pytest.mark.parametrize("frozen", ["some", "all", "none"])
 def test_max_feasible_equals_the_fancy_index_reference_bitwise(frozen):
+    # ``solver._breakpoints`` and the expressions ``_cg_box`` applies to its
+    # result when CG leaves the interior, against the fancy-index reference
     rng = np.random.default_rng(17)
     for trial in range(300):
         n = int(rng.integers(1, 12))
@@ -352,13 +370,196 @@ def test_max_feasible_equals_the_fancy_index_reference_bitwise(frozen):
         p[kind == 2] = tiny[kind == 2]
         free = {"some": rng.random(n) < 0.7, "all": np.zeros(n, bool),
                 "none": np.ones(n, bool)}[frozen]
-        with np.errstate(over="ignore"):
-            got = solver._max_feasible(s, p, delta, free)
+        with np.errstate(all="ignore"):
+            a_bd, alphas, moving, bound = solver._breakpoints(s, p, delta, -delta, free)
+            a_last = float(np.where(moving, alphas, 0.0).max()) if np.isfinite(a_bd) else a_bd
+            got = (a_bd, a_last, moving & (alphas <= a_bd * (1.0 + 1e-12)), bound)
             want = _reference_max_feasible(s, p, delta, free)
         tag = (trial, s, p, delta, free)
         assert _same_float(got[0], want[0]) and _same_float(got[1], want[1]), tag
         assert got[2].dtype == want[2].dtype and got[2].tobytes() == want[2].tobytes(), tag
         assert got[3].tobytes() == want[3].tobytes(), tag
+
+
+# The box subproblem as it was before it reused products and computed its
+# breakpoints on demand, kept verbatim as the bitwise reference of ``_cg_box``.
+
+def _masked_max_feasible(s, p, delta, free):
+    moving = free & (p != 0.0)
+    bound = np.where(p > 0.0, delta, -delta)
+    alphas = np.divide(bound - s, p, out=np.full(s.size, np.inf), where=moving)
+    np.maximum(alphas, 0.0, out=alphas)
+    a_bd = float(alphas.min())
+    if a_bd == np.inf:
+        return a_bd, a_bd, moving, bound
+    binding = moving & (alphas <= a_bd * (1.0 + 1e-12))
+    return a_bd, float(alphas.max(where=moving, initial=0.0)), binding, bound
+
+
+def _reference_projected_search(g, matvec, s, p, delta, t, a_bd, q_bd, free):
+    for _ in range(solver._MAX_HALVINGS + 1):
+        if not t > a_bd:
+            break
+        y = np.clip(s + t * p, -delta, delta)
+        By = matvec(y)
+        if float(g @ y + 0.5 * (y @ By)) <= q_bd:
+            return y, free & (np.abs(y) == delta) & (y * (g + By) <= 0.0)
+        t *= 0.5
+    return None
+
+
+def _reference_cg_box(g, matvec, delta, tol):
+    n = g.size
+    s = np.zeros(n)
+    fixed = delta <= 0.0
+    releases = solver._MAX_RELEASES
+    settled = False
+    for _ in range((solver._MAX_RELEASES + 1) * (n + 1)):
+        done = settled or fixed.all()
+        if done and not (releases and np.any(fixed & (s != 0.0))):
+            break
+        Bs = matvec(s)
+        grad = g + Bs
+        if done:
+            back = fixed & (s * grad > 0.0)
+            if not back.any():
+                break
+            fixed = fixed & ~back
+            releases -= 1
+        free = ~fixed
+        q = float(g @ s + 0.5 * (s @ Bs))
+        r = -grad
+        r[fixed] = 0.0
+        rr = float(r @ r)
+        settled = True
+        if np.sqrt(rr) <= tol:
+            continue
+        p = r.copy()
+        for _ in range(2 * n + 5):
+            Bp = matvec(p)
+            Bp[fixed] = 0.0
+            pBp = float(p @ Bp)
+            a_bd, a_last, binding, bound = _masked_max_feasible(s, p, delta, free)
+            if pBp <= 0.0:
+                if not np.isfinite(a_bd):
+                    break
+                t = a_last
+            else:
+                alpha = rr / pBp
+                if alpha < a_bd:
+                    s = s + alpha * p
+                    q -= alpha * rr - 0.5 * alpha * alpha * pBp
+                    r = r - alpha * Bp
+                    rr_new = float(r @ r)
+                    if np.sqrt(rr_new) <= tol:
+                        break
+                    p = r + (rr_new / rr) * p
+                    rr = rr_new
+                    continue
+                t = alpha
+            q_bd = q - a_bd * rr + 0.5 * a_bd * a_bd * pBp
+            found = _reference_projected_search(g, matvec, s, p, delta, t, a_bd, q_bd, free)
+            if found is None:
+                s = s + a_bd * p
+                s[binding] = bound[binding]
+            else:
+                s, active = found
+                if active.any():
+                    binding = active
+            fixed = fixed | binding
+            settled = False
+            break
+    np.clip(s, -delta, delta, out=s)
+    return s
+
+
+def _assert_cg_box_keeps_its_bits(g, matvec, delta, tol, tag):
+    with np.errstate(all="ignore"):
+        want = _reference_cg_box(g, matvec, delta, tol)
+    got = solver._cg_box(g, matvec, delta, tol)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), tag
+
+
+def _large_n_model_runs():
+    """``(problem, config)`` of the large-n benchmark's curvature-model runs at
+    seed 0: adagbb, adagbfgs3 and adagH on broyden3d and tridia at n = 1000,
+    from x0 + 1e-3 (1 + |x0|) N(0, 1), one draw per problem in this order."""
+    rng = np.random.default_rng(0)
+    for name in ("broyden3d", "tridia"):
+        p = make_problem(name, 1000)
+        p = dataclasses.replace(p, x0=p.x0 + 1e-3 * (1.0 + np.abs(p.x0)) * rng.standard_normal(p.n))
+        for method, max_iter in (("adagbb", 8), ("adagbfgs3", 4), ("adagH", 2)):
+            yield p, bench.method_config(method, 1e-3, max_iter)
+
+
+def test_box_cg_equals_the_reference_on_the_large_n_subproblems(monkeypatch):
+    seen = []
+    cg_box = solver._cg_box
+
+    def recording(g, matvec, delta, tol):
+        seen.append((g.copy(), matvec, delta.copy(), tol))
+        return cg_box(g, matvec, delta, tol)
+
+    monkeypatch.setattr(solver, "_cg_box", recording)
+    for problem, cfg in _large_n_model_runs():
+        astr1_run(problem, cfg)
+    monkeypatch.undo()
+    assert [args[0].size for args in seen] == [1000] * 28
+    for k, args in enumerate(seen):
+        _assert_cg_box_keeps_its_bits(*args, k)
+
+
+def test_box_subproblem_reuses_the_products_it_has(monkeypatch):
+    # with a fresh B s at every CG restart, these took 478 and 2219 products
+    counted = _count_subproblem_products(monkeypatch)
+    _four_bfgs_steps_on_broyden3d()
+    assert len(counted) == 4 and sum(counted) <= 333
+    counted.clear()
+    for problem, cfg in _large_n_model_runs():
+        astr1_run(problem, cfg)
+    assert len(counted) == 28 and sum(counted) <= 1749
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 40])
+def test_box_cg_equals_the_reference_on_dense_models(n):
+    rng = np.random.default_rng(n)
+    for trial in range(120):
+        kind = trial % 3
+        if kind == 0:
+            A = rng.normal(size=(n, n))
+            B = A @ A.T / n + 0.1 * np.eye(n)
+        elif kind == 1:
+            U = rng.normal(size=(n, min(3, n)))
+            B = np.diag(rng.uniform(0.5, 2.0, n)) + U @ U.T
+        else:
+            Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            B = Q @ np.diag(rng.uniform(-3.0, 3.0, n)) @ Q.T
+        g = rng.normal(size=n)
+        radii = np.abs(g) / rng.uniform(0.2, 5.0, n)
+        variant = trial // 3 % 4
+        if variant == 1:
+            # zero radii: those coordinates are fixed from the start
+            radii[rng.random(n) < 0.3] = 0.0
+        elif variant == 2:
+            # subnormal gradient entries: their breakpoint quotients overflow
+            tiny = rng.random(n) < 0.5
+            g[tiny] = np.copysign(5e-324 * rng.integers(1, 1 << 20, n), g)[tiny]
+        elif variant == 3:
+            radii[rng.random(n) < 0.3] = np.inf
+        model = matrix_model(B)
+        _assert_cg_box_keeps_its_bits(g, model.matvec, radii, 1e-10, (n, trial))
+
+
+def test_box_cg_equals_the_reference_without_a_breakpoint():
+    # no moving coordinate ever reaches its bound: an infinite radius, and a
+    # subnormal gradient whose quotient overflows; every direction has
+    # negative curvature, or a positive one so small that the CG step length
+    # overflows too (next to a coordinate fixed by a zero radius)
+    for g, radii, c in ((np.array([1.0, -2.0]), np.array([np.inf, np.inf]), -1.0),
+                        (np.array([5e-324, -1.0]), np.array([1.0, np.inf]), -1.0),
+                        (np.array([1.0, -2.0, 0.5]), np.array([np.inf, np.inf, 0.0]), 1e-320)):
+        model = matrix_model(c * np.eye(g.size))
+        _assert_cg_box_keeps_its_bits(g, model.matvec, radii, 1e-10, (g, radii))
 
 
 def test_noisy_runs_own_their_stream():
