@@ -382,7 +382,8 @@ def test_max_feasible_equals_the_fancy_index_reference_bitwise(frozen):
 
 
 # The box subproblem as it was before it reused products and computed its
-# breakpoints on demand, kept verbatim as the bitwise reference of ``_cg_box``.
+# breakpoints on demand, kept statement for statement as the bitwise
+# reference of ``_cg_box``.
 
 def _masked_max_feasible(s, p, delta, free):
     moving = free & (p != 0.0)

@@ -10,7 +10,8 @@ whose outputs ``diff`` equal produce bit-identical traces on:
 
 * every method on every desk problem, noise-free and at 15% noise (seed 0),
   eps 1e-3, at most 500 iterations, through ``bench.solve``;
-* the large-n configurations of the benchmark at seed 0;
+* the large-n configurations of the benchmark at seed 0, and its
+  curvature-model runs (``LARGE_MODEL_METHODS``) at seeds 1 to 9;
 * both worst-case replays at K = 300;
 * two instrumented runs that record their iterate, gradient and weight vectors;
 * runs that stop on a non-finite gradient, objective value or Hessian.
@@ -44,6 +45,11 @@ DESK_NOISE = (0.0, 0.15)
 DESK_EPS = 1e-3
 DESK_MAX_ITER = 500
 REPLAY_K = 300
+#: the large-n methods that solve a box subproblem, digested at every seed:
+#: each seed gives 28 subproblems and 8 to 12 rounds of releasing frozen
+#: coordinates, so ten seeds reach ten times the CG paths of seed 0 alone
+LARGE_MODEL_METHODS = ("adagbb", "adagbfgs3", "adagH")
+LARGE_SEEDS = 10
 
 
 def _feed(h, value):
@@ -95,10 +101,13 @@ def runs():
                     yield key, bench.solve(method, target, DESK_EPS, DESK_MAX_ITER)
                 except problems.CapabilityError:
                     yield key, None
-    large = workloads.large_setup(0)
-    for problem in large.problems:
-        for method, cfg in large.configs.items():
-            yield f"large-n {method} {problem.name}:{problem.n}", solver.astr1_run(problem, cfg)
+    for seed in range(LARGE_SEEDS):
+        large = workloads.large_setup(seed)
+        tag = "large-n" if seed == 0 else f"large-n seed={seed}"
+        for problem in large.problems:
+            for method, cfg in large.configs.items():
+                if seed == 0 or method in LARGE_MODEL_METHODS:
+                    yield f"{tag} {method} {problem.name}:{problem.n}", solver.astr1_run(problem, cfg)
     for kind in sharpness.KINDS:
         seq = sharpness.build_sequence(kind, REPLAY_K)
         rep = sharpness.replay(seq, sharpness.hermite_build(seq))
