@@ -7,6 +7,9 @@ applied independently to each evaluated scalar; noise draws are a pure
 function of ``(seed, stream position)`` so replays are deterministic. They are
 exactly the draws of ``np.random.default_rng([seed, position])``, whose seed
 words are hashed for a whole block of 1024 positions at once.
+
+Every evaluation of either, made by a run or called directly, goes through an
+:class:`Oracle`, which counts it and checks it for finiteness.
 """
 from __future__ import annotations
 
@@ -39,8 +42,27 @@ class CapabilityError(RuntimeError):
     """A capability (Hessian, exact Lipschitz constant, ...) is missing."""
 
 
+class _DirectCalls:
+    """``value``, ``grad`` and ``hess`` called directly: each makes one
+    evaluation through a fresh :class:`Oracle`, under its own ``np.errstate``."""
+
+    def value(self, x: Array) -> float:
+        with np.errstate(all="ignore"):
+            return Oracle(self).value(np.asarray(x, dtype=float))
+
+    def grad(self, x: Array) -> Array:
+        with np.errstate(all="ignore"):
+            return Oracle(self).grad(np.asarray(x, dtype=float))[0]
+
+    def hess(self, x: Array) -> Array | Bands:
+        """The Hessian at x: a dense array, or the ``Bands`` of a banded family,
+        whose ``np.asarray`` is the dense matrix."""
+        with np.errstate(all="ignore"):
+            return Oracle(self).hess(np.asarray(x, dtype=float))
+
+
 @dataclass
-class ProblemInstance:
+class ProblemInstance(_DirectCalls):
     """A differentiable test function with derivatives and metadata.
 
     ``f_low`` is a certified lower bound on f (attained or not).
@@ -50,8 +72,10 @@ class ProblemInstance:
     bound within a few ulps.  Any other problem raises
     :class:`CapabilityError`.
 
-    ``grad_fn`` returns a float array of shape (n,): a run uses it as it is,
-    where :meth:`grad` converts it.
+    Evaluations are used as the functions return them, unconverted: at a
+    float64 x of shape (n,), ``fn`` returns a Python float or ``np.float64``,
+    ``grad_fn`` a float64 array of shape (n,), and ``hess_fn`` a float64
+    array of shape (n, n) or a ``Bands`` of float64 bands.
     """
 
     name: str
@@ -72,37 +96,11 @@ class ProblemInstance:
             self._lipschitz = spectral_norm(self.hess(self.x0))
         return self._lipschitz
 
-    def value(self, x: Array) -> float:
-        return float(_guarded(self, self.fn, x, "value"))
-
-    def grad(self, x: Array) -> Array:
-        return _guarded(self, self.grad_fn, x, "gradient")
-
-    def _required_hess_fn(self) -> Callable[[Array], Array]:
-        """The analytic Hessian; CapabilityError when the problem has none."""
+    def _hess(self, x: Array) -> Array | Bands:
+        """The analytic Hessian at x, unchecked; CapabilityError when there is none."""
         if self.hess_fn is None:
             raise CapabilityError(f"problem '{self.name}' has no analytic Hessian")
-        return self.hess_fn
-
-    def hess(self, x: Array) -> Array | Bands:
-        """The Hessian at x: a dense array, or the ``Bands`` of a banded family,
-        whose ``np.asarray`` is the dense matrix."""
-        return _guarded(self, self._required_hess_fn(), x, "Hessian")
-
-    def unguarded(self) -> tuple:
-        """The value, gradient and Hessian as functions of a float array x,
-        with no ``np.errstate``, no finiteness check and no conversion.
-
-        A run calls them inside one ``np.errstate`` of its own, checks each
-        result once and calls :meth:`reject` on a non-finite one.  The Hessian
-        function raises :class:`CapabilityError` when there is none.
-        """
-        return self.fn, self.grad_fn, lambda x: self._required_hess_fn()(x)
-
-    def reject(self, kind: str):
-        """Raise the NonFiniteError of a non-finite "value", "gradient" or "Hessian"."""
-        what = "objective value" if kind == "value" else kind
-        raise NonFiniteError(f"non-finite {what} evaluating problem '{self.name}'")
+        return self.hess_fn(x)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -121,19 +119,6 @@ def all_finite(v) -> bool:
     if isinstance(v, Bands):
         return all(np.isfinite(band).all() for band in v)
     return bool(np.isfinite(v).all())
-
-
-def _guarded(target, evaluate, x, kind: str):
-    """``evaluate(x)`` as a direct caller gets it: under its own
-    ``np.errstate``, as floats (a ``Bands`` as it is) and checked once."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(all="ignore"):
-        v = evaluate(x)
-    if not isinstance(v, Bands):
-        v = np.asarray(v, dtype=float)
-    if not all_finite(v):
-        target.reject(kind)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +237,13 @@ def apply_noise(oracle: "NoisyOracle", value, stream_position: int):
 
 
 @dataclass
-class NoisyOracle:
+class NoisyOracle(_DirectCalls):
     """Evaluation oracle contaminating f, g and H with relative noise.
 
-    Each evaluation runs the inner problem's raw function and the noise under
-    one ``np.errstate`` and checks the noisy result for finiteness once; a run
-    calls the same evaluations through :meth:`unguarded`.  A ``Bands`` Hessian
-    is made dense first, so noise is drawn per n x n entry.
+    Each evaluation, direct or in a run, goes through an :class:`Oracle`,
+    which draws the noise with :meth:`_draw` and checks the noisy result for
+    finiteness once.  A ``Bands`` Hessian is made dense first, so noise is
+    drawn per n x n entry.
     """
 
     inner: ProblemInstance
@@ -267,7 +252,7 @@ class NoisyOracle:
     _position: int = field(default=0, repr=False)
     #: ``((seed, block), words)`` of the block last drawn from; a copy starts empty
     _block: tuple = field(default=(None, None), init=False, repr=False, compare=False)
-    #: the raw evaluation of the last draw, which ``reject`` reads
+    #: the raw evaluation of the last draw, which ``Oracle`` reads on a non-finite result
     _raw: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -285,41 +270,76 @@ class NoisyOracle:
         return self._block[1][row]
 
     def _draw(self, fn, x: Array):
-        """fn(x) with the noise of the current position, which it uses up,
-        unguarded as :meth:`ProblemInstance.unguarded` is."""
+        """fn(x) with the noise of the current position, which it uses up; unchecked."""
         self._raw = raw = fn(x)
         out = apply_noise(self, raw, self._position)
         self._position += 1
         return out
 
-    def value(self, x: Array) -> float:
-        return float(_guarded(self, functools.partial(self._draw, self.inner.fn), x, "value"))
-
-    def grad(self, x: Array) -> Array:
-        return _guarded(self, functools.partial(self._draw, self.inner.grad_fn), x, "gradient")
-
-    def hess(self, x: Array) -> Array:
-        return _guarded(self, functools.partial(self._draw, self._dense_hess), x, "Hessian")
-
     def _dense_hess(self, x: Array) -> Array:
-        return np.asarray(self.inner._required_hess_fn()(x), dtype=float)
+        return np.asarray(self.inner._hess(x), dtype=float)
 
-    def unguarded(self) -> tuple:
-        """The noisy value, gradient and Hessian, unguarded as
-        :meth:`ProblemInstance.unguarded` is; each call uses up a draw."""
-        fns = (self.inner.fn, self.inner.grad_fn, self._dense_hess)
-        return tuple(functools.partial(self._draw, fn) for fn in fns)
 
-    def reject(self, kind: str):
-        """Raise the NonFiniteError of a non-finite noisy evaluation.
+class Oracle:
+    """Counted, checked evaluations of a problem or a noisy oracle.
 
-        Only a finite raw evaluation uses up its draw, as it always has, so a
-        caller that catches the error (sdba's backtracking) keeps its stream:
-        the draw of a non-finite raw value is given back.
+    It is the one place an evaluation is checked for finiteness and a
+    :class:`NonFiniteError` raised.  A run makes every evaluation through one,
+    inside one ``np.errstate`` of its own, and the zero-objective-call
+    guarantee reads ``f_evals``; a direct ``value``, ``grad`` or ``hess`` call
+    makes its one evaluation through a fresh one.
+    """
+
+    def __init__(self, target):
+        self.target = target
+        if isinstance(target, NoisyOracle):
+            fns = (target.inner.fn, target.inner.grad_fn, target._dense_hess)
+            self._value, self._grad, self._hess = (functools.partial(target._draw, fn) for fn in fns)
+        else:
+            self._value, self._grad, self._hess = target.fn, target.grad_fn, target._hess
+        self.f_evals = self.g_evals = self.h_evals = 0
+
+    def value(self, x: Array) -> float:
+        self.f_evals += 1
+        v = float(self._value(x))
+        if not math.isfinite(v):
+            self._reject("value")
+        return v
+
+    def grad(self, x: Array) -> tuple:
+        """The gradient g and g.g, which is its one finiteness check: a finite
+        g.g means a finite g, and only an infinite one, which may come from a
+        finite g whose squares overflow, is checked entry by entry."""
+        self.g_evals += 1
+        g = self._grad(x)
+        # ndarray.dot spares part of @'s overhead and differs from @ only in
+        # the sign of a zero result, which is +0.0 for a sum of squares
+        gg = float(g.dot(g))
+        if not math.isfinite(gg) and not np.isfinite(g).all():
+            self._reject("gradient")
+        return g, gg
+
+    def hess(self, x: Array) -> Array | Bands:
+        self.h_evals += 1
+        H = self._hess(x)
+        if not all_finite(H):
+            self._reject("Hessian")
+        return H
+
+    def _reject(self, kind: str):
+        """Raise the NonFiniteError of a non-finite "value", "gradient" or "Hessian".
+
+        Only a finite raw noisy evaluation uses up its draw, as it always has,
+        so a caller that catches the error (sdba's backtracking) keeps its
+        stream: the draw of a non-finite raw value is given back.
         """
-        if not all_finite(self._raw):
-            self._position -= 1
-        raise NonFiniteError(f"non-finite noisy {kind} evaluating problem '{self.inner.name}'")
+        target = self.target
+        if isinstance(target, NoisyOracle):
+            if not all_finite(target._raw):
+                target._position -= 1
+            raise NonFiniteError(f"non-finite noisy {kind} evaluating problem '{target.inner.name}'")
+        what = "objective value" if kind == "value" else kind
+        raise NonFiniteError(f"non-finite {what} evaluating problem '{target.name}'")
 
 
 def base_problem(target) -> ProblemInstance:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .hessian import check_kappa_B, make_model
-from .problems import NonFiniteError, all_finite, base_problem, fresh_stream
+from .problems import NonFiniteError, Oracle, base_problem, fresh_stream
 from .scaling import ScalingRule, accumulate, new_state, weights
 
 Array = np.ndarray
@@ -67,48 +67,6 @@ class CauchyStep:
     gamma: float
     s_Q: Array
     q_Q: float
-
-
-class _CountingOracle:
-    """Counts every oracle call; the zero-objective-call guarantee reads f_evals.
-
-    It calls the target's unguarded evaluations, so the run enters one
-    ``np.errstate`` for its whole length, and checks each result once.
-    """
-
-    def __init__(self, target):
-        self.target = target
-        self._value, self._grad, self._hess = target.unguarded()
-        self.f_evals = 0
-        self.g_evals = 0
-        self.h_evals = 0
-
-    def value(self, x):
-        self.f_evals += 1
-        v = float(self._value(x))
-        if not math.isfinite(v):
-            self.target.reject("value")
-        return v
-
-    def grad(self, x):
-        """The gradient g and g.g, which is its one finiteness check: a finite
-        g.g means a finite g, and only an infinite one, which may come from a
-        finite g whose squares overflow, is checked entry by entry."""
-        self.g_evals += 1
-        g = self._grad(x)
-        # ndarray.dot spares part of @'s overhead and differs from @ only in
-        # the sign of a zero result, which is +0.0 for a sum of squares
-        gg = float(g.dot(g))
-        if not math.isfinite(gg) and not np.isfinite(g).all():
-            self.target.reject("gradient")
-        return g, gg
-
-    def hess(self, x):
-        self.h_evals += 1
-        H = self._hess(x)
-        if not all_finite(H):
-            self.target.reject("Hessian")
-        return H
 
 
 #: the step-indexed columns of a trace, in field order
@@ -498,7 +456,7 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
     each gradient is checked once, by its squared norm.
     """
     base = base_problem(problem)
-    oracle = _CountingOracle(fresh_stream(problem))
+    oracle = Oracle(fresh_stream(problem))
     x = np.array(base.x0, dtype=float)
     n = base.n
     rule = cfg.scaling
@@ -542,7 +500,7 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
                 tol = max(_CG_ABS, _CG_REL * normg)
                 s, q_s = solve_subproblem(g, model, radii, geometry, cs, tau, tol)
                 gamma, q_Q = cs.gamma, cs.q_Q
-            step_norm = math.sqrt(float(s.dot(s)))  # as g.dot(g) in _CountingOracle.grad
+            step_norm = math.sqrt(float(s.dot(s)))  # as g.dot(g) in Oracle.grad
             # a finite norm means a finite step; an infinite one may still come
             # from a finite step whose squares overflow
             if not math.isfinite(step_norm) and not np.isfinite(s).all():
@@ -569,7 +527,7 @@ def sdba_run(problem, eps: float = 1e-6, max_iter: int = 100_000) -> IterationTr
     """
     check_stopping(eps, max_iter)
     base = base_problem(problem)
-    oracle = _CountingOracle(fresh_stream(problem))
+    oracle = Oracle(fresh_stream(problem))
     x = np.array(base.x0, dtype=float)
     tr = IterationTrace.open(eps, 1, 1)
     status = "max_iter"

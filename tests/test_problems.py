@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from offo import hessian, problems
+from offo import hessian, problems, sharpness
 from offo.problems import (
     CapabilityError,
     CatalogError,
@@ -650,3 +650,110 @@ def test_noisy_gradient_pushed_past_the_largest_float_uses_up_its_draw():
     with pytest.raises(NonFiniteError, match="non-finite noisy gradient"):
         oracle.grad(p.x0)
     assert oracle._position == pos + 1
+
+
+def _as_bytes(v):
+    """An evaluation's type and bytes; a ``Bands`` band by band."""
+    if isinstance(v, hessian.Bands):
+        return "Bands", [_as_bytes(band) for band in v]
+    if isinstance(v, np.ndarray):
+        return "ndarray", v.dtype.str, v.shape, v.tobytes()
+    return type(v).__name__, np.float64(v).tobytes()
+
+
+def _evaluations(call, x_points):
+    """``call(method, x)`` for value, grad and hess at each point, in order:
+    each result's bytes, or the error's type and message."""
+    out = []
+    for x in x_points:
+        for method in ("value", "grad", "hess"):
+            try:
+                out.append(_as_bytes(call(method, x)))
+            except (NonFiniteError, CapabilityError) as exc:
+                out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def _direct_and_run_oracle(target, x_points):
+    """The evaluations of direct calls on ``target`` and of the same calls
+    through a run's oracle, each with the stream position it leaves."""
+    oracle = problems.Oracle(problems.fresh_stream(target))
+
+    def through_oracle(method, x):
+        with np.errstate(all="ignore"):
+            v = getattr(oracle, method)(x)
+        return v[0] if method == "grad" else v
+
+    run = _evaluations(through_oracle, x_points), getattr(oracle.target, "_position", None)
+    direct = _evaluations(lambda method, x: getattr(target, method)(x), x_points)
+    return (direct, getattr(target, "_position", None)), run
+
+
+@pytest.mark.parametrize("name,n", default_suite())
+@pytest.mark.parametrize("noise", [0.0, 0.15])
+def test_direct_calls_equal_the_run_oracle_bitwise(name, n, noise):
+    p = make_problem(name, n)
+    rng = np.random.default_rng(5)
+    x_points = [p.x0, p.x0 + rng.uniform(-0.5, 0.5, n)]
+    target = NoisyOracle(p, noise, seed=0) if noise else p
+    direct, run = _direct_and_run_oracle(target, x_points)
+    assert direct == run
+    if noise:
+        assert direct[1] == 6 - 2 * (p.hess_fn is None)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.15])
+@pytest.mark.parametrize("name,n,x", [("rosenbr", 10, np.full(10, 1e200)),
+                                      ("box3", 3, np.array([-800.0, 1.0, 1.0]))])
+def test_direct_and_run_oracle_nonfinite_evaluations_agree(name, n, x, noise):
+    p = make_problem(name, n)
+    target = NoisyOracle(p, noise, seed=0) if noise else p
+    direct, run = _direct_and_run_oracle(target, [x, p.x0])
+    assert direct == run
+    # the three raw evaluations at x are non-finite: each raises, and only
+    # the three at x0 use up draws
+    assert [r[0] for r in direct[0][:3]] == ["NonFiniteError"] * 3
+    assert direct[1] == (3 if noise else None)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.15])
+def test_direct_gradient_whose_squares_overflow_is_returned(noise):
+    # g.g = inf here, yet g is finite; warnings are errors in this suite
+    p = problems.ProblemInstance("linear", 2, np.zeros(2), -np.inf, lambda x: 1e200 * x.sum(),
+                                 lambda x: np.full(2, 1e200))
+    target = NoisyOracle(p, noise, seed=0) if noise else p
+    g = target.grad(np.full(2, 1e200))
+    expected = apply_noise(target, np.full(2, 1e200), 0) if noise else np.full(2, 1e200)
+    assert g.tobytes() == expected.tobytes() and np.isfinite(g).all()
+
+
+def _contract_points(p, seed=13):
+    return [p.x0, p.x0 + np.random.default_rng(seed).uniform(-0.5, 0.5, p.n)]
+
+
+def _check_evaluation_contract(p):
+    for x in _contract_points(p):
+        assert type(p.fn(x)) in (float, np.float64), p.name
+        g = p.grad_fn(x)
+        assert isinstance(g, np.ndarray) and g.dtype == np.float64 and g.shape == (p.n,), p.name
+        if p.hess_fn is None:
+            continue
+        H = p.hess_fn(x)
+        if isinstance(H, hessian.Bands):
+            assert all(isinstance(b, np.ndarray) and b.dtype == np.float64 and b.shape == (p.n - k,)
+                       for k, b in enumerate(H)), p.name
+        else:
+            assert isinstance(H, np.ndarray) and H.dtype == np.float64, p.name
+            assert H.shape == (p.n, p.n), p.name
+
+
+@pytest.mark.parametrize("name,n", default_suite())
+def test_catalog_evaluations_keep_the_contract(name, n):
+    # direct calls and runs both return the functions' results unconverted
+    _check_evaluation_contract(make_problem(name, n))
+
+
+@pytest.mark.parametrize("kind", sharpness.KINDS)
+def test_sharpness_problem_keeps_the_evaluation_contract(kind):
+    seq = sharpness.build_sequence(kind, 50)
+    _check_evaluation_contract(sharpness.as_problem(sharpness.hermite_build(seq)))

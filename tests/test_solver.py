@@ -714,10 +714,10 @@ def test_a_finite_gradient_whose_squares_overflow_is_no_overflow():
 def test_the_run_oracle_keeps_the_noisy_draw_rule():
     p = make_problem("box3", 3)
     bad = np.array([-800.0, 1.0, 1.0])  # exp(-t x1) overflows
-    oracle = solver._CountingOracle(NoisyOracle(p, 0.15, seed=3))
+    oracle = problems.Oracle(NoisyOracle(p, 0.15, seed=3))
     huge = dataclasses.replace(p, fn=lambda x: 1.7e308)
     pos = next(k for k in range(100) if np.random.default_rng([3, k]).standard_normal() > 1.0)
-    pushed = solver._CountingOracle(NoisyOracle(huge, 0.5, seed=3, _position=pos))
+    pushed = problems.Oracle(NoisyOracle(huge, 0.5, seed=3, _position=pos))
     # a run calls its oracle inside one errstate of its own
     with np.errstate(all="ignore"):
         with pytest.raises(problems.NonFiniteError, match="non-finite noisy value"):

@@ -8,7 +8,8 @@ For each workload of ``BENCHMARK.json`` and each of the 10 pairs i, both
 commits run ``perfbench/run.py --workload W --seed i --seconds S``, with S
 the benchmark's ``run_seconds``, from a fresh ``git archive`` copy each, the
 parent first in even pairs and the change first in odd ones.  The output
-records every run's end-to-end metrics, and per metric the medians, the
+records every run's verdict (``failed``, ``correct`` and the exit code, per
+side and workload) and end-to-end metrics, and per metric the medians, the
 parent's quartiles and the number of pairs the change wins (ties count for
 neither side), with the environment.
 """
@@ -107,7 +108,8 @@ def main() -> None:
                 runs[side].append(_run(revs[side], w["name"], i, seconds))
                 print(w["name"], i, side, json.dumps(runs[side][-1]["metrics"]), flush=True)
         result["workloads"][w["name"]] = {
-            "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
+            **{field: {side: [r[field] for r in rs] for side, rs in runs.items()}
+               for field in ("failed", "correct", "exit_code")},
             "metrics": {
                 name: _summary([r["metrics"][name]["value"] for r in runs["parent"]],
                                [r["metrics"][name]["value"] for r in runs["change"]], better)

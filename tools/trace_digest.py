@@ -4,9 +4,9 @@ Run from the root of a checkout, with no options:
 
     python3 tools/trace_digest.py > digest.txt
 
-Each line is a run's key and a sha256 over every ``IterationTrace`` field's
-name, Python type and bytes (dtype and shape too, for arrays).  Two checkouts
-whose outputs ``diff`` equal produce bit-identical traces on:
+Each run line is a run's key and a sha256 over every ``IterationTrace``
+field's name, Python type and bytes (dtype and shape too, for arrays).  Two
+checkouts whose outputs ``diff`` equal produce bit-identical traces on:
 
 * every method on every desk problem, noise-free and at 15% noise (seed 0),
   eps 1e-3, at most 500 iterations, through ``bench.solve``;
@@ -15,6 +15,13 @@ whose outputs ``diff`` equal produce bit-identical traces on:
 * both worst-case replays at K = 300;
 * two instrumented runs that record their iterate, gradient and weight vectors;
 * runs that stop on a non-finite gradient, objective value or Hessian.
+
+The last lines digest direct evaluations, one line per desk problem,
+noise-free and at 15% noise (seed 0): a sha256 over the Python type and bytes
+of what ``value``, ``grad`` and ``hess`` return at x0 and at one fixed
+jittered point, called in that order on one oracle (``unsupported`` for a
+missing Hessian, the exception's type and message for any other error), and
+over the stream position the calls leave.
 
 The script imports offo from ``src/`` and the benchmark's workloads from
 ``perfbench/`` of the checkout it lives in, and uses only APIs that predate it.
@@ -38,7 +45,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
 
-from offo import bench, problems, sharpness, solver  # noqa: E402
+from offo import bench, hessian, problems, sharpness, solver  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 DESK_NOISE = (0.0, 0.15)
@@ -50,6 +57,8 @@ REPLAY_K = 300
 #: coordinates, so ten seeds reach ten times the CG paths of seed 0 alone
 LARGE_MODEL_METHODS = ("adagbb", "adagbfgs3", "adagH")
 LARGE_SEEDS = 10
+#: seed of the jitter of the second direct-evaluation point
+DIRECT_JITTER_SEED = 5
 
 
 def _feed(h, value):
@@ -125,9 +134,45 @@ def runs():
         yield key, bench.solve(method, target, 1e-6, 1000, instrument_f=derivative == "value")
 
 
+def direct_digest(target) -> str:
+    """sha256 over direct value, grad and hess calls on ``target`` at x0 and
+    a jittered point, and the stream position they leave."""
+    problem = problems.base_problem(target)
+    jitter = np.random.default_rng(DIRECT_JITTER_SEED).uniform(-0.5, 0.5, problem.n)
+    h = hashlib.sha256()
+    for x in (problem.x0, problem.x0 + jitter):
+        for method in ("value", "grad", "hess"):
+            h.update(method.encode())
+            try:
+                value = getattr(target, method)(x)
+            except problems.CapabilityError:
+                h.update(b"unsupported")
+                continue
+            except Exception as exc:  # recorded, so that two checkouts compare
+                h.update(f"{type(exc).__name__}: {exc}".encode())
+                continue
+            if isinstance(value, hessian.Bands):
+                h.update(b"Bands")
+                value = list(value)
+            _feed(h, value)
+    _feed(h, getattr(target, "_position", None))
+    return h.hexdigest()
+
+
+def direct_evaluations():
+    """``(key, digest)`` of direct evaluations on every desk problem."""
+    for name, n in problems.default_suite():
+        problem = problems.make_problem(name, n)
+        for noise in DESK_NOISE:
+            target = problem if noise == 0.0 else problems.NoisyOracle(problem, noise, 0)
+            yield f"direct {name}:{n} noise={noise:g}", direct_digest(target)
+
+
 def main():
     for key, trace in runs():
         print(f"{key} {'unsupported' if trace is None else trace.status + ' ' + digest(trace)}")
+    for key, sha in direct_evaluations():
+        print(f"{key} {sha}")
 
 
 if __name__ == "__main__":
