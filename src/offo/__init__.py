@@ -10,7 +10,6 @@ from .problems import (
     apply_noise,
     catalog,
     default_suite,
-    evaluate,
     make_problem,
 )
 from .scaling import ScalingRule, ScalingState, as4_floor, new_state, rule_from_name, update, weights
@@ -61,7 +60,6 @@ __all__ = [
     "default_suite",
     "emit",
     "envelope_constant",
-    "evaluate",
     "hermite_build",
     "lambert_w_m1",
     "make_model",

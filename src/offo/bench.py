@@ -72,26 +72,23 @@ class RunRecord:
         return self.status == "converged"
 
 
-def method_config(method: str, eps: float, max_iter: int, geometry: Optional[str] = None,
+def method_config(method: str, eps: float, max_iter: int,
                   instrument_f: bool = False) -> Optional[Astr1Config]:
-    """The named method's settings (None for ``sdba``); ValueError for a bad name or setting.
-
-    ``geometry`` overrides the method's own trust-region shape.
-    """
+    """The named method's settings (None for ``sdba``); ValueError for a bad name or setting."""
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'; known: {', '.join(sorted(METHODS))}")
     spec = METHODS[method]
     if spec.is_sdba:
-        if geometry or instrument_f:
-            raise ValueError("method 'sdba' takes neither a geometry nor instrument_f")
+        if instrument_f:
+            raise ValueError("method 'sdba' takes no instrument_f")
         check_stopping(eps, max_iter)
         return None
     return Astr1Config(scaling=RULES[spec.scaling], model=spec.model,
-                       geometry=geometry or spec.geometry, eps=eps, max_iter=max_iter,
+                       geometry=spec.geometry, eps=eps, max_iter=max_iter,
                        instrument_f=instrument_f)
 
 
-def solve(method: str, target, eps: float, max_iter: int, geometry: Optional[str] = None,
+def solve(method: str, target, eps: float, max_iter: int,
           instrument_f: bool = False) -> IterationTrace:
     """Run the named method, set up by :func:`method_config`, on a problem or
     noisy oracle and return its trace.
@@ -99,7 +96,7 @@ def solve(method: str, target, eps: float, max_iter: int, geometry: Optional[str
     A problem lacking what the method needs (an analytic Hessian for the
     ``adagH`` family) raises :class:`CapabilityError`.
     """
-    cfg = method_config(method, eps, max_iter, geometry, instrument_f)
+    cfg = method_config(method, eps, max_iter, instrument_f)
     if cfg is None:
         return sdba_run(target, eps=eps, max_iter=max_iter)
     return astr1_run(target, cfg)
@@ -211,15 +208,6 @@ class ProfileReport:
     curves: dict  # method -> (ts, rhos) as lists, right-continuous steps
     pi: dict
     rho: dict
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProfileReport":
-        return cls(
-            methods=list(d["methods"]),
-            curves={m: (list(t), list(r)) for m, (t, r) in d["curves"].items()},
-            pi=dict(d["pi"]),
-            rho=dict(d["rho"]),
-        )
 
 
 def _step_area(ts, rhos, t_max):

@@ -33,8 +33,6 @@ def _usage_errors():
 @click.option("--n", type=int, default=None, help="dimension (family default if omitted)")
 @click.option("--method", default="adagrad", show_default=True,
               help=f"one of: {', '.join(sorted(bench_mod.METHODS))}")
-@click.option("--geometry", type=click.Choice(["box", "ball"]), default=None,
-              help="trust-region shape (defaults to the method's own)")
 @click.option("--eps", type=float, default=1e-6, show_default=True)
 @click.option("--max-iter", type=int, default=100_000, show_default=True)
 @click.option("--noise", type=float, default=0.0, show_default=True)
@@ -42,16 +40,15 @@ def _usage_errors():
 @click.option("--instrument-f", is_flag=True, help="record objective values (verification only)")
 @click.option("--trace", "trace_path", type=click.Path(), default=None,
               help="write a per-iteration CSV trace")
-def run_cmd(problem_name, n, method, geometry, eps, max_iter, noise, seed,
-            instrument_f, trace_path):
+def run_cmd(problem_name, n, method, eps, max_iter, noise, seed, instrument_f, trace_path):
     """Run one method on one problem and print the outcome."""
     with _usage_errors():
-        bench_mod.method_config(method, eps, max_iter, geometry, instrument_f)
+        bench_mod.method_config(method, eps, max_iter, instrument_f)
         problem = make_problem(problem_name, n)
         target = problem if noise == 0.0 else NoisyOracle(problem, noise, seed)
     head = f"{method} on {problem.name}(n={problem.n}):"
     try:
-        trace = bench_mod.solve(method, target, eps, max_iter, geometry, instrument_f)
+        trace = bench_mod.solve(method, target, eps, max_iter, instrument_f)
     except CapabilityError as exc:
         click.echo(f"{head} status=unsupported ({exc})")
         sys.exit(1)

@@ -1,6 +1,6 @@
 """Bounded symmetric curvature models for the quadratic step model.
 
-Three classes: ``ZeroModel`` (``none``), ``LbfgsModel`` (``lbfgsM``, M direct
+Three classes: ``ZeroModel`` (``none``), ``LbfgsModel`` (``lbfgs3``, M=3 direct
 BFGS updates on the spectral base scale * I, held in compact form so that a
 product costs O(n M); ``bb`` is its memory 0) and ``ExactModel`` (``exact``,
 the true Hessian, refreshed per iterate).  Each supplies a raw operator and
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -474,22 +475,24 @@ def check_kappa_B(kappa_B: float) -> None:
         raise ValueError("kappa_B must be >= 1")
 
 
-def make_model(kind: str, kappa_B: float = 1e5) -> CurvatureModel:
-    """Build a curvature model from its selection string (none|bb|lbfgsM|exact).
+#: the curvature models by selection name, each built as ``MODELS[kind](kappa_B=...)``;
+#: ``bb`` is L-BFGS with memory 0, and any other memory is ``LbfgsModel(memory=m)``
+MODELS = {
+    "none": ZeroModel,
+    "bb": partial(LbfgsModel, memory=0),
+    "lbfgs3": partial(LbfgsModel, memory=3),
+    "exact": ExactModel,
+}
 
-    ``lbfgsM`` keeps the M latest secant pairs; bare ``lbfgs`` keeps 3 and
-    ``bb`` none.
-    """
+
+def check_model(kind: str) -> None:
+    """ValueError unless ``kind`` names a model of :data:`MODELS`."""
+    if kind not in MODELS:
+        raise ValueError(f"unknown model kind '{kind}'; known: {', '.join(MODELS)}")
+
+
+def make_model(kind: str, kappa_B: float = 1e5) -> CurvatureModel:
+    """The curvature model of that name in :data:`MODELS`, under the cap kappa_B."""
     check_kappa_B(kappa_B)
-    if kind == "none":
-        return ZeroModel(kappa_B=kappa_B)
-    if kind == "bb":
-        return LbfgsModel(kappa_B=kappa_B, memory=0)
-    if kind.startswith("lbfgs") and (kind[5:] or "3").isdecimal():
-        mem = int(kind[5:] or 3)
-        if mem < 1:
-            raise ValueError("lbfgs memory must be positive")
-        return LbfgsModel(kappa_B=kappa_B, memory=mem)
-    if kind == "exact":
-        return ExactModel(kappa_B=kappa_B)
-    raise ValueError(f"unknown model kind '{kind}'; known: none, bb, lbfgsM, exact")
+    check_model(kind)
+    return MODELS[kind](kappa_B=kappa_B)

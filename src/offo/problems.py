@@ -394,25 +394,6 @@ def make_problem(name: str, n: Optional[int] = None) -> ProblemInstance:
     return builder(int(n))
 
 
-def evaluate(problem: ProblemInstance, x: Array, order: int = 0):
-    """Evaluate f and the requested derivatives: returns (f, g or None, H or None).
-
-    H is a dense array or a ``Bands``, as ``ProblemInstance.hess`` returns it;
-    ``np.asarray(H)`` gives the dense matrix.
-    """
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.n,):
-        raise DimensionError(f"x has shape {x.shape}, expected ({problem.n},)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    f = problem.value(x)
-    g = problem.grad(x) if order >= 1 else None
-    h = problem.hess(x) if order >= 2 else None
-    return f, g, h
-
-
 # -- shared parts -------------------------------------------------------------
 
 

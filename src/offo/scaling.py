@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Union
+from numbers import Real
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class ScalingRule:
     nu: float = 0.1
     theta: float = 1.0
     vartheta: float = 1.0
-    sigma: Union[float, Array] = 0.01
+    sigma: float = 0.01
     beta2: float = 0.9
     aggregated: bool = False
     theta_auto: bool = False
@@ -54,13 +54,11 @@ class ScalingRule:
             raise ValueError("mu must lie in (0, 1)")
         if not 0.0 < self.vartheta <= 1.0:
             raise ValueError("vartheta must lie in (0, 1]")
-        if not self.theta > 0.0:
-            raise ValueError("theta must be positive")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
         if not 0.0 < self.beta2 < 1.0:
             raise ValueError("beta2 must lie in (0, 1)")
-        sig = np.atleast_1d(np.asarray(self.sigma, dtype=float))
-        # all() of an empty sigma is True; its min() would fail later, in new_state
-        if not (sig.size and np.all((sig > 0.0) & (sig <= 1.0))):
+        if not (isinstance(self.sigma, Real) and 0.0 < self.sigma <= 1.0):
             raise ValueError("sigma must lie in (0, 1]")
         if self.variant.startswith("diminishing") and not 0.0 < self.nu <= self.mu:
             raise ValueError("diminishing rules need 0 < nu <= mu")
@@ -69,27 +67,14 @@ class ScalingRule:
         """The weight factor theta at dimension n (sqrt(n) for ``theta_auto`` rules)."""
         return float(np.sqrt(n)) if self.theta_auto else self.theta
 
-    def sigma_vector(self, width: int) -> Array:
-        sig = np.atleast_1d(np.asarray(self.sigma, dtype=float))
-        if sig.size == 1:
-            return np.full(width, sig[0])
-        if self.aggregated:
-            return np.full(width, float(sig.min()))
-        if sig.size != width:
-            raise ValueError(f"sigma has length {sig.size}, expected {width}")
-        return sig
-
-    @property
-    def sigma_min(self) -> float:
-        return float(np.min(np.atleast_1d(np.asarray(self.sigma, dtype=float))))
-
 
 @dataclass
 class ScalingState:
     """Accumulator state; ``k`` is the index of the last absorbed gradient.
 
-    ``sig`` is the rule's sigma vector at the accumulator's width, fixed by
-    :func:`new_state`.
+    ``sig`` is the rule's sigma repeated at the accumulator's width, fixed by
+    :func:`new_state`: :func:`weights` adds two arrays, which numpy does
+    faster than it adds a Python float to one.
     """
 
     k: int
@@ -102,7 +87,7 @@ class ScalingState:
 def new_state(rule: ScalingRule, n: int) -> ScalingState:
     width = 1 if rule.aggregated else n
     return ScalingState(k=-1, acc=np.zeros(width), n=n, theta=rule.theta_at(n),
-                        sig=rule.sigma_vector(width))
+                        sig=np.full(width, float(rule.sigma)))
 
 
 def update(state: ScalingState, rule: ScalingRule, g_k: Array) -> ScalingState:
@@ -154,13 +139,12 @@ def weights(state: ScalingState, rule: ScalingRule) -> Array:
 
 def as4_floor(rule: ScalingRule, n: int = 1) -> float:
     """Analytic positive lower bound on every weight the rule can produce."""
-    theta = rule.theta_at(n)
-    smin = rule.sigma_min
+    theta, sigma = rule.theta_at(n), rule.sigma
     if rule.variant == "adagrad-like":
-        return theta * np.sqrt(rule.vartheta) * smin**rule.mu
+        return theta * np.sqrt(rule.vartheta) * sigma**rule.mu
     if rule.variant == "adam-like":
-        return theta * np.sqrt(smin)
-    return theta * smin
+        return theta * np.sqrt(sigma)
+    return theta * sigma
 
 
 def aggregated_twin(rule: ScalingRule) -> ScalingRule:

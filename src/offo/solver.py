@@ -5,8 +5,8 @@ current gradient into per-coordinate radii Delta_i = |g_i| / w_i, minimizes
 the quadratic model over the box (or ball) with a truncated conjugate-gradient
 solve, and accepts any step achieving at least a tau-fraction of the scaled
 Cauchy point's model decrease.  Objective values are evaluated only by the
-backtracking baseline (:func:`sdba_run`) and, purely for verification, when
-``instrument_f`` is set.
+backtracking baseline (:func:`sdba_run`) and, purely for verification and
+without noise, when ``instrument_f`` is set.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hessian import check_kappa_B, make_model
+from .hessian import check_kappa_B, check_model, make_model
 from .problems import NonFiniteError, Oracle, base_problem, fresh_stream
 from .scaling import ScalingRule, accumulate, new_state, weights
 
@@ -54,6 +54,7 @@ class Astr1Config:
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
         check_kappa_B(self.kappa_B)
+        check_model(self.model)
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"geometry must be one of {GEOMETRIES}")
         if self.geometry == "ball" and not self.scaling.aggregated:
@@ -453,10 +454,12 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
     """Run the adaptively scaled trust-region iteration on a problem or oracle.
 
     The run enters one ``np.errstate(all="ignore")`` for its whole length, and
-    each gradient is checked once, by its squared norm.
+    each gradient is checked once, by its squared norm.  ``instrument_f``
+    records the noise-free f(x_k) through an oracle of its own, so that it
+    uses up none of a noisy run's draws; ``f_evals`` counts those evaluations.
     """
     base = base_problem(problem)
-    oracle = Oracle(fresh_stream(problem))
+    oracle, f_oracle = Oracle(fresh_stream(problem)), Oracle(base)
     x = np.array(base.x0, dtype=float)
     n = base.n
     rule = cfg.scaling
@@ -475,7 +478,7 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
             try:
                 g, gg = oracle.grad(x)
                 normg = math.sqrt(gg)
-                tr.add_eval(normg, oracle.value(x) if instrument_f else None, x=x, g=g)
+                tr.add_eval(normg, f_oracle.value(x) if instrument_f else None, x=x, g=g)
                 if normg <= eps:
                     status = "converged"
                     break
@@ -510,7 +513,9 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
                         model.norm_estimate(), q_s - tau * q_Q, step_norm)
             x = x + s
             prev_g, prev_s = g, s
-    return tr.close(status, x, oracle)
+    tr.close(status, x, oracle)
+    tr.f_evals += f_oracle.f_evals
+    return tr
 
 
 #: Armijo sufficient-decrease constant of the steepest-descent baseline

@@ -77,7 +77,7 @@ def params_for_run(
         kappa_B=kappa_B,
         theta=rule.theta_at(problem.n),
         vartheta=rule.vartheta,
-        sigma=rule.sigma_min,
+        sigma=rule.sigma,
     )
 
 
@@ -310,7 +310,7 @@ def bracket_threshold(p: TheoryParams, eta: float, nu: float) -> float:
     """
     s_min = min(p.sigma, 1.0)
     if not 0.0 < eta < p.tau * s_min:
-        raise ValueError("eta must lie in (0, tau * sigma_min)")
+        raise ValueError("eta must lie in (0, tau * s_min)")
     if not 0.0 < nu < 1.0:
         raise ValueError("nu must lie in (0, 1)")
     try:

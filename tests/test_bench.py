@@ -1,12 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from offo import bench
+import offo
+from offo import bench, hessian
 from offo.bench import (
     METHODS,
-    ProfileReport,
     RunRecord,
     emit,
     perf_profile,
@@ -14,7 +15,7 @@ from offo.bench import (
     run_one,
     success_rate,
 )
-from offo.scaling import rule_from_name
+from offo.scaling import RULES, rule_from_name
 from offo.solver import astr1_run
 
 
@@ -39,6 +40,16 @@ def test_methods_use_the_ball_exactly_for_aggregated_rules():
     for spec in METHODS.values():
         if not spec.is_sdba:
             assert (spec.geometry == "ball") == rule_from_name(spec.scaling).aggregated
+
+
+def test_every_name_is_a_key_of_one_table_and_every_export_resolves():
+    assert list(hessian.MODELS) == ["none", "bb", "lbfgs3", "exact"]
+    for spec in METHODS.values():
+        assert spec.model in hessian.MODELS, spec
+        # sdba alone has no scaling rule
+        assert spec.is_sdba or spec.scaling in RULES, spec
+    for name in offo.__all__:
+        getattr(offo, name)
 
 
 def test_matrix_cardinality():
@@ -184,8 +195,10 @@ def test_emit_files_and_json_roundtrip(tmp_path):
     rec_header = (tmp_path / "records.csv").read_text().splitlines()[0]
     assert rec_header.startswith("method,problem,n,noise,seed,eps,status,iterations")
     with open(tmp_path / "aggregate.json") as fh:
-        loaded = ProfileReport.from_dict(json.load(fh))
-    assert loaded == rep
+        loaded = json.load(fh)
+    # JSON holds each curve's (ts, rhos) pair as a list
+    assert loaded == {**dataclasses.asdict(rep),
+                      "curves": {m: list(c) for m, c in rep.curves.items()}}
     assert (tmp_path / "profile.csv").exists()
     assert all(str(p).startswith(str(tmp_path)) for p in paths)
 

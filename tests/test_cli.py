@@ -40,12 +40,12 @@ def test_run_reports_capability_gap():
 
 
 @pytest.mark.parametrize("args, message", [
-    (("run", "--problem", "rosenbr", "--method", "adagrad", "--geometry", "ball"),
-     "ball geometry requires an aggregated scaling rule"),
+    (("run", "--problem", "rosenbr", "--geometry", "ball"), "--geometry"),
     (("run", "--problem", "nosuch"), "unknown problem 'nosuch'"),
     (("run", "--problem", "woods", "--n", "5"), "problem 'woods' requires n a positive multiple of 4"),
     (("run", "--problem", "rosenbr", "--noise", "1.5"), "noise level must lie in [0, 1)"),
-    (("run", "--problem", "rosenbr", "--method", "sdba", "--geometry", "box"), "sdba"),
+    (("run", "--problem", "rosenbr", "--noise", "0.1", "--seed", "-1"),
+     "seed must be a non-negative integer"),
     (("run", "--problem", "rosenbr", "--method", "sdba", "--instrument-f"), "sdba"),
     (("problem", "nosuch"), "unknown problem 'nosuch'"),
     (("run", "--problem", "rosenbr", "--method", "nosuch"), "unknown method 'nosuch'; known:"),

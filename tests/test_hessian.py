@@ -591,10 +591,8 @@ def test_make_model_parsing():
     assert isinstance(make_model("none"), ZeroModel)
     assert isinstance(make_model("bb"), LbfgsModel)
     assert make_model("bb").memory == 0
-    assert isinstance(make_model("lbfgs5"), LbfgsModel)
-    assert make_model("lbfgs5").memory == 5
-    assert make_model("lbfgs").memory == 3
-    with pytest.raises(ValueError):
-        make_model("sr1")
-    with pytest.raises(ValueError, match="lbfgs memory must be positive"):
-        make_model("lbfgs0")
+    assert isinstance(make_model("lbfgs3"), LbfgsModel)
+    assert make_model("lbfgs3").memory == 3
+    for kind in ("sr1", "lbfgs", "lbfgs5", "lbfgs0"):
+        with pytest.raises(ValueError, match=f"unknown model kind '{kind}'"):
+            make_model(kind)

@@ -17,7 +17,6 @@ from offo.problems import (
     apply_noise,
     catalog,
     default_suite,
-    evaluate,
     make_problem,
 )
 
@@ -147,20 +146,6 @@ def test_lipschitz_hint_of_a_nonquadratic_is_a_capability_error():
     assert not p.lipschitz_exact
     with pytest.raises(CapabilityError, match="no exact Lipschitz constant"):
         p.lipschitz_hint
-
-
-def test_evaluate_orders():
-    p = make_problem("tridia", 5)
-    f, g, H = evaluate(p, p.x0, order=2)
-    assert g is not None and H is not None
-    f2, g2, H2 = evaluate(p, p.x0, order=0)
-    assert f2 == f and g2 is None and H2 is None
-
-
-def test_evaluate_order2_without_hessian_raises():
-    p = make_problem("helix", 3)
-    with pytest.raises(CapabilityError):
-        evaluate(p, p.x0, order=2)
 
 
 def test_overflow_raises_nonfinite():

@@ -136,7 +136,7 @@ def test_growth_band_of_diminishing_weights():
         g = rng.normal(size=3)
         state = update(state, rule, g)
         w = weights(state, rule)
-        base = np.maximum(rule.sigma_vector(3), state.acc)
+        base = np.maximum(np.full(3, rule.sigma), state.acc)
         assert np.all(w >= base * (k + 1) ** rule.nu - 1e-12)
         assert np.all(w <= base * (k + 1) ** rule.mu + 1e-12)
 
@@ -250,9 +250,3 @@ def test_named_rules():
     for name, fields in expected.items():
         rule = rule_from_name(name)
         assert (rule.variant, rule.mu, rule.nu, rule.aggregated, rule.theta_auto) == fields
-
-
-def test_per_coordinate_sigma_accepted():
-    rule = ScalingRule("adagrad-like", sigma=np.array([0.01, 0.04]))
-    _, hist = feed(rule, [[0.0, 0.0]])
-    assert hist[0] == pytest.approx([0.1, 0.2])

@@ -615,11 +615,17 @@ def test_instrumented_run_records_f_without_affecting_steps():
     cfg_a = Astr1Config(scaling=rule_from_name("adagrad"), eps=1e-5, max_iter=300)
     cfg_b = Astr1Config(scaling=rule_from_name("adagrad"), eps=1e-5, max_iter=300,
                         instrument_f=True)
-    ta = astr1_run(p, cfg_a)
-    tb = astr1_run(p, cfg_b)
-    assert np.array_equal(ta.normg, tb.normg)
-    assert tb.f_evals == len(tb.normg)
-    assert not np.any(np.isnan(tb.f))
+    # a noisy run's objective values use up none of its noise draws
+    for target in (p, NoisyOracle(p, 0.15, seed=0)):
+        ta = astr1_run(target, cfg_a)
+        tb = astr1_run(target, cfg_b)
+        assert ta.normg.tobytes() == tb.normg.tobytes()
+        assert ta.x_final.tobytes() == tb.x_final.tobytes()
+        assert ta.g_evals == tb.g_evals
+        assert tb.f_evals == len(tb.normg)
+        assert not np.any(np.isnan(tb.f))
+        # the recorded values are the noise-free ones
+        assert tb.f[0] == p.value(p.x0)
 
 
 def test_determinism_bitwise():
@@ -818,7 +824,7 @@ _STEP_COLUMNS = ("w_min", "w_max", "delta_min", "delta_max", "gamma", "q_step",
 
 
 def _reference_weights(rule, acc, k, n, theta):
-    sig = rule.sigma_vector(acc.size)
+    sig = np.full(acc.size, rule.sigma)
     if rule.variant == "adagrad-like":
         w = theta * np.sqrt(rule.vartheta) * (sig + acc) ** rule.mu
     elif rule.variant == "adam-like":
@@ -1003,6 +1009,10 @@ def test_block_seeded_noise_gives_the_reference_traces(monkeypatch):
     (lambda: make_model("none", kappa_B=np.nan), "kappa_B must be >= 1"),
     (lambda: make_model("lbfgsx"), "unknown model kind 'lbfgsx'"),
     (lambda: make_problem("rosenbr", 10.7), "problem 'rosenbr' requires n >= 2, got n=10.7"),
+    (lambda: ScalingRule("adagrad-like", theta=np.inf), "theta must be positive and finite"),
+    (lambda: ScalingRule("adagrad-like", sigma=np.array([0.01, 0.04])), "sigma must lie in (0, 1]"),
+    (lambda: Astr1Config(scaling=rule_from_name("adagrad"), model="sr1"),
+     "unknown model kind 'sr1'"),
 ])
 def test_nan_empty_and_non_integral_settings_are_rejected(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
