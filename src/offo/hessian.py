@@ -16,7 +16,9 @@ Eigenvalue Problem, 1965; Golub & Van Loan, Matrix Computations, 4th ed.,
 width; a band Hessian is never made dense.  Every raw norm is exact up to a
 backward error of order eps ||B|| (the banded one errs upward); every
 product goes through the shared cap, which rescales the operator by
-``kappa_B / ||B||`` whenever ``||B|| > kappa_B``.
+``kappa_B / ||B||`` whenever ``||B|| > kappa_B``.  Only the exact model
+offers its diagonal as the box subproblem's Jacobi scaling
+(``jacobi_scale``).
 """
 from __future__ import annotations
 
@@ -69,6 +71,13 @@ class CurvatureModel:
     def norm_estimate(self) -> float:
         """Spectral norm of the capped operator (computed, not estimated)."""
         return min(self.raw_norm, self.kappa_B)
+
+    def jacobi_scale(self) -> Optional[Array]:
+        """The r of the change of variables z = r s under which the box
+        subproblem is solved, or None to solve it as it is.  Only the exact
+        model scales: Jacobi scaling took L-BFGS's box subproblems more
+        products, not fewer."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -414,9 +423,12 @@ def spectral_norm(H: Array | Bands) -> float:
     return float(np.abs(np.linalg.eigvalsh(H)).max())
 
 
-def _same_bands(a: Bands, b: Bands) -> bool:
-    """Whether two band matrices are equal band for band, bit for bit."""
-    return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+def _same_matrix(a: Array | Bands, b: Array | Bands) -> bool:
+    """Whether two Hessians are in the same form and equal bit for bit: band
+    for band, or as dense arrays of the same shape."""
+    a, b = (tuple(h) if isinstance(h, Bands) else (h,) for h in (a, b))
+    return len(a) == len(b) and all(x.shape == y.shape and x.tobytes() == y.tobytes()
+                                    for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -429,20 +441,23 @@ class ExactModel(CurvatureModel):
     (``_band_norm``) whose upper end it returns, an upper bound up to the
     LDL^T's backward error of order eps ||H||.  Any other Hessian is made
     dense and symmetric, with a dense ``H @ v`` and one ``eigvalsh``.
-    ``update`` drops the matrix: it belongs to the previous iterate, and
-    freeing it before the next Hessian is evaluated keeps one n x n array
-    fewer alive.  A band Hessian is kept aside with its norm, so that the
-    next iterate's, when equal band for band (a quadratic's), reuses the
-    norm and skips the search.
+    ``update`` drops the matrix, which belongs to the previous iterate, but
+    keeps it aside with its norm, so that the next iterate's Hessian, when
+    equal to it bit for bit (a quadratic's, banded or dense), reuses the norm
+    and skips the search or the ``eigvalsh``.
+
+    ``jacobi_scale`` gives the box subproblem's diagonal change of variables:
+    r = sqrt(d), d = |diag H| floored at eps max(d).  A diagonal that is all
+    zero or not finite gives None, and the subproblem is solved unscaled.
     """
 
     needs_hessian = True
     H: Optional[Array | Bands] = None
-    #: the previous iterate's band Hessian and its norm
+    #: the previous iterate's Hessian and its norm
     _kept: Optional[tuple] = field(default=None, repr=False)
 
     def update(self, s: Array, y: Array) -> "ExactModel":
-        kept = (self.H, self.raw_norm) if isinstance(self.H, Bands) else None
+        kept = None if self.H is None else (self.H, self.raw_norm)
         return replace(self, H=None, _kept=kept)
 
     def with_matrix(self, H: Array | Bands) -> "ExactModel":
@@ -464,9 +479,18 @@ class ExactModel(CurvatureModel):
         if self.H is None:
             return 0.0
         kept = self._kept
-        if kept is not None and isinstance(self.H, Bands) and _same_bands(kept[0], self.H):
+        if kept is not None and _same_matrix(kept[0], self.H):
             return kept[1]
         return spectral_norm(self.H)
+
+    def jacobi_scale(self) -> Optional[Array]:
+        if self.H is None:
+            return None
+        d = np.abs(self.H[0] if isinstance(self.H, Bands) else np.diagonal(self.H))
+        top = float(d.max())
+        if not 0.0 < top < math.inf:
+            return None
+        return np.sqrt(np.maximum(d, _EPS * top, out=d), out=d)
 
 
 def check_kappa_B(kappa_B: float) -> None:

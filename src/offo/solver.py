@@ -313,6 +313,10 @@ def _cg_box(g, matvec, delta, tol):
     at the first breakpoint, freezing the binding coordinates.  CG then
     restarts on the rest.  Once it converges, frozen coordinates whose
     gradient points back inside are released, at most ``_MAX_RELEASES`` times.
+
+    Returns ``(s, B s, q(s))`` when it holds the product of the s it returns,
+    with q(s) = g.s + 0.5 s.(B s) as that expression, and ``(s, None, None)``
+    otherwise.
     """
     n = g.size
     s = np.zeros(n)
@@ -384,9 +388,12 @@ def _cg_box(g, matvec, delta, tol):
             fixed = fixed | binding
             settled = False
             break
+    # the clip changes exactly the entries outside the box
+    if Bs is not None and ((s < neg).any() or (s > delta).any()):
+        Bs = None
     np.maximum(s, neg, out=s)
     np.minimum(s, delta, out=s)
-    return s
+    return (s, None, None) if Bs is None else (s, Bs, q)
 
 
 def _ball_boundary(s, p, delta):
@@ -437,14 +444,29 @@ def solve_subproblem(g, model, radii, geometry, cauchy: CauchyStep, tau: float, 
     iterative solve misses the tau-fraction decrease, which makes the
     decrease contract unconditional.  The zero model's step is
     :func:`zero_model_step`.
+
+    A model whose ``jacobi_scale`` gives r (the exact model's) has its box
+    subproblem solved in the variables z = r s: ``_cg_box`` runs on g / r,
+    the operator R^-1 B R^-1 and the radii r Delta, a box again, and
+    s = z / r is clipped back into [-Delta, Delta].  This is Steihaug's
+    (1983) preconditioned truncated CG with the Jacobi preconditioner, as
+    TRON (Lin & More 1999) uses it.  The Cauchy step, q(s) and the fallback
+    stay in the unscaled variables.  Otherwise q(s) reuses the product
+    ``_cg_box`` holds, when it holds one.
     """
     if model.is_zero:
         return zero_model_step(g, radii, geometry)
-    if geometry == "box":
-        s = _cg_box(g, model.matvec, radii, tol)
-    else:
+    Bs = None
+    if geometry == "ball":
         s = _cg_ball(g, model.matvec, radii, tol)
-    q_s = float(g @ s + 0.5 * (s @ model.matvec(s)))
+    elif (r := model.jacobi_scale()) is None:
+        s, Bs, q_s = _cg_box(g, model.matvec, radii, tol)
+    else:
+        s = _cg_box(g / r, lambda v: model.matvec(v / r) / r, radii * r, tol)[0] / r
+        np.maximum(s, -radii, out=s)
+        np.minimum(s, radii, out=s)
+    if Bs is None:
+        q_s = float(g @ s + 0.5 * (s @ model.matvec(s)))
     if not np.isfinite(q_s) or q_s > tau * cauchy.q_Q:
         return cauchy.s_Q.copy(), cauchy.q_Q
     return s, q_s

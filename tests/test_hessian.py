@@ -394,16 +394,44 @@ def test_an_equal_band_hessian_reuses_the_norm(name, norms, monkeypatch):
     p = make_problem(name, 1000)
     reused = bench.solve("adagH", p, 1e-12, 2)
     assert reused.steps == 2 and len(calls) == norms
-    monkeypatch.setattr(hessian, "_same_bands", lambda a, b: False)
+    monkeypatch.setattr(hessian, "_same_matrix", lambda a, b: False)
     calls.clear()
     fresh = bench.solve("adagH", p, 1e-12, 2)
     assert len(calls) == 2
     assert _trace_fields(reused) == _trace_fields(fresh)
 
 
-def test_a_dense_hessian_is_not_kept_across_update():
-    m = make_model("exact").with_matrix(np.diag([1.0, 2.0])).update(np.ones(2), np.ones(2))
-    assert m.H is None and m._kept is None
+@pytest.mark.parametrize("name, n, norms", [("hilbert", 10, 1), ("arglina", 10, 1),
+                                            ("arglinb", 10, 1), ("rosenbr", 10, 6)])
+def test_an_equal_dense_hessian_reuses_the_norm(name, n, norms, monkeypatch):
+    # a quadratic's constant Hessian takes one eigvalsh per run, not one per iterate
+    calls = []
+    spectral = hessian.spectral_norm
+
+    def counting(H):
+        calls.append(H)
+        return spectral(H)
+
+    monkeypatch.setattr(hessian, "spectral_norm", counting)
+    p = make_problem(name, n)
+    reused = bench.solve("adagH", p, 1e-12, 6)
+    assert reused.steps == 6 and len(calls) == norms
+    monkeypatch.setattr(hessian, "_same_matrix", lambda a, b: False)
+    calls.clear()
+    fresh = bench.solve("adagH", p, 1e-12, 6)
+    assert len(calls) == 6
+    assert _trace_fields(reused) == _trace_fields(fresh)
+
+
+def test_a_dense_hessian_is_kept_across_update():
+    H = np.diag([1.0, 2.0])
+    m = make_model("exact").with_matrix(H).update(np.ones(2), np.ones(2))
+    assert m.H is None and m._kept[0] is H and m._kept[1] == 2.0
+    # the kept matrix is compared in its own form, bit for bit
+    assert hessian._same_matrix(H, H.copy())
+    assert not hessian._same_matrix(H, np.diag([1.0, -2.0]))
+    assert not hessian._same_matrix(H, Bands([np.array([1.0, 2.0])]))
+    assert not hessian._same_matrix(np.zeros((2, 2)), np.full((2, 2), -0.0))
 
 
 def reference_pivots(bands, shifts):

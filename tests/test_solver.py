@@ -36,7 +36,9 @@ def matrix_model(B, kappa_B=1e5):
 
 
 class CountingModel:
-    """A curvature model whose matvec calls are counted."""
+    """A curvature model whose matvec calls are counted; it passes on the
+    model's ``jacobi_scale``, so that the exact model's box subproblem takes
+    the scaled path."""
 
     is_zero = False
 
@@ -47,6 +49,9 @@ class CountingModel:
     def matvec(self, v):
         self.calls += 1
         return self.model.matvec(v)
+
+    def jacobi_scale(self):
+        return self.model.jacobi_scale()
 
 
 def model_value(g, B, s):
@@ -220,7 +225,8 @@ def test_subproblem_ball_exits_on_boundary_under_negative_curvature():
 
 @pytest.mark.parametrize("fill", [0.0, np.nan])
 def test_subproblem_falls_back_to_a_copy_of_the_cauchy_point(monkeypatch, fill):
-    monkeypatch.setattr(solver, "_cg_box", lambda g, matvec, delta, tol: np.full(g.size, fill))
+    monkeypatch.setattr(solver, "_cg_box",
+                        lambda g, matvec, delta, tol: (np.full(g.size, fill), None, None))
     g = np.array([1.0, -2.0, 0.5])
     model = matrix_model(np.diag([2.0, 1.0, 3.0]))
     radii = trust_radius(g, np.full(3, 2.0), "box")
@@ -298,7 +304,7 @@ def test_box_cg_step_is_inside_and_beats_cauchy(kind):
         model = matrix_model(B)
         cs = cauchy_step(g, model.matvec, radii, "box")
         # the CG step itself, before the Cauchy fallback could mask a miss
-        s = solver._cg_box(g, model.matvec, radii, 1e-10)
+        s = solver._cg_box(g, model.matvec, radii, 1e-10)[0]
         assert np.all(np.abs(s) <= radii), (kind, seed)
         assert model_value(g, B, s) <= 0.1 * cs.q_Q, (kind, seed)
 
@@ -477,8 +483,13 @@ def _reference_cg_box(g, matvec, delta, tol):
 def _assert_cg_box_keeps_its_bits(g, matvec, delta, tol, tag):
     with np.errstate(all="ignore"):
         want = _reference_cg_box(g, matvec, delta, tol)
-    got = solver._cg_box(g, matvec, delta, tol)
+    got, Bs, q = solver._cg_box(g, matvec, delta, tol)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), tag
+    # a held product and model value are those of the returned step, bit for bit
+    if Bs is not None:
+        with np.errstate(all="ignore"):
+            assert Bs.tobytes() == matvec(got).tobytes(), tag
+            assert _same_float(q, float(g @ got + 0.5 * (got @ Bs))), tag
 
 
 def _large_n_model_runs():
@@ -511,14 +522,16 @@ def test_box_cg_equals_the_reference_on_the_large_n_subproblems(monkeypatch):
 
 
 def test_box_subproblem_reuses_the_products_it_has(monkeypatch):
-    # with a fresh B s at every CG restart, these took 478 and 2219 products
+    # with a fresh B s at every CG restart, these took 478 and 2219 products;
+    # with a second B s for q(s) and the exact model's box subproblems
+    # unscaled, 333 and 1749, of which adagH/tridia took 710 + 292
     counted = _count_subproblem_products(monkeypatch)
     _four_bfgs_steps_on_broyden3d()
-    assert len(counted) == 4 and sum(counted) <= 333
+    assert len(counted) == 4 and sum(counted) <= 329
     counted.clear()
     for problem, cfg in _large_n_model_runs():
         astr1_run(problem, cfg)
-    assert len(counted) == 28 and sum(counted) <= 1749
+    assert len(counted) == 28 and sum(counted) <= 761
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 40])
@@ -561,6 +574,117 @@ def test_box_cg_equals_the_reference_without_a_breakpoint():
                         (np.array([1.0, -2.0, 0.5]), np.array([np.inf, np.inf, 0.0]), 1e-320)):
         model = matrix_model(c * np.eye(g.size))
         _assert_cg_box_keeps_its_bits(g, model.matvec, radii, 1e-10, (g, radii))
+
+
+def _recorded_exact_subproblems(monkeypatch, runs):
+    """Run each ``(target, config)`` of ``runs`` and return its trace with
+    ``(g, B, radii, q_Q, tau, s, q)`` of each box subproblem, B the capped
+    Hessian, dense."""
+    calls = []
+    original = solver.solve_subproblem
+
+    def recording(g, model, radii, geometry, cauchy, tau, tol):
+        s, q = original(g, model, radii, geometry, cauchy, tau, tol)
+        calls.append((g, model.factor * np.asarray(model.H), radii, cauchy.q_Q, tau, s, q))
+        return s, q
+
+    monkeypatch.setattr(solver, "solve_subproblem", recording)
+    out = []
+    for target, cfg in runs:
+        calls = []
+        tr = astr1_run(target, cfg)
+        assert tr.steps == len(calls) > 0
+        out.append((tr, calls))
+    monkeypatch.undo()
+    return out
+
+
+def _exact_model_runs():
+    """adagH and adagHs on criterion 1's problems, and adagH on the large-n
+    benchmark's seed-0 problems."""
+    from test_acceptance import GCP_PROBLEMS
+
+    for name, n in GCP_PROBLEMS:
+        for method in ("adagH", "adagHs"):
+            yield make_problem(name, n), bench.method_config(method, 1e-3, 250)
+    for p, cfg in _large_n_model_runs():
+        if cfg.model == "exact":
+            yield p, cfg
+
+
+def test_scaled_box_subproblem_keeps_the_step_inside_and_the_decrease(monkeypatch):
+    # the exact model's box subproblem is solved in scaled variables; its step
+    # is clipped back into the box exactly, and q(s) is checked unscaled
+    for tr, calls in _recorded_exact_subproblems(monkeypatch, _exact_model_runs()):
+        assert np.all(tr.sbound_resid <= 0.0)
+        assert np.all(tr.gcp_resid <= 0.0) and np.all(tr.q_cauchy < 0.0)
+        for g, B, radii, q_Q, tau, s, q in calls:
+            assert np.all(np.abs(s) <= radii)
+            # an independent q(s), from the dense Hessian
+            q_ref = model_value(g, B, s)
+            assert abs(q - q_ref) <= 1e-12 * (abs(q_ref) + abs(g) @ np.abs(s))
+            assert q <= tau * q_Q
+
+
+def _degenerate_subproblem(H, g, radii, kappa_B=1e5):
+    """The box subproblem of the exact model on H, with every floating-point
+    warning raised."""
+    model = matrix_model(H, kappa_B=kappa_B)
+    with np.errstate(all="raise"):
+        cs = cauchy_step(g, model.matvec, radii, "box")
+        s, q = solve_subproblem(g, model, radii, "box", cs, tau=0.1,
+                                tol=1e-5 * np.linalg.norm(g))
+    assert np.isfinite(s).all() and np.all(np.abs(s) <= radii)
+    assert math.isfinite(q) and q <= 0.1 * cs.q_Q
+    return model, s
+
+
+def test_scaled_box_subproblem_on_degenerate_diagonals():
+    # rosenbr iterates whose Hessian has a nonpositive diagonal entry: |d| is
+    # floored at eps max|d|
+    p = make_problem("rosenbr", 10)
+    cfg = dataclasses.replace(bench.method_config("adagH", 1e-3, 300), record_vectors=True)
+    tr = astr1_run(p, cfg)
+    seen = 0
+    for x, g, w in zip(tr.x_hist, tr.g_hist, tr.w_hist):
+        H = p.hess(x)
+        if np.diagonal(H).min() > 0.0:
+            continue
+        seen += 1
+        model, _ = _degenerate_subproblem(H, g, np.abs(g) / w)
+        d = np.abs(np.diagonal(H))
+        floored = np.maximum(d, np.finfo(float).eps * d.max())
+        assert model.jacobi_scale().tobytes() == np.sqrt(floored).tobytes()
+    assert seen >= 5
+    # a zero diagonal entry, and a diagonal that is all zero (solved unscaled)
+    g = np.array([1.0, -2.0, 0.5])
+    radii = np.array([0.5, 1.0, 2.0])
+    _degenerate_subproblem(np.array([[0.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 2.0]]), g, radii)
+    model, s = _degenerate_subproblem(np.zeros((3, 3)), g, radii)
+    assert model.jacobi_scale() is None
+    assert np.array_equal(s, np.copysign(radii, -g))
+    # a capped model: the cap's factor scales the operator, not r
+    H = np.diag([1e6, -4e6, 2.0]) + 1e5
+    model, _ = _degenerate_subproblem(H, g, radii, kappa_B=10.0)
+    assert model.factor != 1.0
+    assert np.array_equal(model.jacobi_scale(), np.sqrt(np.abs(np.diagonal(model.H))))
+
+
+def test_jacobi_scale_only_for_the_exact_model():
+    H = np.array([[4.0, 1.0, 0.0], [1.0, 0.0, -1.0], [0.0, -1.0, -9.0]])
+    r = matrix_model(H).jacobi_scale()
+    assert r.tobytes() == np.sqrt([4.0, 9.0 * np.finfo(float).eps, 9.0]).tobytes()
+    # a band Hessian gives the r of its dense form
+    n = 600
+    bands = Bands([np.linspace(-2.0, 5.0, n), np.full(n - 1, 0.5)])
+    band_model = make_model("exact").with_matrix(bands)
+    assert isinstance(band_model.H, Bands)
+    assert band_model.jacobi_scale().tobytes() == matrix_model(np.asarray(bands)).jacobi_scale().tobytes()
+    for bad in (np.nan, np.inf):
+        assert matrix_model(np.diag([1.0, bad])).jacobi_scale() is None
+    assert matrix_model(np.zeros((2, 2))).jacobi_scale() is None
+    for kind in ("none", "bb", "lbfgs3"):
+        assert make_model(kind).jacobi_scale() is None
 
 
 def test_noisy_runs_own_their_stream():
