@@ -424,11 +424,10 @@ def spectral_norm(H: Array | Bands) -> float:
 
 
 def _same_matrix(a: Array | Bands, b: Array | Bands) -> bool:
-    """Whether two Hessians are in the same form and equal bit for bit: band
-    for band, or as dense arrays of the same shape."""
+    """Whether two Hessians of one run are equal bit for bit: band for band,
+    or as dense arrays."""
     a, b = (tuple(h) if isinstance(h, Bands) else (h,) for h in (a, b))
-    return len(a) == len(b) and all(x.shape == y.shape and x.tobytes() == y.tobytes()
-                                    for x, y in zip(a, b))
+    return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)

@@ -576,11 +576,24 @@ def test_box_cg_equals_the_reference_without_a_breakpoint():
         _assert_cg_box_keeps_its_bits(g, model.matvec, radii, 1e-10, (g, radii))
 
 
+def test_box_cg_holds_no_product_for_a_step_the_clip_moved():
+    # coordinate 0 is frozen on its bound; CG's last interior step rounds
+    # coordinate 1 one ulp past its radius, and the release check then forms
+    # B s of that s: the clip moves s, so that product is not s's
+    for b, g, radii in (([1.844019927742757, 0.5088081340635726],
+                         [-18.44019927742757, 2.8630173784887933], [1.0, 5.626909608585534]),
+                        ([2.7155280409910114, 1.0245830570299328],
+                         [-27.155280409910112, 1.7685323371338821], [1.0, 1.7260995338538134])):
+        model, g, radii = matrix_model(np.diag(b)), np.array(g), np.array(radii)
+        _assert_cg_box_keeps_its_bits(g, model.matvec, radii, 1e-15, b)
+        s, Bs, q = solver._cg_box(g, model.matvec, radii, 1e-15)
+        assert np.abs(s).tobytes() == radii.tobytes() and Bs is None and q is None
+
+
 def _recorded_exact_subproblems(monkeypatch, runs):
     """Run each ``(target, config)`` of ``runs`` and return its trace with
     ``(g, B, radii, q_Q, tau, s, q)`` of each box subproblem, B the capped
     Hessian, dense."""
-    calls = []
     original = solver.solve_subproblem
 
     def recording(g, model, radii, geometry, cauchy, tau, tol):
@@ -682,7 +695,6 @@ def test_jacobi_scale_only_for_the_exact_model():
     assert band_model.jacobi_scale().tobytes() == matrix_model(np.asarray(bands)).jacobi_scale().tobytes()
     for bad in (np.nan, np.inf):
         assert matrix_model(np.diag([1.0, bad])).jacobi_scale() is None
-    assert matrix_model(np.zeros((2, 2))).jacobi_scale() is None
     for kind in ("none", "bb", "lbfgs3"):
         assert make_model(kind).jacobi_scale() is None
 
