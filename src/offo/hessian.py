@@ -17,8 +17,8 @@ width; a band Hessian is never made dense.  Every raw norm is exact up to a
 backward error of order eps ||B|| (the banded one errs upward); every
 product goes through the shared cap, which rescales the operator by
 ``kappa_B / ||B||`` whenever ``||B|| > kappa_B``.  Only the exact model
-offers its diagonal as the box subproblem's Jacobi scaling
-(``jacobi_scale``).
+offers its diagonal as the box subproblem's Jacobi preconditioner
+(``jacobi_diagonal``).
 """
 from __future__ import annotations
 
@@ -72,11 +72,11 @@ class CurvatureModel:
         """Spectral norm of the capped operator (computed, not estimated)."""
         return min(self.raw_norm, self.kappa_B)
 
-    def jacobi_scale(self) -> Optional[Array]:
-        """The r of the change of variables z = r s under which the box
-        subproblem is solved, or None to solve it as it is.  Only the exact
-        model scales: Jacobi scaling took L-BFGS's box subproblems more
-        products, not fewer."""
+    def jacobi_diagonal(self) -> Optional[Array]:
+        """The positive diagonal that preconditions the box subproblem's CG,
+        or None for plain CG.  Only the exact model offers one: Jacobi
+        preconditioning took L-BFGS's box subproblems more products, not
+        fewer."""
         return None
 
 
@@ -445,9 +445,9 @@ class ExactModel(CurvatureModel):
     equal to it bit for bit (a quadratic's, banded or dense), reuses the norm
     and skips the search or the ``eigvalsh``.
 
-    ``jacobi_scale`` gives the box subproblem's diagonal change of variables:
-    r = sqrt(d), d = |diag H| floored at eps max(d).  A diagonal that is all
-    zero or not finite gives None, and the subproblem is solved unscaled.
+    ``jacobi_diagonal`` gives the box subproblem's Jacobi preconditioner:
+    d = |diag H| floored at eps max(d).  A diagonal that is all zero or not
+    finite gives None, and the subproblem's CG runs unpreconditioned.
     """
 
     needs_hessian = True
@@ -482,14 +482,14 @@ class ExactModel(CurvatureModel):
             return kept[1]
         return spectral_norm(self.H)
 
-    def jacobi_scale(self) -> Optional[Array]:
+    def jacobi_diagonal(self) -> Optional[Array]:
         if self.H is None:
             return None
         d = np.abs(self.H[0] if isinstance(self.H, Bands) else np.diagonal(self.H))
         top = float(d.max())
         if not 0.0 < top < math.inf:
             return None
-        return np.sqrt(np.maximum(d, _EPS * top, out=d), out=d)
+        return np.maximum(d, _EPS * top, out=d)
 
 
 def check_kappa_B(kappa_B: float) -> None:

@@ -223,20 +223,30 @@ def trust_radius(g: Array, w: Array, geometry: str, normg: Optional[float] = Non
     return float((np.linalg.norm(g) if normg is None else normg) / w[0])
 
 
+def _into_ball(s: Array, delta: float) -> Array:
+    """s, shrunk in place by one ulp per entry while its norm, computed as the
+    run computes it (``sqrt(s.dot(s))``), rounds above delta.  A norm that
+    overflows is left to the run's finiteness check."""
+    while delta < math.sqrt(float(s.dot(s))) < math.inf:
+        s *= np.nextafter(1.0, 0.0)
+    return s
+
+
 def zero_model_step(g: Array, radii, geometry: str, normg: Optional[float] = None):
     """The zero model's step and its model value ``(s, g.s)``.
 
     s is the scaled steepest-descent step s_L of every model's Cauchy step:
-    -sign(g_i) Delta_i per coordinate in a box, -Delta g / ||g|| in a ball.
-    Under the zero model it is also the Cauchy point (gamma = 1) and the
-    subproblem's solution.  ``normg`` is as in :func:`trust_radius`.
+    -sign(g_i) Delta_i per coordinate in a box, -Delta g / ||g|| in a ball,
+    shrunk by ulps until its computed norm is at most Delta.  Under the zero
+    model it is also the Cauchy point (gamma = 1) and the subproblem's
+    solution.  ``normg`` is as in :func:`trust_radius`.
     """
     if geometry == "box":
         # -sign(g) * radii, up to the sign of the zero step of a g_i = -0.0
         s = np.copysign(radii, -g)
     else:
         normg = np.linalg.norm(g) if normg is None else normg
-        s = -(radii / normg) * g if normg > 0 else np.zeros_like(g)
+        s = _into_ball(-(radii / normg) * g, radii) if normg > 0 else np.zeros_like(g)
     return s, float(g @ s)
 
 
@@ -302,17 +312,22 @@ def _projected_search(g, matvec, s, p, delta, neg, t, a_bd, q_bd, free):
 
 
 @np.errstate(all="ignore")  # breakpoint quotients of every coordinate, even p_i = 0
-def _cg_box(g, matvec, delta, tol):
+def _cg_box(g, matvec, delta, tol, d=None):
     """Truncated conjugate gradients on the quadratic model inside the box.
 
-    CG runs on the free coordinates.  A CG step that would leave the box
-    starts a projected search from its step length (from the last breakpoint
-    under nonpositive curvature).  An accepted search point freezes at once
-    every coordinate it leaves on its bound with an outward gradient (the
-    first-binding ones when there is none); otherwise the step is truncated
-    at the first breakpoint, freezing the binding coordinates.  CG then
-    restarts on the rest.  Once it converges, frozen coordinates whose
-    gradient points back inside are released, at most ``_MAX_RELEASES`` times.
+    CG runs on the free coordinates, preconditioned by the positive diagonal
+    ``d`` when one is given: z = r / d, and r.z stands for r.r (Steihaug's
+    1983 truncated CG in the original variables, as TRON, Lin & More 1999,
+    uses it).  A CG step that would leave the box starts a projected search
+    from its step length (from the last breakpoint under nonpositive
+    curvature).  An accepted search point freezes at once every coordinate
+    it leaves on its bound with an outward gradient (the first-binding ones
+    when there is none); otherwise the step is truncated at the first
+    breakpoint, freezing the binding coordinates.  CG then restarts on the
+    rest.  Once it converges, frozen coordinates whose gradient points back
+    inside are released, at most ``_MAX_RELEASES`` times.  None of this
+    depends on d, as a positive diagonal change of variables keeps step
+    lengths and gradient signs.
 
     Returns ``(s, B s, q(s))`` when it holds the product of the s it returns,
     with q(s) = g.s + 0.5 s.(B s) as that expression, and ``(s, None, None)``
@@ -324,9 +339,9 @@ def _cg_box(g, matvec, delta, tol):
     fixed = delta <= 0.0
     releases = _MAX_RELEASES
     settled = False
-    # B s, g + B s and q(s) of the current s, for the next restart (from the
-    # accepted search point, or from the last restart); None once s moves on
-    Bs = None
+    # B s, g + B s and q(s) of the current s, for the next restart (from s = 0,
+    # the accepted search point, or the last restart); None once s moves on
+    Bs, grad, q = np.zeros(n), g + 0.0, 0.0
     for _ in range((_MAX_RELEASES + 1) * (n + 1)):
         done = settled or fixed.all()
         # the frozen coordinates are the fixed ones with s_i != 0 (delta_i > 0)
@@ -345,11 +360,12 @@ def _cg_box(g, matvec, delta, tol):
         free = ~fixed
         r = -grad
         r[fixed] = 0.0
-        rr = float(r @ r)
+        z = r if d is None else r / d
+        rz = float(r @ z)
         settled = True
-        if math.sqrt(rr) <= tol:
+        if math.sqrt(rz) <= tol:
             continue
-        p = r.copy()
+        p = z.copy()
         for _ in range(2 * n + 5):
             Bp = matvec(p)
             Bp[fixed] = 0.0
@@ -361,21 +377,22 @@ def _cg_box(g, matvec, delta, tol):
                     break
                 t = float(np.where(moving, alphas, 0.0).max())
             else:
-                alpha = rr / pBp
+                alpha = rz / pBp
                 if alpha < a_bd:
                     s = s + alpha * p
                     Bs = None
-                    q -= alpha * rr - 0.5 * alpha * alpha * pBp
+                    q -= alpha * rz - 0.5 * alpha * alpha * pBp
                     r = r - alpha * Bp
-                    rr_new = float(r @ r)
-                    if math.sqrt(rr_new) <= tol:
+                    z = r if d is None else r / d
+                    rz_new = float(r @ z)
+                    if math.sqrt(rz_new) <= tol:
                         break
-                    p = r + (rr_new / rr) * p
-                    rr = rr_new
+                    p = z + (rz_new / rz) * p
+                    rz = rz_new
                     continue
                 t = alpha
             binding = moving & (alphas <= a_bd * (1.0 + 1e-12))
-            q_bd = q - a_bd * rr + 0.5 * a_bd * a_bd * pBp
+            q_bd = q - a_bd * rz + 0.5 * a_bd * a_bd * pBp
             found = _projected_search(g, matvec, s, p, delta, neg, t, a_bd, q_bd, free)
             if found is None:
                 s = s + a_bd * p
@@ -405,7 +422,8 @@ def _ball_boundary(s, p, delta):
 
 
 def _cg_ball(g, matvec, delta, tol):
-    """Truncated conjugate gradients with boundary exit in the Euclidean ball."""
+    """Truncated conjugate gradients with boundary exit in the Euclidean ball;
+    the step's computed norm is at most delta."""
     n = g.size
     s = np.zeros(n)
     r = -g.copy()
@@ -434,7 +452,7 @@ def _cg_ball(g, matvec, delta, tol):
     nrm = np.linalg.norm(s)
     if nrm > delta and nrm > 0:
         s *= delta / nrm
-    return s
+    return _into_ball(s, delta)
 
 
 def solve_subproblem(g, model, radii, geometry, cauchy: CauchyStep, tau: float, tol: float):
@@ -445,26 +463,16 @@ def solve_subproblem(g, model, radii, geometry, cauchy: CauchyStep, tau: float, 
     decrease contract unconditional.  The zero model's step is
     :func:`zero_model_step`.
 
-    A model whose ``jacobi_scale`` gives r (the exact model's) has its box
-    subproblem solved in the variables z = r s: ``_cg_box`` runs on g / r,
-    the operator R^-1 B R^-1 and the radii r Delta, a box again, and
-    s = z / r is clipped back into [-Delta, Delta].  This is Steihaug's
-    (1983) preconditioned truncated CG with the Jacobi preconditioner, as
-    TRON (Lin & More 1999) uses it.  The Cauchy step, q(s) and the fallback
-    stay in the unscaled variables.  Otherwise q(s) reuses the product
-    ``_cg_box`` holds, when it holds one.
+    The box subproblem's CG is preconditioned by the model's
+    ``jacobi_diagonal`` (the exact model's; None for the others), and q(s)
+    reuses the product ``_cg_box`` holds, when it holds one.
     """
     if model.is_zero:
         return zero_model_step(g, radii, geometry)
-    Bs = None
     if geometry == "ball":
-        s = _cg_ball(g, model.matvec, radii, tol)
-    elif (r := model.jacobi_scale()) is None:
-        s, Bs, q_s = _cg_box(g, model.matvec, radii, tol)
+        s, Bs = _cg_ball(g, model.matvec, radii, tol), None
     else:
-        s = _cg_box(g / r, lambda v: model.matvec(v / r) / r, radii * r, tol)[0] / r
-        np.maximum(s, -radii, out=s)
-        np.minimum(s, radii, out=s)
+        s, Bs, q_s = _cg_box(g, model.matvec, radii, tol, model.jacobi_diagonal())
     if Bs is None:
         q_s = float(g @ s + 0.5 * (s @ model.matvec(s)))
     if not np.isfinite(q_s) or q_s > tau * cauchy.q_Q:

@@ -73,6 +73,12 @@ def test_criterion_01_gcp_contract(gcp_matrix_traces):
           f"({time.time() - t0:.1f}s check time)")
 
 
+def test_every_step_lies_inside_its_trust_region_exactly(gcp_matrix_traces):
+    # criterion 1 allows 1e-14; the step itself, box or ball, is inside exactly
+    for prob_name, variant, geometry, tr in gcp_matrix_traces:
+        assert np.all(tr.sbound_resid <= 0.0), (prob_name, variant, geometry)
+
+
 def test_criterion_02_zero_objective_calls(gcp_matrix_traces):
     for prob_name, variant, geometry, tr in gcp_matrix_traces:
         assert tr.f_evals == 0, (prob_name, variant, geometry)

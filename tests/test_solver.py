@@ -37,8 +37,8 @@ def matrix_model(B, kappa_B=1e5):
 
 class CountingModel:
     """A curvature model whose matvec calls are counted; it passes on the
-    model's ``jacobi_scale``, so that the exact model's box subproblem takes
-    the scaled path."""
+    model's ``jacobi_diagonal``, so that the exact model's box subproblem is
+    preconditioned."""
 
     is_zero = False
 
@@ -50,8 +50,8 @@ class CountingModel:
         self.calls += 1
         return self.model.matvec(v)
 
-    def jacobi_scale(self):
-        return self.model.jacobi_scale()
+    def jacobi_diagonal(self):
+        return self.model.jacobi_diagonal()
 
 
 def model_value(g, B, s):
@@ -223,10 +223,27 @@ def test_subproblem_ball_exits_on_boundary_under_negative_curvature():
     assert q < cs.q_Q  # beats the Cauchy point, so it is no fallback
 
 
+def test_ball_steps_have_a_computed_norm_at_most_the_radius():
+    # -(Delta / ||g||) g and CG's step rescaled onto the sphere can round to
+    # a norm above Delta; each is shrunk by ulps until sqrt(s.s) <= Delta
+    rng = np.random.default_rng(23)
+    for trial in range(1000):
+        n = int(rng.integers(1, 30))
+        g = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5)
+        delta = float(10.0 ** rng.uniform(-5, 5))
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        model = matrix_model(Q @ np.diag(rng.uniform(-3.0, 1.0, n)) @ Q.T)
+        s = zero_model_step(g, delta, "ball")[0]
+        # on the sphere, a few ulps inside at most
+        assert delta * (1.0 - 8 * np.finfo(float).eps) <= math.sqrt(float(s.dot(s))) <= delta, trial
+        s = solver._cg_ball(g, model.matvec, delta, 1e-10 * np.linalg.norm(g))
+        assert math.sqrt(float(s.dot(s))) <= delta, trial
+
+
 @pytest.mark.parametrize("fill", [0.0, np.nan])
 def test_subproblem_falls_back_to_a_copy_of_the_cauchy_point(monkeypatch, fill):
     monkeypatch.setattr(solver, "_cg_box",
-                        lambda g, matvec, delta, tol: (np.full(g.size, fill), None, None))
+                        lambda g, matvec, delta, tol, d: (np.full(g.size, fill), None, None))
     g = np.array([1.0, -2.0, 0.5])
     model = matrix_model(np.diag([2.0, 1.0, 3.0]))
     radii = trust_radius(g, np.full(3, 2.0), "box")
@@ -415,7 +432,7 @@ def _reference_projected_search(g, matvec, s, p, delta, t, a_bd, q_bd, free):
     return None
 
 
-def _reference_cg_box(g, matvec, delta, tol):
+def _reference_cg_box(g, matvec, delta, tol, d=None):
     n = g.size
     s = np.zeros(n)
     fixed = delta <= 0.0
@@ -437,11 +454,12 @@ def _reference_cg_box(g, matvec, delta, tol):
         q = float(g @ s + 0.5 * (s @ Bs))
         r = -grad
         r[fixed] = 0.0
-        rr = float(r @ r)
+        z = r if d is None else r / d
+        rz = float(r @ z)
         settled = True
-        if np.sqrt(rr) <= tol:
+        if np.sqrt(rz) <= tol:
             continue
-        p = r.copy()
+        p = z.copy()
         for _ in range(2 * n + 5):
             Bp = matvec(p)
             Bp[fixed] = 0.0
@@ -452,19 +470,20 @@ def _reference_cg_box(g, matvec, delta, tol):
                     break
                 t = a_last
             else:
-                alpha = rr / pBp
+                alpha = rz / pBp
                 if alpha < a_bd:
                     s = s + alpha * p
-                    q -= alpha * rr - 0.5 * alpha * alpha * pBp
+                    q -= alpha * rz - 0.5 * alpha * alpha * pBp
                     r = r - alpha * Bp
-                    rr_new = float(r @ r)
-                    if np.sqrt(rr_new) <= tol:
+                    z = r if d is None else r / d
+                    rz_new = float(r @ z)
+                    if np.sqrt(rz_new) <= tol:
                         break
-                    p = r + (rr_new / rr) * p
-                    rr = rr_new
+                    p = z + (rz_new / rz) * p
+                    rz = rz_new
                     continue
                 t = alpha
-            q_bd = q - a_bd * rr + 0.5 * a_bd * a_bd * pBp
+            q_bd = q - a_bd * rz + 0.5 * a_bd * a_bd * pBp
             found = _reference_projected_search(g, matvec, s, p, delta, t, a_bd, q_bd, free)
             if found is None:
                 s = s + a_bd * p
@@ -480,10 +499,10 @@ def _reference_cg_box(g, matvec, delta, tol):
     return s
 
 
-def _assert_cg_box_keeps_its_bits(g, matvec, delta, tol, tag):
+def _assert_cg_box_keeps_its_bits(g, matvec, delta, tol, tag, d=None):
     with np.errstate(all="ignore"):
-        want = _reference_cg_box(g, matvec, delta, tol)
-    got, Bs, q = solver._cg_box(g, matvec, delta, tol)
+        want = _reference_cg_box(g, matvec, delta, tol, d)
+    got, Bs, q = solver._cg_box(g, matvec, delta, tol, d)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), tag
     # a held product and model value are those of the returned step, bit for bit
     if Bs is not None:
@@ -508,30 +527,59 @@ def test_box_cg_equals_the_reference_on_the_large_n_subproblems(monkeypatch):
     seen = []
     cg_box = solver._cg_box
 
-    def recording(g, matvec, delta, tol):
-        seen.append((g.copy(), matvec, delta.copy(), tol))
-        return cg_box(g, matvec, delta, tol)
+    def recording(g, matvec, delta, tol, d):
+        seen.append((g.copy(), matvec, delta.copy(), tol, d))
+        return cg_box(g, matvec, delta, tol, d)
 
     monkeypatch.setattr(solver, "_cg_box", recording)
     for problem, cfg in _large_n_model_runs():
         astr1_run(problem, cfg)
     monkeypatch.undo()
     assert [args[0].size for args in seen] == [1000] * 28
-    for k, args in enumerate(seen):
-        _assert_cg_box_keeps_its_bits(*args, k)
+    # adagH's four subproblems are preconditioned, the others not
+    assert sum(args[4] is not None for args in seen) == 4
+    for k, (*args, d) in enumerate(seen):
+        _assert_cg_box_keeps_its_bits(*args, k, d=None if d is None else d.copy())
 
 
 def test_box_subproblem_reuses_the_products_it_has(monkeypatch):
     # with a fresh B s at every CG restart, these took 478 and 2219 products;
     # with a second B s for q(s) and the exact model's box subproblems
-    # unscaled, 333 and 1749, of which adagH/tridia took 710 + 292
+    # unpreconditioned, 333 and 1749, of which adagH/tridia took 710 + 292;
+    # with B 0 formed at CG's start, 329 and 761
     counted = _count_subproblem_products(monkeypatch)
     _four_bfgs_steps_on_broyden3d()
-    assert len(counted) == 4 and sum(counted) <= 329
+    assert len(counted) == 4 and sum(counted) <= 325
     counted.clear()
     for problem, cfg in _large_n_model_runs():
         astr1_run(problem, cfg)
-    assert len(counted) == 28 and sum(counted) <= 761
+    assert len(counted) == 28 and sum(counted) <= 731
+
+
+def test_exact_model_box_solve_forms_no_product_beyond_its_cg(monkeypatch):
+    # q(s) comes from the product CG holds whenever the clip leaves s as it
+    # is, preconditioned or not; only a step the clip moved costs one more
+    seen = []
+    original = solver.solve_subproblem
+
+    def recording(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(solver, "solve_subproblem", recording)
+    for target, cfg in _exact_model_runs():
+        astr1_run(target, cfg)
+    monkeypatch.undo()
+    held = 0
+    for k, (g, model, radii, geometry, cauchy, tau, tol) in enumerate(seen):
+        cg_model = CountingModel(model)
+        _, Bs, _ = solver._cg_box(g, cg_model.matvec, radii, tol, model.jacobi_diagonal())
+        solve_model = CountingModel(model)
+        solve_subproblem(g, solve_model, radii, geometry, cauchy, tau, tol)
+        held += Bs is not None
+        assert solve_model.calls == cg_model.calls + (Bs is None), k
+    # both cases occur
+    assert len(seen) > held > 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 40])
@@ -626,8 +674,9 @@ def _exact_model_runs():
 
 
 def test_scaled_box_subproblem_keeps_the_step_inside_and_the_decrease(monkeypatch):
-    # the exact model's box subproblem is solved in scaled variables; its step
-    # is clipped back into the box exactly, and q(s) is checked unscaled
+    # the exact model's box subproblem is solved by Jacobi-preconditioned CG;
+    # its step stays inside the box exactly, and q(s) is checked against the
+    # dense Hessian
     for tr, calls in _recorded_exact_subproblems(monkeypatch, _exact_model_runs()):
         assert np.all(tr.sbound_resid <= 0.0)
         assert np.all(tr.gcp_resid <= 0.0) and np.all(tr.q_cauchy < 0.0)
@@ -667,36 +716,37 @@ def test_scaled_box_subproblem_on_degenerate_diagonals():
         model, _ = _degenerate_subproblem(H, g, np.abs(g) / w)
         d = np.abs(np.diagonal(H))
         floored = np.maximum(d, np.finfo(float).eps * d.max())
-        assert model.jacobi_scale().tobytes() == np.sqrt(floored).tobytes()
+        assert model.jacobi_diagonal().tobytes() == floored.tobytes()
     assert seen >= 5
-    # a zero diagonal entry, and a diagonal that is all zero (solved unscaled)
+    # a zero diagonal entry, and a diagonal that is all zero (unpreconditioned)
     g = np.array([1.0, -2.0, 0.5])
     radii = np.array([0.5, 1.0, 2.0])
     _degenerate_subproblem(np.array([[0.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 2.0]]), g, radii)
     model, s = _degenerate_subproblem(np.zeros((3, 3)), g, radii)
-    assert model.jacobi_scale() is None
+    assert model.jacobi_diagonal() is None
     assert np.array_equal(s, np.copysign(radii, -g))
-    # a capped model: the cap's factor scales the operator, not r
+    # a capped model: the cap's factor scales the operator, not d
     H = np.diag([1e6, -4e6, 2.0]) + 1e5
     model, _ = _degenerate_subproblem(H, g, radii, kappa_B=10.0)
     assert model.factor != 1.0
-    assert np.array_equal(model.jacobi_scale(), np.sqrt(np.abs(np.diagonal(model.H))))
+    assert np.array_equal(model.jacobi_diagonal(), np.abs(np.diagonal(model.H)))
 
 
 def test_jacobi_scale_only_for_the_exact_model():
     H = np.array([[4.0, 1.0, 0.0], [1.0, 0.0, -1.0], [0.0, -1.0, -9.0]])
-    r = matrix_model(H).jacobi_scale()
-    assert r.tobytes() == np.sqrt([4.0, 9.0 * np.finfo(float).eps, 9.0]).tobytes()
-    # a band Hessian gives the r of its dense form
+    d = matrix_model(H).jacobi_diagonal()
+    assert d.tobytes() == np.array([4.0, 9.0 * np.finfo(float).eps, 9.0]).tobytes()
+    # a band Hessian gives the d of its dense form
     n = 600
     bands = Bands([np.linspace(-2.0, 5.0, n), np.full(n - 1, 0.5)])
     band_model = make_model("exact").with_matrix(bands)
     assert isinstance(band_model.H, Bands)
-    assert band_model.jacobi_scale().tobytes() == matrix_model(np.asarray(bands)).jacobi_scale().tobytes()
+    assert (band_model.jacobi_diagonal().tobytes()
+            == matrix_model(np.asarray(bands)).jacobi_diagonal().tobytes())
     for bad in (np.nan, np.inf):
-        assert matrix_model(np.diag([1.0, bad])).jacobi_scale() is None
+        assert matrix_model(np.diag([1.0, bad])).jacobi_diagonal() is None
     for kind in ("none", "bb", "lbfgs3"):
-        assert make_model(kind).jacobi_scale() is None
+        assert make_model(kind).jacobi_diagonal() is None
 
 
 def test_noisy_runs_own_their_stream():

@@ -3,7 +3,9 @@
 :func:`runs` yields ``(key, trace or None)`` for:
 
 * every method on every desk problem, noise-free and at 15% noise (seed 0),
-  eps 1e-3, at most 500 iterations, through ``bench.solve``;
+  eps 1e-3, at most 500 iterations, through ``bench.solve``, and adagnorm's
+  rule with each curvature model of ``BALL_MODELS`` in the ball, which no
+  method of the table runs, on the same problems and settings;
 * the large-n configurations of the benchmark at seed 0, and its
   curvature-model runs (``LARGE_MODEL_METHODS``) at seeds 1 to 9;
 * both worst-case replays at K = 300;
@@ -26,6 +28,8 @@ from perfbench import workloads
 DESK_NOISE = (0.0, 0.15)
 DESK_EPS = 1e-3
 DESK_MAX_ITER = 500
+#: the curvature models run in the ball under adagnorm's rule
+BALL_MODELS = ("bb", "lbfgs3", "exact")
 REPLAY_K = 300
 #: the large-n methods that solve a box subproblem, run at every seed: each
 #: seed gives 28 subproblems and 8 to 12 rounds of releasing frozen
@@ -58,6 +62,13 @@ def runs():
                 key = f"desk {method} {name}:{n} noise={noise:g}"
                 try:
                     yield key, bench.solve(method, target, DESK_EPS, DESK_MAX_ITER)
+                except problems.CapabilityError:
+                    yield key, None
+            ball = bench.method_config("adagnorm", DESK_EPS, DESK_MAX_ITER)
+            for model in BALL_MODELS:
+                key = f"desk adagnorm+{model} {name}:{n} noise={noise:g}"
+                try:
+                    yield key, solver.astr1_run(target, dataclasses.replace(ball, model=model))
                 except problems.CapabilityError:
                     yield key, None
     for seed in range(LARGE_SEEDS):
