@@ -557,8 +557,9 @@ def test_box_subproblem_reuses_the_products_it_has(monkeypatch):
 
 
 def test_exact_model_box_solve_forms_no_product_beyond_its_cg(monkeypatch):
-    # q(s) comes from the product CG holds whenever the clip leaves s as it
-    # is, preconditioned or not; only a step the clip moved costs one more
+    # q(s) comes from the product CG holds, preconditioned or not; a step
+    # with none (CG ended inside the box with nothing frozen, or the clip
+    # moved it) costs one more
     seen = []
     original = solver.solve_subproblem
 
