@@ -12,8 +12,9 @@ Hessian that arrives as ``Bands`` (its diagonal and upper bands, the form
 banded problems return) past the measured crossover, a Newton estimate
 certified by inertia tests of those bands (Wilkinson, The Algebraic
 Eigenvalue Problem, 1965; Golub & Van Loan, Matrix Computations, 4th ed.,
-8.4; Kahan 1966), its Newton slopes from one recurrence for every band
-width; a band Hessian is never made dense.  Every raw norm is exact up to a
+8.4; Kahan 1966), the first test's shifts placed by a Lanczos residual bound
+and the Newton slopes from one recurrence for every band width; a band
+Hessian is never made dense.  Every raw norm is exact up to a
 backward error of order eps ||B|| (the banded one errs upward); every
 product goes through the shared cap, which rescales the operator by
 ``kappa_B / ||B||`` whenever ``||B|| > kappa_B``.  Only the exact model
@@ -156,15 +157,15 @@ _MAX_BAND = 2
 #: smallest n at which a banded Hessian is kept in band form
 _BAND_MIN_N = 512
 #: the 128 shifts of a bisection sweep (7 bits for about the per-row cost of
-#: one shift) and of the first sweep's geometric ladder above a Ritz value
+#: one shift) inside a bracket, its ends left out
 _GRID = np.arange(1, 129) / 129.0
-_LADDER = 2.0 ** -np.linspace(0.0, 52.0, 128)
 #: the closing sweep's 128 shifts around a Newton estimate, in units of tol
 _CLOSE = (np.arange(128) - 63.5) / 4.0
 #: Newton steps on the characteristic polynomial before the closing sweep
 _NEWTON_STEPS = 8
-#: Lanczos steps that place the first sweep near the largest |eigenvalue|
-_LANCZOS_STEPS = 20
+#: Lanczos steps whose extreme Ritz pairs place the first sweep, each one O(n)
+#: band product; on the large-n norms 60 measured faster than 20, 40, 80 and 100
+_LANCZOS_STEPS = 60
 #: rows of pivots an inertia sweep holds at once
 _PIVOT_ROWS = 256
 _EPS = np.finfo(float).eps
@@ -326,14 +327,20 @@ def _newton_top(bands: Bands, lo: float, hi: float, tol: float) -> float:
     return s
 
 
+def _close(bands: Bands, lo: float, hi: float, tol: float) -> tuple:
+    """The bracket after Newton steps from hi estimate the largest eigenvalue
+    in [lo, hi] and a sweep spaced tol / 4 around the estimate tests it."""
+    shifts = _newton_top(bands, lo, hi, tol) + tol * _CLOSE
+    return _narrow(lo, hi, shifts, _band_pivots(bands, shifts)[0])
+
+
 def _band_top(bands: Bands, lo: float, hi: float, tol: float) -> float:
     """The certified upper end of a bracket at most tol wide on the largest
     eigenvalue in [lo, hi], hi certified above it.
 
-    One uniform sweep narrows the bracket, Newton steps from its upper end
-    estimate the eigenvalue, and a sweep spaced tol / 4 around the estimate
-    closes the bracket; while it is still wider than tol, uniform sweeps
-    bisect it.  Only the inertia tests certify.
+    One uniform sweep narrows the bracket and ``_close`` closes it; while it
+    is still wider than tol, uniform sweeps bisect it.  Only the inertia
+    tests certify.
     """
     newton = True
     while hi - lo > tol:
@@ -341,13 +348,15 @@ def _band_top(bands: Bands, lo: float, hi: float, tol: float) -> float:
         lo, hi = _narrow(lo, hi, shifts, _band_pivots(bands, shifts)[0])
         if newton and hi - lo > tol:
             newton = False
-            shifts = _newton_top(bands, lo, hi, tol) + tol * _CLOSE
-            lo, hi = _narrow(lo, hi, shifts, _band_pivots(bands, shifts)[0])
+            lo, hi = _close(bands, lo, hi, tol)
     return float(hi)
 
 
 def _ritz_range(bands: Bands) -> tuple:
-    """The extreme Ritz values of a few Lanczos steps: inside the spectrum."""
+    """The extreme Ritz values of a few Lanczos steps, inside the spectrum,
+    and their residual norms: an eigenvalue lies within r = beta_k |y_k| of
+    a Ritz value whose vector y ends in y_k (Kahan 1967; Parlett, The
+    Symmetric Eigenvalue Problem, 1998, ch. 11), and r is 0 on breakdown."""
     # a fixed chirp, whose frequency runs from 0 to 2 pi along the vector, so
     # it meets every eigenvector of a Toeplitz-like band; being no random
     # draw, it leaves numpy.random unimported
@@ -366,9 +375,11 @@ def _ritz_range(bands: Bands) -> tuple:
             break
         betas.append(beta)
         q_prev, q = q, w / beta
-    T = np.diag(alphas) + np.diag(betas[: len(alphas) - 1], 1)
-    theta = np.linalg.eigvalsh(T, UPLO="U")
-    return theta[0], theta[-1]
+    k = len(alphas)
+    T = np.diag(alphas) + np.diag(betas[: k - 1], 1)
+    theta, Y = np.linalg.eigh(T, UPLO="U")
+    r = np.abs(Y[-1, [0, -1]]) * (betas[-1] if len(betas) == k else 0.0)
+    return theta[0], theta[-1], r[0], r[1]
 
 
 def _band_norm(bands: Bands) -> float:
@@ -378,10 +389,14 @@ def _band_norm(bands: Bands) -> float:
 
     Gershgorin bounds bracket the spectrum; Lanczos Ritz values pick the
     side that holds max|eigenvalue| (the matrix is negated when it is the
-    bottom) and place the first sweep.  The top is found to full precision
-    by ``_band_top``, a Newton estimate certified by inertia tests, and one
+    bottom).  The first sweep spreads its shifts evenly over (t, t + 2 r],
+    t that side's Ritz value and r its residual norm, capped at the
+    Gershgorin bound.  When a shift lies above the spectrum, Newton steps
+    from the lowest such and a closing sweep follow at once; ``_band_top``
+    finishes the bracket, by bisection should Lanczos have missed the top
+    or Newton stalled.  r only places shifts: the inertia tests certify.  A
     positive-definiteness test in the first sweep rules the other side out;
-    should that test fail, the other side goes through ``_band_top`` too.
+    should it fail, the other side goes through ``_band_top`` too.
     """
     a = bands[0]
     radius = Bands([np.zeros_like(a)] + [np.abs(band) for band in bands[1:]]) @ np.ones_like(a)
@@ -394,14 +409,16 @@ def _band_norm(bands: Bands) -> float:
     # padded past the rounding of a +- radius
     glo, ghi = glo - 8 * _EPS * scale, ghi + 8 * _EPS * scale
     tol = 4 * _EPS * scale
-    tmin, tmax = _ritz_range(bands)
+    tmin, tmax, rmin, rmax = _ritz_range(bands)
     if tmax < -tmin:
-        bands, glo, ghi, tmax = Bands(-band for band in bands), -ghi, -glo, -tmin
+        bands, glo, ghi, tmax, rmax = Bands(-band for band in bands), -ghi, -glo, -tmin, rmin
     x = tmax * (1.0 - 2.0**-30)  # just below the top, for the other side's test
-    shifts = np.concatenate(([x], tmax + (ghi - tmax) * _LADDER))
+    shifts = np.append(x, np.linspace(tmax, min(ghi, tmax + 2.0 * rmax), 129)[1:])
     neg, pos = _band_pivots(bands, np.append(shifts, -x))
     above, bottom_clear = neg[:-1], pos[-1]
     lo, hi = _narrow(glo, ghi, shifts, above)
+    if above.any() and hi - lo > tol:
+        lo, hi = _close(bands, lo, hi, tol)
     hi = _band_top(bands, lo, hi, tol)
     if x <= hi and bottom_clear:
         return hi

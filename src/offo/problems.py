@@ -451,9 +451,13 @@ def _rosenbr(n):
 @_register("broyden3d", 10, lambda n: n >= 2, "n >= 2")
 def _broyden3d(n):
     def residual(x):
-        xm = np.concatenate(([0.0], x[:-1]))
-        xp = np.concatenate((x[1:], [0.0]))
-        return (3.0 - 2.0 * x) * x - xm - 2.0 * xp + 1.0
+        # (3 - 2 x_i) x_i - x_{i-1} - 2 x_{i+1} + 1 with x_0 = x_{n+1} = 0, in
+        # that order; the terms left out at the ends would subtract an exact 0
+        r = (3.0 - 2.0 * x) * x
+        r[1:] -= x[:-1]
+        r[:-1] -= 2.0 * x[1:]
+        r += 1.0
+        return r
 
     def fn(x):
         return (residual(x) ** 2).sum()

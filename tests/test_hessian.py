@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -301,21 +302,79 @@ def _jittered_hessians(name):
         yield p.hess(p.x0 + 1e-3 * (1.0 + np.abs(p.x0)) * rng.standard_normal(p.n))
 
 
-@pytest.mark.parametrize("name", ["broyden3d", "tridia"])
-def test_band_norm_takes_at_most_three_sweeps_at_large_n(name, monkeypatch):
+def _counting_sweeps(monkeypatch):
+    """The list to which every inertia sweep appends its 'above the spectrum' flags."""
     sweeps = []
 
     def counting(bands, shifts):
-        sweeps.append(shifts.size)
-        return _band_pivots(bands, shifts)
+        neg, pos = _band_pivots(bands, shifts)
+        sweeps.append(neg)
+        return neg, pos
 
     monkeypatch.setattr(hessian, "_band_pivots", counting)
+    return sweeps
+
+
+@pytest.mark.parametrize("name", ["broyden3d", "tridia"])
+def test_band_norm_takes_at_most_two_sweeps_at_large_n(name, monkeypatch):
+    sweeps = _counting_sweeps(monkeypatch)
     for H in _jittered_hessians(name):
         sweeps.clear()
         got = _band_norm(H)
-        assert len(sweeps) <= 3
+        assert len(sweeps) <= 2
         truth = np.abs(np.linalg.eigvalsh(np.asarray(H))).max()
         assert got == pytest.approx(truth, rel=1e-12, abs=0.0)
+
+
+def test_large_n_exact_model_runs_take_at_most_62_sweeps(monkeypatch):
+    # adagH with the large-n benchmark's budget on its start points at seeds
+    # 0-9: 30 norms (broyden3d's two per run, tridia's constant one once),
+    # 2 sweeps each
+    sweeps = _counting_sweeps(monkeypatch)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        for name in ("broyden3d", "tridia"):
+            p = make_problem(name, 1000)
+            x0 = p.x0 + 1e-3 * (1.0 + np.abs(p.x0)) * rng.standard_normal(p.n)
+            astr1_run(dataclasses.replace(p, x0=x0), bench.method_config("adagH", 1e-3, 2))
+    assert len(sweeps) <= 62
+
+
+@pytest.mark.parametrize("ritz", [
+    # no residual: the first sweep's shifts all sit on the Ritz value
+    lambda tmin, tmax, rmin, rmax: (tmin, tmax, 0.0, 0.0),
+    # a top Ritz value far below the top eigenvalue
+    lambda tmin, tmax, rmin, rmax: (tmin, 0.5 * tmax, rmin, rmax),
+], ids=["no-residual", "low-ritz"])
+@pytest.mark.parametrize("name", ["broyden3d", "tridia"])
+def test_band_norm_certifies_when_the_placed_sweep_misses(name, ritz, monkeypatch):
+    ritz_range = hessian._ritz_range
+    monkeypatch.setattr(hessian, "_ritz_range", lambda bands: ritz(*ritz_range(bands)))
+    sweeps = _counting_sweeps(monkeypatch)
+    for H in _jittered_hessians(name):
+        sweeps.clear()
+        got = _band_norm(H)
+        # no shift of the first sweep lies above the spectrum, so bisection
+        # finishes: 3 sweeps, 9 on broyden3d's jitters with the low Ritz value
+        assert not sweeps[0][1:-1].any() and len(sweeps) >= 3
+        truth = np.abs(np.linalg.eigvalsh(np.asarray(H))).max()
+        assert got >= truth * (1 - 1e-15) and got == pytest.approx(truth, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("b", [1, 2])
+def test_ritz_pairs_lie_within_their_residual_of_an_eigenvalue(b):
+    # the residual bound against eigvalsh, with a rounding slack of
+    # 64 eps ||A|| for Lanczos without reorthogonalization (17 at most seen)
+    rng = np.random.default_rng(40 + b)
+    for _ in range(5):
+        n = int(rng.integers(512, 1501))
+        bands = Bands([rng.standard_normal(n)] + [rng.standard_normal(n - k) for k in range(1, b + 1)])
+        lam = np.linalg.eigvalsh(_dense(bands))
+        slack = 64 * np.finfo(float).eps * np.abs(lam).max()
+        tmin, tmax, rmin, rmax = hessian._ritz_range(bands)
+        for theta, r in ((tmin, rmin), (tmax, rmax)):
+            assert 0.0 <= r < math.inf
+            assert np.abs(lam - theta).min() <= r + slack
 
 
 @pytest.mark.parametrize("estimate", [

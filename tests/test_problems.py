@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -183,6 +184,22 @@ def test_broyden3d_hessian_equals_dense_formula(n):
     H, D = np.asarray(p.hess(x)), dense(x)
     assert np.max(np.abs(H - D)) <= 1e-15 * np.max(np.abs(D))
     assert np.array_equal(H, H.T)
+
+
+def test_broyden3d_residual_keeps_the_bits_of_the_padded_expression():
+    # the residual that fn, grad and hess share, against its expression with
+    # x padded by zeros at both ends: 1200 points, scales 1e-300 to 1e150, +-0 entries
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 10, 1000):
+        residual = inspect.getclosurevars(make_problem("broyden3d", n).fn).nonlocals["residual"]
+        for _ in range(300):
+            x = 10.0 ** rng.uniform(-300.0, 150.0) * rng.standard_normal(n)
+            x[rng.random(n) < 0.2] = 0.0
+            x[rng.random(n) < 0.2] = -0.0
+            xm = np.concatenate(([0.0], x[:-1]))
+            xp = np.concatenate((x[1:], [0.0]))
+            want = (3.0 - 2.0 * x) * x - xm - 2.0 * xp + 1.0
+            assert residual(x).tobytes() == want.tobytes()
 
 
 # Entry-by-entry Hessians.  Powers come from whole arrays, as in the catalog,
@@ -434,6 +451,9 @@ def test_exact_lipschitz_is_computed_on_first_use(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse_n_by_n)
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: (
+        refuse() if len(a) > hessian._LANCZOS_STEPS else eigh(a, *args, **kwargs)))
     p = make_problem("tridia", 1000)
     assert p._lipschitz is None
     # past the band crossover the first use bisects the bands, with no n x n
