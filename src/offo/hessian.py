@@ -353,8 +353,8 @@ def _band_top(bands: Bands, lo: float, hi: float, tol: float) -> float:
 
 
 def _ritz_range(bands: Bands) -> tuple:
-    """The extreme Ritz values of a few Lanczos steps, inside the spectrum,
-    and their residual norms: an eigenvalue lies within r = beta_k |y_k| of
+    """The extreme Ritz values of a few Lanczos steps, inside the spectrum up
+    to rounding, and their residual norms: an eigenvalue lies within r = beta_k |y_k| of
     a Ritz value whose vector y ends in y_k (Kahan 1967; Parlett, The
     Symmetric Eigenvalue Problem, 1998, ch. 11), and r is 0 on breakdown."""
     # a fixed chirp, whose frequency runs from 0 to 2 pi along the vector, so

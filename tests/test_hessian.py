@@ -362,19 +362,33 @@ def test_band_norm_certifies_when_the_placed_sweep_misses(name, ritz, monkeypatc
 
 
 @pytest.mark.parametrize("b", [1, 2])
-def test_ritz_pairs_lie_within_their_residual_of_an_eigenvalue(b):
-    # the residual bound against eigvalsh, with a rounding slack of
-    # 64 eps ||A|| for Lanczos without reorthogonalization (17 at most seen)
+def test_ritz_pairs_lie_within_their_residual_of_an_eigenvalue(b, monkeypatch):
+    # the residual bound against eigvalsh, with a rounding slack of 64 eps
+    # ||A|| for Lanczos without reorthogonalization (17 at most seen on 40
+    # random bands); and r against the residual norm of the Ritz pair, formed
+    # from the Lanczos vectors and the tridiagonal that _ritz_range hands to
+    # its products and to eigh, since A Q = Q T + beta_k q_{k+1} e_k^T holds
+    # up to rounding whether or not Q stays orthogonal (Paige 1976)
+    seen = []
+    matmul, eigh = Bands.__matmul__, np.linalg.eigh
+    monkeypatch.setattr(Bands, "__matmul__", lambda self, v: seen.append(v) or matmul(self, v))
+    monkeypatch.setattr(np.linalg, "eigh", lambda T, UPLO: seen.append(T) or eigh(T, UPLO))
     rng = np.random.default_rng(40 + b)
     for _ in range(5):
         n = int(rng.integers(512, 1501))
         bands = Bands([rng.standard_normal(n)] + [rng.standard_normal(n - k) for k in range(1, b + 1)])
-        lam = np.linalg.eigvalsh(_dense(bands))
+        A = _dense(bands)
+        lam = np.linalg.eigvalsh(A)
         slack = 64 * np.finfo(float).eps * np.abs(lam).max()
+        seen.clear()
         tmin, tmax, rmin, rmax = hessian._ritz_range(bands)
-        for theta, r in ((tmin, rmin), (tmax, rmax)):
+        theta, Y = eigh(seen.pop(), UPLO="U")
+        U = np.array(seen).T @ Y[:, [0, -1]]
+        assert [tmin, tmax] == [theta[0], theta[-1]]
+        for t, r, u in ((tmin, rmin, U[:, 0]), (tmax, rmax, U[:, 1])):
             assert 0.0 <= r < math.inf
-            assert np.abs(lam - theta).min() <= r + slack
+            assert np.abs(lam - t).min() <= r + slack
+            assert abs(np.linalg.norm(A @ u - t * u) - r) <= slack
 
 
 @pytest.mark.parametrize("estimate", [
