@@ -235,17 +235,13 @@ def test_exact_model_cap_certified_at_large_n_pentadiagonal():
     assert m.norm_estimate() == 50.0
 
 
-def _row_sum(H):
-    """The largest absolute row sum of H, read from its dense form in long double."""
-    return np.abs(np.asarray(H, dtype=np.longdouble)).sum(axis=1).max()
-
-
 def _assert_certified(H, got):
     """got lies above max|eigenvalue| of H, and at most the band norm's pad
-    2 (b + 1) eps, plus the rounding that pad covers, above the row sum."""
+    2 (b + 1) eps, plus the rounding that pad covers, above the largest
+    absolute row sum, read from the dense form in long double."""
     pad = 2 * len(H) * np.finfo(float).eps
     assert got >= np.abs(np.linalg.eigvalsh(np.asarray(H))).max()
-    ref = _row_sum(H)
+    ref = np.abs(np.asarray(H, dtype=np.longdouble)).sum(axis=1).max()
     assert ref <= got <= ref * (1 + 2 * pad)
 
 
