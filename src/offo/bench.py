@@ -142,13 +142,15 @@ def _run_spec(args):
 
 def check_matrix(methods: Sequence[str], problems: Sequence[tuple],
                  noise_levels: Sequence[float], seeds: Sequence[int], eps: float,
-                 max_iter: int) -> list:
+                 max_iter: int, jobs: int = 1) -> list:
     """The seeds a matrix runs: ``seeds``, or seed 0 alone for noise-free runs.
 
     Every method, problem and dimension, noise level and seed is checked
-    first, as its run would check it: the first bad one raises ValueError
-    or CatalogError.
+    first, as its run would check it, and so is the worker count ``jobs``:
+    the first bad one raises ValueError or CatalogError.
     """
+    if not jobs >= 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     for m in methods:
         method_config(m, eps, max_iter)
     built = [make_problem(name, n) for name, n in problems]
@@ -178,7 +180,7 @@ def run_matrix(
     noise-free run does not depend on its seed, so it runs once, for the
     first seed, and its record is copied to the others.
     """
-    seeds = check_matrix(methods, problems, noise_levels, seeds, eps, max_iter)
+    seeds = check_matrix(methods, problems, noise_levels, seeds, eps, max_iter, jobs)
     specs = [
         (m, name, n, noise, seed, eps, max_iter)
         for m in methods

@@ -146,7 +146,7 @@ def bench_cmd(methods, problems, noise, seeds, eps, max_iter, jobs, outdir):
             if not values:
                 raise ValueError(f"{option} lists nothing")
         seed_list = bench_mod.check_matrix(method_list, problem_list, noise_levels,
-                                           range(seeds), eps, max_iter)
+                                           range(seeds), eps, max_iter, jobs)
     records = bench_mod.run_matrix(
         method_list, problem_list, noise_levels, seed_list,
         eps=eps, max_iter=max_iter, jobs=jobs,

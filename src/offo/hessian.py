@@ -3,19 +3,17 @@
 Three classes: ``ZeroModel`` (``none``), ``LbfgsModel`` (``lbfgs3``, M=3 direct
 BFGS updates on the spectral base scale * I, held in compact form so that a
 product costs O(n M); ``bb`` is its memory 0) and ``ExactModel`` (``exact``,
-the true Hessian, refreshed per iterate).  Each supplies a raw operator and
-its spectral norm ||B||, computed once per operator: ``|scale|`` for bb,
-``spectral_norm`` of a 2M x 2M matrix from the compact form (O(n M^2)) for
-L-BFGS, and for exact ``spectral_norm``, which also gives a quadratic's
-Lipschitz constant: a certified row-sum bound for band form (a Hessian that
-arrives as ``Bands``, its diagonal and upper bands, the form banded problems
-return, past the measured crossover), in O(n b) and never dense, and one
-``eigvalsh`` for dense.  Every other raw norm is exact up to a backward error
-of order eps ||B||, and the banded bound lies above ||B||; every product goes
-through the shared cap, which rescales the operator by ``kappa_B / ||B||``
-whenever ``||B|| > kappa_B``, ||B|| standing for the raw norm or bound.  Only
-the exact model offers its diagonal as the box subproblem's Jacobi
-preconditioner (``jacobi_diagonal``).
+the true Hessian, refreshed per iterate).  Each supplies a raw operator and a
+certified upper bound on its spectral norm ||B||, computed once per operator
+with no eigensolve: ``|scale|`` for bb, a bound from the compact form's
+column norms (O(n M)) for L-BFGS, and for exact the largest absolute row sum,
+padded for rounding (``_row_sum_bound``), in O(n b) for a Hessian that
+arrives as ``Bands`` (its diagonal and upper bands, the form banded problems
+return, past the measured crossover) and in O(n^2) for dense.  The analysis
+needs only ||B|| <= kappa_B: every product goes through the shared cap, which
+rescales the operator by ``kappa_B / bound`` whenever the bound exceeds
+``kappa_B``.  Only the exact model offers its diagonal as the box subproblem's
+Jacobi preconditioner (``jacobi_diagonal``).
 """
 from __future__ import annotations
 
@@ -30,17 +28,17 @@ Array = np.ndarray
 
 #: secant pairs are accepted only when y's + pair curvature clears this guard
 SECANT_GUARD = 1e-15
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class CurvatureModel:
     """A raw symmetric operator under the spectral-norm cap ``kappa_B``.
 
-    Subclasses supply ``_raw_matvec`` and ``_raw_norm`` (exact up to a
-    backward error of order eps ||B||, or a certified bound above ||B|| for a
-    band Hessian); ``raw_norm`` and the cap ``factor``
-    are fixed whenever an instance is built, so every ``update`` or
-    ``with_matrix`` computes them once.
+    Subclasses supply ``_raw_matvec`` and ``_raw_norm``, a certified upper
+    bound on ||B||; ``raw_norm`` and the cap ``factor`` are fixed whenever an
+    instance is built, so every ``update`` or ``with_matrix`` computes them
+    once.
     """
 
     is_zero = False
@@ -67,7 +65,8 @@ class CurvatureModel:
         return w if self.factor == 1.0 else self.factor * w
 
     def norm_estimate(self) -> float:
-        """Spectral norm of the capped operator (computed, not estimated)."""
+        """A certified upper bound on the capped operator's spectral norm:
+        the raw bound, or ``kappa_B`` where the cap binds."""
         return min(self.raw_norm, self.kappa_B)
 
     def jacobi_diagonal(self) -> Optional[Array]:
@@ -95,7 +94,7 @@ class LbfgsModel(CurvatureModel):
     rank-two BFGS corrections, so the most recent one satisfies B s = y, and
     memory 0 is the ``bb`` model.  The compact form (Byrd, Nocedal & Schnabel
     1994) ``B = scale I + W diag(D) W^T``, W = [u_1, y_1, ...], is built once
-    per operator and serves both the product and the norm.
+    per operator and serves both the product and the norm bound.
     """
 
     memory: int = 3
@@ -140,18 +139,22 @@ class LbfgsModel(CurvatureModel):
         return w
 
     def _raw_norm(self) -> float:
-        # W = Q R: B acts as scale I + R D R^T on range(Q) and as scale I on
-        # its complement
+        # v^T B v = scale + sum_k D_k (w_k^T v)^2 lies within
+        # [scale - N, scale + P] for a unit v, P and N the sums of D_k ||w_k||^2
+        # over D_k > 0 and of |D_k| ||w_k||^2 over D_k < 0
         if not self.D.size:
             return abs(self.scale)
-        R = np.linalg.qr(self.W, mode="r")
-        norm = spectral_norm(self.scale * np.eye(R.shape[0]) + (R * self.D) @ R.T)
-        return norm if R.shape[0] == self.W.shape[0] else max(norm, abs(self.scale))
+        t = self.D * np.einsum("ij,ij->j", self.W, self.W)
+        up = t > 0
+        # a NaN term lands in N, and np.maximum carries it to the bound
+        top = float(np.maximum(self.scale + t[up].sum(), -t[~up].sum() - self.scale))
+        # each branch rounds by at most gamma_{n + 2M + 1} (|scale| + P + N),
+        # and the larger branch is at least |scale| and at least (P + N) / 2
+        return top * (1.0 + 2 * (self.W.shape[0] + self.D.size + 2) * _EPS)
 
 
 #: smallest n at which a banded Hessian is kept in band form
 _BAND_MIN_N = 512
-_EPS = np.finfo(float).eps
 
 
 class Bands(tuple):
@@ -183,18 +186,22 @@ class Bands(tuple):
         return Bands(band.copy() for band in self)
 
 
-def _band_norm(bands: Bands) -> float:
-    """A certified upper bound on max|eigenvalue| of a symmetric band matrix:
-    its largest absolute row sum (Gershgorin 1931; Golub & Van Loan, Matrix
-    Computations, 4th ed., 2.3 and 7.2.1), padded past rounding, in O(n b).
-    NaN when that sum is not finite, as eigvalsh gives for such a matrix."""
-    radius = Bands([np.abs(band) for band in bands]) @ np.ones_like(bands[0])
-    top = float(radius.max())
+def _row_sum_bound(H: Array | Bands) -> float:
+    """A certified upper bound on max|eigenvalue| of a symmetric H, banded or
+    dense: its largest absolute row sum max_i sum_j |h_ij| (Gershgorin 1931;
+    Golub & Van Loan, Matrix Computations, 4th ed., 2.3 and 7.2.1), padded
+    past rounding, in O(n b) for ``Bands`` and O(n^2) for dense.  NaN when
+    that sum is not finite, as eigvalsh gives for such a matrix."""
+    if isinstance(H, Bands):
+        rows, terms = Bands([np.abs(band) for band in H]) @ np.ones_like(H[0]), 2 * len(H) - 1
+    else:
+        rows, terms = np.abs(H).sum(axis=1), H.shape[1]
+    top = float(rows.max())
     if not math.isfinite(top):
         return float("nan")
-    # a row sum takes 2b additions of non-negative terms, each rounding by at
-    # most eps / 2 relative, and the padded product rounds once more
-    return top * (1.0 + 2 * len(bands) * _EPS)
+    # a row sum of non-negative terms rounds by at most gamma_{terms - 1},
+    # about (terms - 1) eps / 2, relative, and the padded product once more
+    return top * (1.0 + (terms + 1) * _EPS)
 
 
 def in_band_form(H: Array | Bands) -> bool:
@@ -204,34 +211,24 @@ def in_band_form(H: Array | Bands) -> bool:
 
 
 def spectral_norm(H: Array | Bands) -> float:
-    """max|eigenvalue| of a symmetric H, or a bound on it: a certified
-    row-sum bound (``_band_norm``) for band form, one dense ``eigvalsh`` for
-    any other H."""
+    """max|eigenvalue| of a symmetric H, or a bound on it: the certified
+    row-sum bound for band form, one dense ``eigvalsh`` for any other H.  A
+    quadratic's Lipschitz constant; no model norm calls it."""
     if in_band_form(H):
-        return _band_norm(H)
+        return _row_sum_bound(H)
     return float(np.abs(np.linalg.eigvalsh(H)).max())
-
-
-def _same_matrix(a: Array | Bands, b: Array | Bands) -> bool:
-    """Whether two Hessians of one run are equal bit for bit: band for band,
-    or as dense arrays."""
-    a, b = (tuple(h) if isinstance(h, Bands) else (h,) for h in (a, b))
-    return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
 class ExactModel(CurvatureModel):
     """The true Hessian at the current iterate, bound by ``with_matrix``.
 
-    A ``Bands`` Hessian with n at or above ``_BAND_MIN_N`` is kept as it is:
-    the matvec is the O(n b) band product and the norm a certified row-sum
-    bound (``_band_norm``), which may exceed ||H||, so the cap it sets is
-    certified too.  Any other Hessian is made dense and symmetric, with a
-    dense ``H @ v`` and one ``eigvalsh``.
-    ``update`` drops the matrix, which belongs to the previous iterate, but
-    keeps it aside with its norm, so that the next iterate's Hessian, when
-    equal to it bit for bit (a quadratic's, banded or dense), reuses the norm
-    and skips the bound or the ``eigvalsh``.
+    A ``Bands`` Hessian with n at or above ``_BAND_MIN_N`` is kept as it is,
+    with the O(n b) band product; any other Hessian is made dense and
+    symmetric, with a dense ``H @ v``.  Either way the norm is the certified
+    row-sum bound (``_row_sum_bound``), which may exceed ||H||, so the cap it
+    sets is certified too.  ``update`` drops the matrix, which belongs to the
+    previous iterate, so that a stale Hessian is never applied.
 
     ``jacobi_diagonal`` gives the box subproblem's Jacobi preconditioner:
     d = |diag H| floored at eps max(d).  A diagonal that is all zero or not
@@ -240,19 +237,16 @@ class ExactModel(CurvatureModel):
 
     needs_hessian = True
     H: Optional[Array | Bands] = None
-    #: the previous iterate's Hessian and its norm
-    _kept: Optional[tuple] = field(default=None, repr=False)
 
     def update(self, s: Array, y: Array) -> "ExactModel":
-        kept = None if self.H is None else (self.H, self.raw_norm)
-        return replace(self, H=None, _kept=kept)
+        return replace(self, H=None)
 
     def with_matrix(self, H: Array | Bands) -> "ExactModel":
         if in_band_form(H):
             return replace(self, H=H)
         H = np.asarray(H, dtype=float)
         # a symmetric H already equals 0.5 (H + H^T) bit for bit; keeping it
-        # spares an n x n copy next to the one eigvalsh makes
+        # spares an n x n copy
         if not np.array_equal(H, H.T):
             H = 0.5 * (H + H.T)
         return replace(self, H=H)
@@ -263,12 +257,7 @@ class ExactModel(CurvatureModel):
         return self.H @ v
 
     def _raw_norm(self) -> float:
-        if self.H is None:
-            return 0.0
-        kept = self._kept
-        if kept is not None and _same_matrix(kept[0], self.H):
-            return kept[1]
-        return spectral_norm(self.H)
+        return 0.0 if self.H is None else _row_sum_bound(self.H)
 
     def jacobi_diagonal(self) -> Optional[Array]:
         if self.H is None:

@@ -67,10 +67,10 @@ class ProblemInstance(_DirectCalls):
 
     ``f_low`` is a certified lower bound on f (attained or not).
     ``lipschitz_hint`` is the gradient Lipschitz constant of a quadratic
-    (``lipschitz_exact``): the Hessian's spectral norm, computed on first use
-    by the exact model's ``spectral_norm``; for a large banded one, its
-    padded row-sum bound, a certified upper bound.  Any other problem raises
-    :class:`CapabilityError`.
+    (``lipschitz_exact``), computed on first use by ``hessian.spectral_norm``:
+    the Hessian's spectral norm (one ``eigvalsh``), or for a large banded one
+    its padded row-sum bound, a certified upper bound.  Any other problem
+    raises :class:`CapabilityError`.
 
     Evaluations are used as the functions return them, unconverted: at a
     float64 x of shape (n,), ``fn`` returns a Python float or ``np.float64``,

@@ -60,8 +60,9 @@ def params_for_run(
 ) -> TheoryParams:
     """Assemble bound constants for a finished run.
 
-    ``kappa_B`` is the tightest valid cap: 1 for zero-curvature runs, else the
-    largest recorded model norm.  Requires an exact Lipschitz hint
+    ``kappa_B`` is a cap the trace certifies: 1 for zero-curvature runs, else
+    the largest recorded certified bound on the model norm, at least 1.
+    Requires an exact Lipschitz hint
     (:class:`CapabilityError` otherwise).
     """
     kappa_B = 1.0

@@ -234,6 +234,7 @@ def test_records_csv_rows(tmp_path):
     dict(seeds=[-1, 0]),
     dict(seeds=[0, 1, -1]),
     dict(noise=[0.0, 0.1], seeds=[]),
+    dict(jobs=0),
 ])
 def test_run_matrix_checks_the_whole_matrix_before_its_first_run(bad, monkeypatch):
     runs = []
@@ -248,7 +249,7 @@ def test_run_matrix_checks_the_whole_matrix_before_its_first_run(bad, monkeypatc
     matrix.update(bad)
     with pytest.raises((ValueError, KeyError)):
         run_matrix(matrix["methods"], matrix["problems"], matrix["noise"], matrix["seeds"],
-                   eps=1e-3, max_iter=50)
+                   eps=1e-3, max_iter=50, jobs=matrix.get("jobs", 1))
     assert runs == []
 
 

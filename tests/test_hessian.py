@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from offo import bench, hessian
-from offo.hessian import Bands, ExactModel, LbfgsModel, ZeroModel, _band_norm, make_model
-from offo.problems import make_problem
+from offo.hessian import Bands, ExactModel, LbfgsModel, ZeroModel, _row_sum_bound, make_model
+from offo.problems import CapabilityError, default_suite, make_problem
 from offo.scaling import rule_from_name
 from offo.solver import Astr1Config, astr1_run
 from offo.theory import params_for_run
@@ -182,11 +182,11 @@ def test_matvec_linearity():
 
 
 def test_exact_model_norm_matches_dense_eigensolve():
+    # the norm is the certified row-sum bound: 168 against eigvalsh's 144.71
     p = make_problem("tridia", 10)
-    H = p.hess(p.x0)
-    m = make_model("exact").with_matrix(H)
-    lam = np.linalg.eigvalsh(H)[-1]
-    assert m.norm_estimate() == pytest.approx(lam, rel=1e-12)
+    m = make_model("exact").with_matrix(p.hess(p.x0))
+    assert isinstance(m.H, np.ndarray)
+    _assert_certified(m.H, m.norm_estimate())
 
 
 def test_exact_model_enforcement():
@@ -213,8 +213,9 @@ def test_exact_model_update_drops_stale_hessian():
 
 
 def test_exact_model_norm_is_largest_absolute_eigenvalue():
+    # the largest absolute row sum, 7, padded by (n + 1) eps
     m = make_model("exact").with_matrix(np.diag([3.0, -7.0, 1.0]))
-    assert m.norm_estimate() == 7.0
+    assert m.norm_estimate() == 7.0 * (1.0 + 4 * np.finfo(float).eps)
 
 
 def test_exact_model_cap_certified_at_large_n():
@@ -236,10 +237,12 @@ def test_exact_model_cap_certified_at_large_n_pentadiagonal():
 
 
 def _assert_certified(H, got):
-    """got lies above max|eigenvalue| of H, and at most the band norm's pad
-    2 (b + 1) eps, plus the rounding that pad covers, above the largest
+    """got lies above max|eigenvalue| of H, and at most the row-sum bound's
+    pad (terms per row + 1) eps, that is 2 (b + 1) eps for bands and (n + 1)
+    eps for dense, plus the rounding that pad covers, above the largest
     absolute row sum, read from the dense form in long double."""
-    pad = 2 * len(H) * np.finfo(float).eps
+    terms = 2 * len(H) - 1 if isinstance(H, Bands) else H.shape[1]
+    pad = (terms + 1) * np.finfo(float).eps
     assert got >= np.abs(np.linalg.eigvalsh(np.asarray(H))).max()
     ref = np.abs(np.asarray(H, dtype=np.longdouble)).sum(axis=1).max()
     assert ref <= got <= ref * (1 + 2 * pad)
@@ -253,7 +256,7 @@ def test_band_norm_matches_dense_eigensolve(name, b, n):
     for _ in range(3):
         H = p.hess(p.x0 + 0.3 * (1.0 + np.abs(p.x0)) * rng.standard_normal(n))
         assert isinstance(H, Bands) and len(H) == b + 1
-        _assert_certified(H, _band_norm(H))
+        _assert_certified(H, _row_sum_bound(H))
 
 
 @pytest.mark.parametrize("bands", [
@@ -272,15 +275,15 @@ def test_band_norm_matches_dense_eigensolve(name, b, n):
 def test_band_norm_on_indefinite_diagonal_and_split_matrices(bands):
     H = sum(np.diag(band, k) + (np.diag(band, -k) if k else 0) for k, band in enumerate(bands))
     assert np.array_equal(np.asarray(Bands(bands)), H)
-    _assert_certified(Bands(bands), _band_norm(Bands(bands)))
+    _assert_certified(Bands(bands), _row_sum_bound(Bands(bands)))
 
 
 def test_band_norm_of_zero_non_finite_and_wide_bands():
-    assert _band_norm(Bands((np.zeros(4), np.zeros(3), np.full(2, -0.0)))) == 0.0
+    assert _row_sum_bound(Bands((np.zeros(4), np.zeros(3), np.full(2, -0.0)))) == 0.0
     for bad in (np.nan, np.inf, -np.inf):
         band = np.ones(599)
         band[300] = bad
-        assert math.isnan(_band_norm(Bands((np.ones(600), band))))
+        assert math.isnan(_row_sum_bound(Bands((np.ones(600), band))))
     # powellsg's Hessian has three upper bands (b = 3)
     p = make_problem("powellsg", 600)
     rng = np.random.default_rng(4)
@@ -303,61 +306,18 @@ def test_a_band_hessian_bound_past_kappa_is_capped(name, n, kappa_B):
     assert np.abs(np.linalg.eigvalsh(capped)).max() <= kappa_B
 
 
-def _trace_fields(tr):
-    return {f.name: (v.tobytes() if isinstance(v, np.ndarray) else repr(v))
-            for f in dataclasses.fields(tr) for v in [getattr(tr, f.name)]}
-
-
-@pytest.mark.parametrize("name, norms", [("tridia", 1), ("broyden3d", 2)])
-def test_an_equal_band_hessian_reuses_the_norm(name, norms, monkeypatch):
-    calls = []
-
-    def counting(bands):
-        calls.append(bands)
-        return _band_norm(bands)
-
-    monkeypatch.setattr(hessian, "_band_norm", counting)
-    p = make_problem(name, 1000)
-    reused = bench.solve("adagH", p, 1e-12, 2)
-    assert reused.steps == 2 and len(calls) == norms
-    monkeypatch.setattr(hessian, "_same_matrix", lambda a, b: False)
-    calls.clear()
-    fresh = bench.solve("adagH", p, 1e-12, 2)
-    assert len(calls) == 2
-    assert _trace_fields(reused) == _trace_fields(fresh)
-
-
-@pytest.mark.parametrize("name, n, norms", [("hilbert", 10, 1), ("arglina", 10, 1),
-                                            ("arglinb", 10, 1), ("rosenbr", 10, 6)])
-def test_an_equal_dense_hessian_reuses_the_norm(name, n, norms, monkeypatch):
-    # a quadratic's constant Hessian takes one eigvalsh per run, not one per iterate
-    calls = []
-    spectral = hessian.spectral_norm
-
-    def counting(H):
-        calls.append(H)
-        return spectral(H)
-
-    monkeypatch.setattr(hessian, "spectral_norm", counting)
+@pytest.mark.parametrize("name, n", sorted(default_suite()))
+def test_dense_exact_bound_is_certified_on_the_desk_hessians(name, n):
     p = make_problem(name, n)
-    reused = bench.solve("adagH", p, 1e-12, 6)
-    assert reused.steps == 6 and len(calls) == norms
-    monkeypatch.setattr(hessian, "_same_matrix", lambda a, b: False)
-    calls.clear()
-    fresh = bench.solve("adagH", p, 1e-12, 6)
-    assert len(calls) == 6
-    assert _trace_fields(reused) == _trace_fields(fresh)
-
-
-def test_a_dense_hessian_is_kept_across_update():
-    H = np.diag([1.0, 2.0])
-    m = make_model("exact").with_matrix(H).update(np.ones(2), np.ones(2))
-    assert m.H is None and m._kept[0] is H and m._kept[1] == 2.0
-    # the kept matrix is compared in its own form, bit for bit
-    assert hessian._same_matrix(H, H.copy())
-    assert not hessian._same_matrix(H, np.diag([1.0, -2.0]))
-    assert not hessian._same_matrix(H, Bands([np.array([1.0, 2.0])]))
-    assert not hessian._same_matrix(np.zeros((2, 2)), np.full((2, 2), -0.0))
+    rng = np.random.default_rng(n)
+    for x in [p.x0] + [p.x0 + 0.3 * (1.0 + np.abs(p.x0)) * rng.standard_normal(n)
+                       for _ in range(5)]:
+        try:
+            m = make_model("exact").with_matrix(p.hess(x))
+        except CapabilityError:
+            return
+        assert isinstance(m.H, np.ndarray)
+        _assert_certified(m.H, m.raw_norm)
 
 
 @pytest.mark.parametrize("name", ["rosenbr", "broyden3d", "tridia", "woods"])
@@ -439,14 +399,83 @@ def _positive_pairs(rng, n, count):
     return pairs
 
 
+def _assert_lbfgs_certified(m, B):
+    """m's bound lies above max|eigenvalue| of its dense operator B, and at
+    most its pad 2 (n + k + 2) eps above the same bound summed in long double
+    from m's k compact-form columns."""
+    assert m.raw_norm >= np.abs(np.linalg.eigvalsh(B)).max()
+    W, D = m.W.astype(np.longdouble), m.D.astype(np.longdouble)
+    t = D * (W * W).sum(axis=0)
+    ref = max(m.scale + t[t > 0].sum(), -t[t < 0].sum() - m.scale, abs(m.scale))
+    pad = 2 * (W.shape[0] + D.size + 2) * np.finfo(float).eps
+    assert ref <= m.raw_norm <= ref * (1 + 2 * pad)
+
+
 @pytest.mark.parametrize("n", [2, 6, 1000])
 def test_lbfgs_norm_matches_dense_eigensolve(n):
     m = make_model("lbfgs3")
     pairs = _positive_pairs(np.random.default_rng(6), n, 3)
     for s, y in pairs:
         m = m.update(s, y)
-    dense = np.abs(np.linalg.eigvalsh(dense_bfgs(m.scale, pairs, n))).max()
-    assert m.norm_estimate() == pytest.approx(dense, rel=1e-12)
+    _assert_lbfgs_certified(m, dense_bfgs(m.scale, pairs, n))
+
+
+@pytest.mark.parametrize("n", [2, 6, 1000])
+def test_lbfgs_bound_is_certified_for_every_memory(n):
+    rng = np.random.default_rng(n)
+    pairs = _positive_pairs(rng, n, 4)
+    for memory in range(5):
+        m = LbfgsModel(memory=memory)
+        for s, y in pairs:
+            m = m.update(s, y)
+        kept = pairs[len(pairs) - memory:] if memory else []
+        _assert_lbfgs_certified(m, dense_bfgs(m.scale, kept, n))
+        if not memory:
+            assert m.raw_norm == abs(m.scale)
+    # s^T B s underflows to 0 for s = 1e-170 e: that correction is skipped
+    first, last = pairs[:2]
+    e = np.eye(n)[-1]
+    m = LbfgsModel(scale=float(last[0] @ last[0] / (last[1] @ last[0])),
+                   pairs=(first, (1e-170 * e, 1e170 * e), last))
+    assert m.W.shape == (n, 4)
+    _assert_lbfgs_certified(m, dense_bfgs(m.scale, [first, last], n))
+
+
+def test_lbfgs_bound_holds_for_an_indefinite_compact_form():
+    # BFGS pairs keep B positive definite; set W and D by hand so that
+    # B = I - 4 e_1 e_1^T, eigenvalues -3 and 1, and the negative side decides
+    m = LbfgsModel()
+    object.__setattr__(m, "W", np.array([[2.0], [0.0]]))
+    object.__setattr__(m, "D", np.array([-1.0]))
+    object.__setattr__(m, "raw_norm", m._raw_norm())
+    _assert_lbfgs_certified(m, np.diag([-3.0, 1.0]))
+
+
+@pytest.mark.parametrize("name", ["arglinb", "vardim"])
+def test_capped_dense_hessian_is_within_kappa_without_slack(name):
+    # the two desk Hessians whose norm at x0 exceeds the default kappa_B
+    p = make_problem(name, 10)
+    m = ExactModel().with_matrix(p.hess(p.x0))
+    assert m.raw_norm > m.kappa_B and m.norm_estimate() == m.kappa_B
+    assert np.abs(np.linalg.eigvalsh(m.matvec(np.eye(p.n)))).max() <= m.kappa_B
+
+
+def test_curvature_runs_take_no_eigensolve_or_qr(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolve or QR on the run path")
+
+    for name in ("eigvalsh", "eigh", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    ball = dataclasses.replace(bench.method_config("adagnorm", 1e-3, 100), model="exact")
+    for name, n in default_suite():
+        p = make_problem(name, n)
+        for run in (lambda: bench.solve("adagH", p, 1e-3, 100),
+                    lambda: bench.solve("adagbfgs3", p, 1e-3, 100),
+                    lambda: astr1_run(p, ball)):
+            try:
+                assert run().steps > 0
+            except CapabilityError:
+                pass
 
 
 def test_lbfgs_cap_certified_against_dense_operator():
@@ -456,7 +485,7 @@ def test_lbfgs_cap_certified_against_dense_operator():
         m = m.update(s, 3.0 * y)
     assert m.raw_norm > 1.0
     capped = np.column_stack([m.matvec(e) for e in np.eye(n)])
-    assert np.abs(np.linalg.eigvalsh(capped)).max() <= 1.0 + 1e-12
+    assert np.abs(np.linalg.eigvalsh(capped)).max() <= 1.0
     assert m.norm_estimate() == 1.0
 
 
@@ -472,7 +501,12 @@ def test_exact_model_trace_norms_are_exact(kappa_B):
         min(kappa_B, np.abs(np.linalg.eigvalsh(prob.hess(x))).max())
         for x in trace.x_hist[: trace.steps]
     ])
-    assert np.allclose(trace.norm_B, truth, rtol=1e-12, atol=0.0)
+    # each recorded norm is the certified bound, or kappa_B where it binds
+    rows = np.array([np.abs(np.asarray(prob.hess(x), dtype=np.longdouble)).sum(axis=1).max()
+                     for x in trace.x_hist[: trace.steps]])
+    pad = (prob.n + 1) * np.finfo(float).eps
+    assert np.all(truth <= trace.norm_B)
+    assert np.all(trace.norm_B <= np.minimum(kappa_B, rows * (1 + 2 * pad)))
     assert params_for_run(prob, rule, cfg.tau, trace).kappa_B >= truth.max()
 
 

@@ -37,8 +37,22 @@ def test_compare_reports_each_run_that_differs(capsys):
            "norm_B": np.array([1.0, 2.0])}
     nudged = dict(run, norm_B=np.array([1.0, np.nextafter(2.0, 3.0)]))
     other = {"a": run, "b": run, "c": None}
-    assert trace_compare.compare(other, {"a": run, "b": nudged, "c": None}) == (1, 0)
+    assert trace_compare.compare(other, {"a": run, "b": nudged, "c": None}) == (1, 0, 1, 0)
     out = capsys.readouterr().out.splitlines()
     assert out == ["b: converged g_evals 3 final_normg 0.0001 -> converged g_evals 3 "
                    "final_normg 0.0001", "    norm_B: 1 of 2 differ, max 1 ulps"]
-    assert trace_compare.compare(other, {"a": dict(run, g_evals=4), "c": None}) == (2, 2)
+    assert trace_compare.compare(other, {"a": dict(run, g_evals=4), "c": None}) == (2, 2, 0, 1)
+
+
+def test_compare_counts_norm_only_and_moved_runs(capsys):
+    run = {"status": "converged", "g_evals": 3, "final_normg": 1e-4,
+           "norm_B": np.array([1.0, 2.0]), "x_final": np.array([0.5, -0.5])}
+    other = {k: run for k in "abcd"}
+    this = {"a": run,
+            "b": dict(run, norm_B=np.array([1.0, 2.5])),
+            "c": dict(run, norm_B=np.array([1.0, 2.5]), q_step=np.array([1.0])),
+            "d": dict(run, x_final=np.array([0.5, -0.25]))}
+    # b differs in norm_B alone; c in norm_B and a field the other lacks; d moves
+    assert trace_compare.compare(other, this) == (3, 0, 1, 1)
+    this["e"] = None
+    assert trace_compare.compare(other, this) == (4, 1, 1, 2)

@@ -12,8 +12,9 @@ status, ``g_evals`` and ``final_normg`` of the other checkout, then of this
 one, and per field that differs the number of entries that differ and the
 largest difference in ulps (counted over the common length when the lengths
 differ; ``nan`` when a NaN meets a number).  Entries compare bit for bit.  It
-ends with the number of runs that differ, and of those whose status or
-``g_evals`` changed.  Direct evaluations are the digest's alone.
+ends with the number of runs that differ, and of those the number whose
+status or ``g_evals`` changed, that differ in ``norm_B`` alone, and whose
+``x_final`` changed.  Direct evaluations are the digest's alone.
 """
 from __future__ import annotations
 
@@ -108,8 +109,10 @@ def _summary(fields) -> str:
 
 def compare(other: dict, this: dict) -> tuple:
     """Print each run that differs; returns ``(runs that differ, runs whose
-    status or g_evals changed)``."""
-    differ = changed = 0
+    status or g_evals changed, runs that differ in norm_B alone, runs whose
+    x_final changed)``.  A run present or supported on one side only counts
+    as changed and as moving its x_final."""
+    differ = changed = norm_only = moved_x = 0
     for key in dict.fromkeys([*other, *this]):
         a, b = other.get(key, "absent"), this.get(key, "absent")
         if isinstance(a, dict) and isinstance(b, dict):
@@ -118,17 +121,21 @@ def compare(other: dict, this: dict) -> tuple:
             if not lines:
                 continue
             moved = (a["status"], a["g_evals"]) != (b["status"], b["g_evals"])
+            names = [name for name, _ in lines]
+            norm_only += names == ["norm_B"]
+            moved_x += "x_final" in names
         elif a == b:
             continue
         else:
             lines, moved = [], True
+            moved_x += 1
         differ += 1
         changed += moved
         print(f"{key}: {_summary(a)} -> {_summary(b)}")
         for name, (count, ulps, (la, lb)) in lines:
             size = f"of {la}" if la == lb else f"(lengths {la} -> {lb})"
             print(f"    {name}: {count} {size} differ" + ("" if ulps is None else f", max {ulps} ulps"))
-    return differ, changed
+    return differ, changed, norm_only, moved_x
 
 
 def main() -> None:
@@ -137,8 +144,9 @@ def main() -> None:
     other_root = Path(sys.argv[1]).resolve()
     this_root = TOOLS.parent
     other, this = collect(other_root), collect(this_root)
-    differ, changed = compare(other, this)
-    print(f"{differ} runs differ, {changed} with a changed status or g_evals")
+    differ, changed, norm_only, moved_x = compare(other, this)
+    print(f"{differ} runs differ, {changed} with a changed status or g_evals, "
+          f"{norm_only} in norm_B alone, {moved_x} with a changed x_final")
 
 
 if __name__ == "__main__":
