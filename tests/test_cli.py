@@ -69,7 +69,8 @@ def test_run_reports_capability_gap():
     (("bench", "--methods", "sdba", "--max-iter", "0"), "max_iter must be positive"),
     (("sharpness", "--iters", "0"), "K must be positive"),
     (("sharpness", "--mu", "1.5"), "mu must lie in (0, 1)"),
-    (("sharpness", "--kind", "thm41", "--omega", "0.1"), "omega"),    (("bench", "--methods", "sdba", "--jobs", "0"), "jobs must be at least 1"),
+    (("sharpness", "--kind", "thm41", "--omega", "0.1"), "omega"),
+    (("bench", "--methods", "sdba", "--jobs", "0"), "jobs must be at least 1"),
     (("bench", "--methods", "sdba", "--jobs", "-2"), "jobs must be at least 1"),
 ])
 def test_bad_input_is_a_usage_error(args, message, tmp_path, monkeypatch):
