@@ -142,7 +142,7 @@ def _run_spec(args):
 
 def check_matrix(methods: Sequence[str], problems: Sequence[tuple],
                  noise_levels: Sequence[float], seeds: Sequence[int], eps: float,
-                 max_iter: int, jobs: int = 1) -> list:
+                 max_iter: int, jobs: int) -> list:
     """The seeds a matrix runs: ``seeds``, or seed 0 alone for noise-free runs.
 
     Every method, problem and dimension, noise level and seed is checked
