@@ -178,7 +178,9 @@ def run_matrix(
 
     :func:`check_matrix` checks every input before the first run.  A
     noise-free run does not depend on its seed, so it runs once, for the
-    first seed, and its record is copied to the others.
+    first seed, and its record is copied to the others.  The runs take
+    ``min(jobs, runs, cores)`` worker processes, or run in this process
+    when that is 1.
     """
     seeds = check_matrix(methods, problems, noise_levels, seeds, eps, max_iter, jobs)
     specs = [
@@ -188,10 +190,12 @@ def run_matrix(
         for noise in noise_levels
         for seed in (seeds[:1] if noise == 0.0 else seeds)
     ]
-    if jobs > 1:
+    # a pool under fork starts all its workers at once
+    workers = min(jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: the pool module loads multiprocessing, which `import offo` spares
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             ran = list(pool.map(_run_spec, specs, chunksize=1))
     else:
         ran = [_run_spec(sp) for sp in specs]

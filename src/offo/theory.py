@@ -246,9 +246,11 @@ class EnvelopeReport:
 
 
 def check_envelope(trace: IterationTrace, kappa: float) -> EnvelopeReport:
-    """Check sum_{j<=k} ||g_j||^2 <= kappa at every recorded iteration."""
-    sums = np.cumsum(trace.normg**2)
-    ratios = sums / kappa
+    """Check sum_{j<=k} ||g_j||^2 <= kappa at every recorded iteration;
+    vacuous, with ``max_ratio`` 0, when no gradient was recorded."""
+    ratios = np.cumsum(trace.normg**2) / kappa
+    if not ratios.size:
+        return EnvelopeReport(max_ratio=0.0, argmax_k=0, kappa=kappa, passed=True)
     k = int(np.argmax(ratios))
     mr = float(ratios[k])
     return EnvelopeReport(max_ratio=mr, argmax_k=k, kappa=kappa, passed=mr <= 1.0)

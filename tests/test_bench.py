@@ -90,6 +90,35 @@ def test_noise_free_run_is_computed_once_and_copied_per_seed(monkeypatch):
     assert run_matrix(["adagrad"], problems, [0.0], range(5), **kw, jobs=2) == expected
 
 
+@pytest.mark.parametrize("cores, asked", [(None, []), (1, []), (2, [2]), (64, [3])])
+def test_workers_are_capped_by_runs_and_cores(cores, asked, monkeypatch):
+    import concurrent.futures
+
+    workers = []
+
+    class InProcessPool:
+        """Records ``max_workers`` and maps in this process; starts none."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: cores)
+    args = (["adagrad"], [("cube", 2), ("beale", 2), ("tridia", 4)], [0.0], [0])
+    kw = dict(eps=1e-3, max_iter=300)
+    assert run_matrix(*args, **kw, jobs=10**5) == run_matrix(*args, **kw)
+    assert workers == asked
+
+
 def test_noisy_runs_differ_by_seed_but_replay_identically():
     r1 = run_one("adagrad", "cube", 2, 0.2, 7, 1e-3, max_iter=300)
     r2 = run_one("adagrad", "cube", 2, 0.2, 7, 1e-3, max_iter=300)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offo.problems import CapabilityError, make_problem
+from offo.problems import CapabilityError, ProblemInstance, make_problem
 from offo.scaling import as4_floor, rule_from_name
 from offo.solver import Astr1Config, astr1_run
 from offo.theory import (
@@ -251,6 +251,19 @@ def test_envelope_check_single_eval_trace():
     p = params_for_run(prob, rule, cfg.tau, trace)
     rep = check_envelope(trace, envelope_constant(p, rule.mu))
     assert rep.passed
+
+
+def test_envelope_and_bracket_checks_pass_on_a_trace_with_no_gradient():
+    # the gradient is inf at x0, so the run stops before recording one
+    prob = ProblemInstance("inf-grad", 2, np.zeros(2), 0.0, lambda x: float(x @ x),
+                           lambda x: np.full(2, np.inf), None)
+    trace = astr1_run(prob, Astr1Config(scaling=rule_from_name("adagrad"), eps=1e-6,
+                                        max_iter=10))
+    assert trace.status == "overflow" and trace.normg.size == 0
+    rep = check_envelope(trace, 1.0)
+    assert rep.passed and rep.max_ratio == 0.0
+    rep = check_bracket(trace, base_params(), eta=1e-4, nu=0.5)
+    assert rep.vacuous and rep.passed
 
 
 def test_params_require_exact_lipschitz():

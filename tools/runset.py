@@ -1,4 +1,4 @@
-"""The run set that ``trace_digest.py`` digests and ``trace_compare.py`` compares.
+"""The run set that ``trace_compare.py`` compares.
 
 :func:`runs` yields ``(key, trace or None)`` for:
 
@@ -10,7 +10,10 @@
   curvature-model runs (``LARGE_MODEL_METHODS``) at seeds 1 to 9;
 * both worst-case replays at K = 300;
 * two instrumented runs that record their iterate, gradient and weight vectors;
-* runs that stop on a non-finite gradient, objective value or Hessian.
+* runs that stop on a non-finite gradient, objective value or Hessian;
+
+and then ``(key, fields)`` for the direct evaluations of
+:func:`direct_evaluations`.
 
 This module imports ``offo`` and ``perfbench`` from ``sys.path`` as it finds
 it: the importer puts the checkout under test first.  It uses only APIs that
@@ -22,7 +25,7 @@ import dataclasses
 
 import numpy as np
 
-from offo import bench, problems, sharpness, solver
+from offo import bench, hessian, problems, sharpness, solver
 from perfbench import workloads
 
 DESK_NOISE = (0.0, 0.15)
@@ -36,6 +39,8 @@ REPLAY_K = 300
 #: coordinates, so ten seeds reach ten times the CG paths of seed 0 alone
 LARGE_MODEL_METHODS = ("adagbb", "adagbfgs3", "adagH")
 LARGE_SEEDS = 10
+#: seed of the jitter of the second direct-evaluation point
+DIRECT_JITTER_SEED = 5
 
 
 def _ramp(derivative: str, at: float) -> problems.ProblemInstance:
@@ -52,8 +57,39 @@ def _ramp(derivative: str, at: float) -> problems.ProblemInstance:
     )
 
 
+def _evaluate(target, method, x):
+    """What ``target.method(x)`` returns, a Bands as its list of bands, or the
+    error it raises: ``unsupported`` for a missing capability, else
+    ``Type: message``."""
+    try:
+        value = getattr(target, method)(x)
+    except problems.CapabilityError:
+        return "unsupported"
+    except Exception as exc:  # recorded, so that two checkouts compare
+        return f"{type(exc).__name__}: {exc}"
+    return list(value) if isinstance(value, hessian.Bands) else value
+
+
+def direct_evaluations():
+    """``(key, fields)`` per desk problem, noise-free and at 15% noise (seed
+    0): ``value``, ``grad`` and ``hess`` at x0 (``@0``) and at a jittered
+    point (``@1``), called in that order on one oracle, and the stream
+    ``position`` they leave (None when noise-free)."""
+    for name, n in problems.default_suite():
+        problem = problems.make_problem(name, n)
+        jitter = np.random.default_rng(DIRECT_JITTER_SEED).uniform(-0.5, 0.5, n)
+        for noise in DESK_NOISE:
+            target = problem if noise == 0.0 else problems.NoisyOracle(problem, noise, 0)
+            fields = {f"{method}@{i}": _evaluate(target, method, x)
+                      for i, x in enumerate((problem.x0, problem.x0 + jitter))
+                      for method in ("value", "grad", "hess")}
+            fields["position"] = getattr(target, "_position", None)
+            yield f"direct {name}:{n} noise={noise:g}", fields
+
+
 def runs():
-    """``(key, trace or None)`` for every run of the set; None means unsupported."""
+    """``(key, trace or None)`` for every run of the set, None meaning
+    unsupported, then ``(key, fields)`` for every direct evaluation."""
     for name, n in problems.default_suite():
         problem = problems.make_problem(name, n)
         for noise in DESK_NOISE:
@@ -93,3 +129,4 @@ def runs():
         target = _ramp(derivative, 3.0)
         key = f"overflow {method} ramp-{derivative}"
         yield key, bench.solve(method, target, 1e-6, 1000, instrument_f=derivative == "value")
+    yield from direct_evaluations()

@@ -1,20 +1,22 @@
-"""Say which runs of the digest's run set differ between two checkouts, and by how much.
+"""Say which entries of a fixed run set differ between two checkouts, and by how much.
 
 Run from the root of a checkout, with the root of another as the only argument:
 
     python3 tools/trace_compare.py OTHER_CHECKOUT
 
-Each checkout runs ``runset.runs()`` (this checkout's run set, the one
-``trace_digest.py`` digests) against its own ``src/`` and ``perfbench/``, in
-a subprocess of its own with BLAS pinned to one thread, and hands back every
-trace's fields.  For each run whose traces differ the script prints the
-status, ``g_evals`` and ``final_normg`` of the other checkout, then of this
-one, and per field that differs the number of entries that differ and the
-largest difference in ulps (counted over the common length when the lengths
-differ; ``nan`` when a NaN meets a number).  Entries compare bit for bit.  It
-ends with the number of runs that differ, and of those the number whose
-status or ``g_evals`` changed, that differ in ``norm_B`` alone, and whose
-``x_final`` changed.  Direct evaluations are the digest's alone.
+Each checkout runs ``runset.runs()`` (this checkout's run set) against its
+own ``src/`` and ``perfbench/``, in a subprocess of its own with BLAS pinned
+to one thread, and hands back every entry's fields: a trace's, or a direct
+evaluation's.  For each entry that differs the script prints the status,
+``g_evals`` and ``final_normg`` (the stream position, for a direct
+evaluation) of the other checkout, then of this one, and per field that
+differs its change of form (Python type, and dtype and shape for an array,
+element by element inside a list) or else the number of entries that differ
+and the largest difference in ulps (``nan`` when a NaN meets a number).
+Entries compare bit for bit.  The last line counts the runs that differ, of
+those the ones whose status or ``g_evals`` changed, that differ in
+``norm_B`` alone and whose ``x_final`` changed, and the direct evaluations
+that differ.  The script exits 1 when any entry differs, else 0.
 """
 from __future__ import annotations
 
@@ -37,8 +39,8 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 root, tools, out = sys.argv[1:]
 sys.path[:0] = [os.path.join(root, "src"), root, tools]
 import runset
-runs = [(key, None if tr is None else {f.name: getattr(tr, f.name) for f in dataclasses.fields(tr)})
-        for key, tr in runset.runs()]
+runs = [(key, {f.name: getattr(tr, f.name) for f in dataclasses.fields(tr)}
+         if dataclasses.is_dataclass(tr) else tr) for key, tr in runset.runs()]
 with open(out, "wb") as fh:
     pickle.dump(runs, fh)
 """
@@ -66,53 +68,67 @@ def _as_array(value) -> np.ndarray:
     return np.atleast_1d(np.asarray(value))
 
 
+def _form(value) -> str:
+    """Python type, and dtype and shape for an array or length for a list."""
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype} array {value.shape}"
+    return f"list of {len(value)}" if isinstance(value, list) else type(value).__name__
+
+
+def _form_change(a, b):
+    """``"form -> form"`` where two values first differ in form, element by
+    element inside lists (prefixed ``[i]``); None if they never do."""
+    if _form(a) != _form(b):
+        return f"{_form(a)} -> {_form(b)}"
+    if isinstance(a, list):
+        return next((f"[{i}] {c}" for i, (p, q) in enumerate(zip(a, b))
+                     if (c := _form_change(p, q))), None)
+    return None
+
+
 def field_difference(a, b):
-    """``None`` if two field values are equal bit for bit, else
-    ``(entries that differ, largest difference in ulps or None, lengths)``;
-    the ulps are a float64 field's (``nan`` where a NaN meets a number), an
-    integer's absolute difference, and None for any other type."""
-    if isinstance(a, str) or isinstance(b, str) or a is None or b is None:
-        return None if a == b else (1, None, (1, 1))
+    """``None`` if two field values are equal in form and bit for bit, else
+    what differs: their change of form, or the entries that differ and the
+    largest difference in ulps, a float field's (``nan`` where a NaN meets a
+    number) or an integer's absolute difference."""
+    if form := _form_change(a, b):
+        return form
     x, y = _as_array(a), _as_array(b)
-    lengths = (x.size, y.size)
-    if x.dtype.kind != y.dtype.kind:
-        return (max(lengths), None, lengths)
-    m = min(lengths)
-    x, y = x[:m], y[:m]
     if x.dtype.kind == "f":
         x, y = x.astype(np.float64), y.astype(np.float64)
         differ = x.view(np.int64) != y.view(np.int64)
     else:
         differ = x != y
-    count = int(differ.sum()) + abs(lengths[0] - lengths[1])
-    if not count:
-        return None
     if not differ.any():
-        return (count, None, lengths)
+        return None
+    count = f"{int(differ.sum())} of {x.size} differ"
     x, y = x[differ], y[differ]
-    if x.dtype.kind == "f":
-        if np.isnan(x).any() or np.isnan(y).any():
-            return (count, float("nan"), lengths)
-        ulps = max(abs(p - q) for p, q in zip(_ordered(x), _ordered(y)))
-    elif x.dtype.kind in "iub":
+    if x.dtype.kind not in "fiub":
+        return count
+    if x.dtype.kind != "f":
         ulps = int(np.abs(x.astype(object) - y.astype(object)).max())
+    elif np.isnan(x).any() or np.isnan(y).any():
+        ulps = float("nan")
     else:
-        ulps = None
-    return (count, ulps, lengths)
+        ulps = max(abs(p - q) for p, q in zip(_ordered(x), _ordered(y)))
+    return f"{count}, max {ulps} ulps"
 
 
 def _summary(fields) -> str:
     if not isinstance(fields, dict):
         return fields or "unsupported"
+    if "status" not in fields:
+        return f"position {fields['position']!r}"
     return f"{fields['status']} g_evals {fields['g_evals']} final_normg {fields['final_normg']!r}"
 
 
 def compare(other: dict, this: dict) -> tuple:
-    """Print each run that differs; returns ``(runs that differ, runs whose
+    """Print each entry that differs; returns ``(runs that differ, runs whose
     status or g_evals changed, runs that differ in norm_B alone, runs whose
-    x_final changed)``.  A run present or supported on one side only counts
-    as changed and as moving its x_final."""
-    differ = changed = norm_only = moved_x = 0
+    x_final changed, direct evaluations that differ)``.  A run present or
+    supported on one side only counts as changed and as moving its x_final.
+    A direct evaluation is an entry whose fields hold no ``status``."""
+    differ = changed = norm_only = moved_x = direct = 0
     for key in dict.fromkeys([*other, *this]):
         a, b = other.get(key, "absent"), this.get(key, "absent")
         if isinstance(a, dict) and isinstance(b, dict):
@@ -120,33 +136,33 @@ def compare(other: dict, this: dict) -> tuple:
                      if (d := field_difference(a.get(name), b.get(name))) is not None]
             if not lines:
                 continue
-            moved = (a["status"], a["g_evals"]) != (b["status"], b["g_evals"])
-            names = [name for name, _ in lines]
-            norm_only += names == ["norm_B"]
-            moved_x += "x_final" in names
         elif a == b:
             continue
         else:
-            lines, moved = [], True
-            moved_x += 1
-        differ += 1
-        changed += moved
+            lines = []
         print(f"{key}: {_summary(a)} -> {_summary(b)}")
-        for name, (count, ulps, (la, lb)) in lines:
-            size = f"of {la}" if la == lb else f"(lengths {la} -> {lb})"
-            print(f"    {name}: {count} {size} differ" + ("" if ulps is None else f", max {ulps} ulps"))
-    return differ, changed, norm_only, moved_x
+        for name, d in lines:
+            print(f"    {name}: {d}")
+        if any(isinstance(v, dict) and "status" not in v for v in (a, b)):
+            direct += 1
+            continue
+        names = [name for name, _ in lines]
+        differ += 1
+        changed += not lines or (a["status"], a["g_evals"]) != (b["status"], b["g_evals"])
+        norm_only += names == ["norm_B"]
+        moved_x += not lines or "x_final" in names
+    return differ, changed, norm_only, moved_x, direct
 
 
 def main() -> None:
     if len(sys.argv) != 2:
         sys.exit(f"usage: {sys.argv[0]} OTHER_CHECKOUT")
-    other_root = Path(sys.argv[1]).resolve()
-    this_root = TOOLS.parent
-    other, this = collect(other_root), collect(this_root)
-    differ, changed, norm_only, moved_x = compare(other, this)
+    other, this = collect(Path(sys.argv[1]).resolve()), collect(TOOLS.parent)
+    differ, changed, norm_only, moved_x, direct = compare(other, this)
     print(f"{differ} runs differ, {changed} with a changed status or g_evals, "
-          f"{norm_only} in norm_B alone, {moved_x} with a changed x_final")
+          f"{norm_only} in norm_B alone, {moved_x} with a changed x_final; "
+          f"{direct} direct evaluations differ, of {len({*other, *this})} entries")
+    sys.exit(1 if differ or direct else 0)
 
 
 if __name__ == "__main__":
