@@ -14,7 +14,7 @@ from .problems import (
 )
 from .scaling import ScalingRule, ScalingState, as4_floor, new_state, rule_from_name, update, weights
 from .hessian import make_model
-from .solver import Astr1Config, IterationTrace, astr1_run, cauchy_step, sdba_run, solve_subproblem, trust_radius
+from .solver import Astr1Config, IterationTrace, astr1_run, cauchy_step, sdba_run, solve_subproblem
 from .theory import (
     TheoryParams,
     bracket_threshold,
@@ -74,7 +74,6 @@ __all__ = [
     "sdba_run",
     "series_bound",
     "solve_subproblem",
-    "trust_radius",
     "update",
     "weights",
     "zeta",

@@ -269,14 +269,6 @@ def perf_profile(records: Sequence[RunRecord]) -> ProfileReport:
     return ProfileReport(methods=methods, curves=curves, pi=pis, rho=rhos_pct)
 
 
-def success_rate(records: Sequence[RunRecord], method: str) -> float:
-    """Percentage of converged runs of one method in a record set."""
-    sel = [r for r in records if r.method == method]
-    if not sel:
-        raise ValueError(f"no records for method '{method}'")
-    return 100.0 * sum(r.converged for r in sel) / len(sel)
-
-
 def emit(report: ProfileReport, records: Sequence[RunRecord], outdir, fmt: str = "csv"):
     """Write records.csv, profile.csv and aggregate.{csv,json} under outdir."""
     if fmt not in ("csv", "json"):

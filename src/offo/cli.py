@@ -54,7 +54,7 @@ def run_cmd(problem_name, n, method, eps, max_iter, noise, seed, instrument_f, t
         sys.exit(1)
     if trace_path:
         trace.to_csv(trace_path)
-    click.echo(f"{head} status={trace.status} iterations={trace.iterations} "
+    click.echo(f"{head} status={trace.status} g_evals={trace.g_evals} "
                f"final_normg={trace.final_normg:.6g} f_evals={trace.f_evals}")
     if trace.status not in ("converged",):
         sys.exit(1)

@@ -147,11 +147,6 @@ def as4_floor(rule: ScalingRule, n: int = 1) -> float:
     return theta * sigma
 
 
-def aggregated_twin(rule: ScalingRule) -> ScalingRule:
-    """The same rule accumulating ||g||_2 instead of per-coordinate values."""
-    return replace(rule, aggregated=True)
-
-
 _BASE_RULES = {
     "adagrad": ScalingRule("adagrad-like"),
     "adagnorm": ScalingRule("adagrad-like", aggregated=True),

@@ -200,10 +200,6 @@ class IterationTrace:
     def steps(self) -> int:
         return len(self.gamma)
 
-    @property
-    def iterations(self) -> int:
-        return self.g_evals
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
@@ -214,13 +210,6 @@ class IterationTrace:
                 stepped = [f"{c[k]:.12g}" if k < len(self.gamma) else ""
                            for c in (self.delta_min, self.delta_max, self.gamma)]
                 wr.writerow([k, f"{self.normg[k]:.12g}", f_k, *stepped, self.status if k == last else ""])
-
-
-def trust_radius(g: Array, w: Array, geometry: str, normg: Optional[float] = None):
-    """Radii from the scaled gradient: per-coordinate (box) or scalar (ball; ``normg``: ||g|| if known)."""
-    if geometry == "box":
-        return np.abs(g) / w
-    return float((np.linalg.norm(g) if normg is None else normg) / w[0])
 
 
 def _into_ball(s: Array, delta: float) -> Array:
@@ -239,7 +228,7 @@ def zero_model_step(g: Array, radii, geometry: str, normg: Optional[float] = Non
     -sign(g_i) Delta_i per coordinate in a box, -Delta g / ||g|| in a ball,
     shrunk by ulps until its computed norm is at most Delta.  Under the zero
     model it is also the Cauchy point (gamma = 1) and the subproblem's
-    solution.  ``normg`` is as in :func:`trust_radius`.
+    solution.  ``normg`` is ||g||, computed here when not given.
     """
     if geometry == "box":
         # -sign(g) * radii, up to the sign of the zero step of a g_i = -0.0
@@ -460,15 +449,12 @@ def solve_subproblem(g, model, radii, geometry, cauchy: CauchyStep, tau: float, 
 
     Returns ``(s, q(s))``; falls back to the scaled Cauchy point whenever the
     iterative solve misses the tau-fraction decrease, which makes the
-    decrease contract unconditional.  The zero model's step is
-    :func:`zero_model_step`.
+    decrease contract unconditional.
 
     The box subproblem's CG is preconditioned by the model's
     ``jacobi_diagonal`` (the exact model's; None for the others), and q(s)
     reuses the product ``_cg_box`` holds, when it holds one.
     """
-    if model.is_zero:
-        return zero_model_step(g, radii, geometry)
     if geometry == "ball":
         s, Bs = _cg_ball(g, model.matvec, radii, tol), None
     else:
@@ -522,7 +508,7 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
             absg = np.abs(g)
             accumulate(state, rule, normg if aggregated else absg)
             w = weights(state, rule)
-            radii = absg / w if box else trust_radius(g, w, geometry, normg)
+            radii = absg / w if box else float(normg / w[0])
             if model.is_zero:
                 s, q_s = zero_model_step(g, radii, geometry, normg)
                 # the step is its own Cauchy point; q_Q adds the curvature
@@ -566,15 +552,19 @@ def sdba_run(problem, eps: float = 1e-6, max_iter: int = 100_000) -> IterationTr
     x = np.array(base.x0, dtype=float)
     tr = IterationTrace.open(eps, 1, 1)
     status = "max_iter"
+    f = None
     with np.errstate(all="ignore"):
-        try:
-            g, gg = oracle.grad(x)
-            f = oracle.value(x)
-        except NonFiniteError:
-            return tr.close("overflow", x, oracle)
-        normg = math.sqrt(gg)
-        alpha0 = 1.0 / normg if normg > 0 else 1.0
         for _ in range(max_iter):
+            try:
+                g, gg = oracle.grad(x)
+                normg = math.sqrt(gg)
+                if f is None:
+                    # the first pass: f(x0), and the trial steps' first length
+                    f = oracle.value(x)
+                    alpha0 = 1.0 / normg if normg > 0 else 1.0
+            except NonFiniteError:
+                status = "overflow"
+                break
             tr.add_eval(normg, f)
             if normg <= eps:
                 status = "converged"
@@ -599,10 +589,4 @@ def sdba_run(problem, eps: float = 1e-6, max_iter: int = 100_000) -> IterationTr
                         float(alpha * normg))
             x = x_try
             f = f_try
-            try:
-                g, gg = oracle.grad(x)
-            except NonFiniteError:
-                status = "overflow"
-                break
-            normg = math.sqrt(gg)
     return tr.close(status, x, oracle)

@@ -287,7 +287,8 @@ def _decrease_margins(trace: IterationTrace, p: TheoryParams, sigma_floor: float
     if trace.g_hist is None or trace.w_hist is None:
         raise ValueError("decrease check requires record_vectors=True")
     f = trace.f
-    if np.isnan(f).all():
+    # a trace with no gradient has no f to check, and no step
+    if f.size and np.isnan(f).all():
         raise ValueError("decrease check requires instrument_f=True")
     s_min = min(sigma_floor, 1.0)
     steps = min(len(trace.w_hist), len(f) - 1)

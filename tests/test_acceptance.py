@@ -1,12 +1,13 @@
 """Acceptance suite: one test per criterion, one printed line per criterion."""
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from offo.bench import perf_profile, run_matrix, run_one, success_rate
+from offo.bench import perf_profile, run_matrix, run_one
 from offo.problems import make_problem, default_suite
-from offo.scaling import aggregated_twin, as4_floor, rule_from_name
+from offo.scaling import as4_floor, rule_from_name
 from offo.sharpness import admissibility_margins, build_sequence, hermite_build, replay
 from offo.solver import Astr1Config, astr1_run
 from offo.theory import (
@@ -47,7 +48,7 @@ def gcp_matrix_traces():
         problem = make_problem(prob_name, n)
         for variant, rule, model in _variant_rules():
             for geometry in ("box", "ball"):
-                run_rule = rule if geometry == "box" else aggregated_twin(rule)
+                run_rule = rule if geometry == "box" else replace(rule, aggregated=True)
                 cfg = Astr1Config(scaling=run_rule, model=model, geometry=geometry,
                                   eps=1e-3, max_iter=250)
                 trace = astr1_run(problem, cfg)
@@ -208,7 +209,7 @@ def test_criterion_09_noise_robustness_trend():
     noisy = run_matrix(methods, suite, [0.15], list(range(10)), eps=1e-3,
                        max_iter=20_000, jobs=2)
     rho = {
-        (m, lv): success_rate(recs, m)
+        (m, lv): perf_profile(recs).rho[m]
         for m in methods
         for lv, recs in ((0.0, clean), (0.15, noisy))
     }

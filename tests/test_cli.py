@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -31,6 +32,10 @@ def test_run_sdba():
     res = invoke("run", "--problem", "tridia", "--n", "6", "--method", "sdba",
                  "--eps", "1e-4", "--max-iter", "5000")
     assert res.exit_code == 0, res.output
+    # the printed counts are the benchmark record's
+    record = bench.run_one("sdba", "tridia", 6, 0.0, 0, 1e-4, 5000)
+    counts = dict(re.findall(r"\b([fg]_evals)=(\d+)", res.output))
+    assert counts == {"g_evals": str(record.g_evals), "f_evals": str(record.f_evals)}, res.output
 
 
 def test_run_reports_capability_gap():

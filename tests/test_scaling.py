@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from offo.scaling import (
     RULES,
     ScalingRule,
-    aggregated_twin,
     as4_floor,
     new_state,
     rule_from_name,
@@ -83,12 +83,9 @@ def test_aggregated_weights_identical_across_coordinates():
 
 
 def test_aggregated_twin_matches_norm_rule():
-    twin = aggregated_twin(rule_from_name("adagrad"))
-    named = rule_from_name("adagnorm")
-    g = [np.array([1.0, 2.0]), np.array([-0.5, 0.25])]
-    _, a = feed(twin, g)
-    _, b = feed(named, g)
-    assert np.allclose(a[-1], b[-1])
+    # each "norm" rule is its base rule accumulating ||g|| in place of |g_i|
+    for base, norm in (("adagrad", "adagnorm"), ("adam", "adamnorm"), ("maxg", "maxgnorm")):
+        assert replace(RULES[base], aggregated=True) == RULES[norm], base
 
 
 @settings(max_examples=60, deadline=None)

@@ -353,6 +353,23 @@ def test_decrease_requires_vectors_and_f():
         check_decrease(trace, p, 0.1)
 
 
+def test_decrease_check_passes_on_a_trace_with_no_gradient():
+    # the gradient is inf at x0, so the instrumented run records no f
+    prob = ProblemInstance("inf-grad", 2, np.zeros(2), 0.0, lambda x: float(x @ x),
+                           lambda x: np.full(2, np.inf), None)
+    cfg = Astr1Config(scaling=rule_from_name("adagrad"), eps=1e-6, max_iter=10,
+                      instrument_f=True, record_vectors=True)
+    trace = astr1_run(prob, cfg)
+    assert trace.status == "overflow" and trace.f.size == 0
+    assert check_decrease(trace, base_params(), 0.1) == 0.0
+    # a trace that has gradients but no f is still refused
+    cfg = Astr1Config(scaling=rule_from_name("adagrad"), eps=1e-4, max_iter=50,
+                      record_vectors=True)
+    trace = astr1_run(make_problem("tridia", 5), cfg)
+    with pytest.raises(ValueError, match="requires instrument_f=True"):
+        check_decrease(trace, base_params(), 0.1)
+
+
 # ---------------------------------------------------------------------------
 # growth-schedule threshold
 # ---------------------------------------------------------------------------

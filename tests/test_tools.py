@@ -29,7 +29,7 @@ def test_field_difference_counts_entries_and_ulps():
     assert diff(a[:3], np.append(a[:3], 7.0)) == "float64 array (3,) -> float64 array (4,)"
     # scalars, integers, strings, None and lists of arrays
     assert diff(1.5, float(np.nextafter(1.5, 2.0))) == "1 of 1 differ, max 1 ulps"
-    assert diff(139, 140) == "1 of 1 differ, max 1 ulps"
+    assert diff(139, 140) == "1 of 1 differ, max difference 1"
     assert diff("converged", "max_iter") == "1 of 1 differ"
     assert diff(None, None) is None and diff(None, [a]) == "NoneType -> list of 1"
     assert diff([a[:2], a[2:3]], [a[:2], b[2:3]]) == "1 of 3 differ, max 1 ulps"
@@ -86,7 +86,7 @@ def test_compare_counts_direct_evaluations_apart(capsys):
     this = {"direct p": dict(entry, position=7), "run": None}
     assert trace_compare.compare(other, this) == (0, 0, 0, 0, 1)
     assert capsys.readouterr().out.splitlines() == [
-        "direct p: position 6 -> position 7", "    position: 1 of 1 differ, max 1 ulps"]
+        "direct p: position 6 -> position 7", "    position: 1 of 1 differ, max difference 1"]
     assert trace_compare.compare(other, {"run": None}) == (0, 0, 0, 0, 1)
 
 

@@ -12,11 +12,12 @@ evaluation's.  For each entry that differs the script prints the status,
 evaluation) of the other checkout, then of this one, and per field that
 differs its change of form (Python type, and dtype and shape for an array,
 element by element inside a list) or else the number of entries that differ
-and the largest difference in ulps (``nan`` when a NaN meets a number).
-Entries compare bit for bit.  The last line counts the runs that differ, of
-those the ones whose status or ``g_evals`` changed, that differ in
-``norm_B`` alone and whose ``x_final`` changed, and the direct evaluations
-that differ.  The script exits 1 when any entry differs, else 0.
+and the largest difference: in ulps for a float field (``nan`` when a NaN
+meets a number), absolute for an integer one.  Entries compare bit for bit.
+The last line counts the runs that differ, of those the ones whose status
+or ``g_evals`` changed, that differ in ``norm_B`` alone and whose
+``x_final`` changed, and the direct evaluations that differ.  The script
+exits 1 when any entry differs, else 0.
 """
 from __future__ import annotations
 
@@ -89,8 +90,8 @@ def _form_change(a, b):
 def field_difference(a, b):
     """``None`` if two field values are equal in form and bit for bit, else
     what differs: their change of form, or the entries that differ and the
-    largest difference in ulps, a float field's (``nan`` where a NaN meets a
-    number) or an integer's absolute difference."""
+    largest difference: a float field's in ulps (``nan`` where a NaN meets a
+    number), an integer field's absolute."""
     if form := _form_change(a, b):
         return form
     x, y = _as_array(a), _as_array(b)
@@ -106,8 +107,8 @@ def field_difference(a, b):
     if x.dtype.kind not in "fiub":
         return count
     if x.dtype.kind != "f":
-        ulps = int(np.abs(x.astype(object) - y.astype(object)).max())
-    elif np.isnan(x).any() or np.isnan(y).any():
+        return f"{count}, max difference {np.abs(x.astype(object) - y.astype(object)).max()}"
+    if np.isnan(x).any() or np.isnan(y).any():
         ulps = float("nan")
     else:
         ulps = max(abs(p - q) for p, q in zip(_ordered(x), _ordered(y)))
