@@ -28,6 +28,8 @@ Array = np.ndarray
 
 #: secant pairs are accepted only when y's + pair curvature clears this guard
 SECANT_GUARD = 1e-15
+#: the default spectral-norm cap kappa_B
+KAPPA_B = 1e5
 _EPS = np.finfo(float).eps
 
 
@@ -44,7 +46,7 @@ class CurvatureModel:
     is_zero = False
     #: whether the iteration must bind the true Hessian via ``with_matrix``
     needs_hessian = False
-    kappa_B: float = 1e5
+    kappa_B: float = KAPPA_B
     rejected: int = 0
     raw_norm: float = field(init=False, repr=False)
     factor: float = field(init=False, repr=False)
@@ -291,7 +293,7 @@ def check_model(kind: str) -> None:
         raise ValueError(f"unknown model kind '{kind}'; known: {', '.join(MODELS)}")
 
 
-def make_model(kind: str, kappa_B: float = 1e5) -> CurvatureModel:
+def make_model(kind: str, kappa_B: float = KAPPA_B) -> CurvatureModel:
     """The curvature model of that name in :data:`MODELS`, under the cap kappa_B."""
     check_kappa_B(kappa_B)
     check_model(kind)

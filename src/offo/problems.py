@@ -17,6 +17,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -258,7 +259,7 @@ class NoisyOracle(_DirectCalls):
     def __post_init__(self):
         if not 0.0 <= self.level < 1.0:
             raise ValueError("noise level must lie in [0, 1)")
-        if self.seed < 0:
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer")
 
     def _seed_words(self, position: int) -> Array:

@@ -4,12 +4,16 @@ A :class:`ScalingRule` fixes the recurrence turning the gradient history into
 per-coordinate weights w_k; each iteration divides |g_k| by w_k to obtain the
 trust radii.  Three families are provided:
 
-* ``adagrad-like``  -- w = sqrt(vartheta) * theta * (sigma + sum g^2)^mu,
-  non-decreasing weights; mu=1/2, theta=vartheta=1 is deterministic Adagrad.
+* ``adagrad-like``  -- w = theta * (sigma + sum g^2)^mu, non-decreasing
+  weights; mu=1/2, theta=1 is deterministic Adagrad.
 * ``adam-like``     -- exponentially decayed squared-gradient sum,
-  w = theta * sqrt(sigma + sum beta2^(k-j) g_j^2).
-* ``diminishing-*`` -- w = theta * max(sigma, v_k) * (k+1)^nu with v_k the
-  running max (or running average) of |g|, forcing (k+1)^nu growth.
+  w = theta * sqrt(sigma + sum BETA2^(k-j) g_j^2).
+* ``diminishing-max`` -- w = theta * max(sigma, v_k) * (k+1)^nu with v_k the
+  running max of |g|, forcing (k+1)^nu growth.
+
+theta is 1, or sqrt(n) for ``theta_auto`` rules.  The paper's class also
+admits a factor sqrt(vartheta) on the adagrad-like weights; the solver fixes
+vartheta = 1, and :class:`offo.theory.TheoryParams` keeps it general.
 
 ``aggregated`` rules accumulate the Euclidean norm of the whole gradient and
 give every coordinate the same weight (the "norm" variants).
@@ -32,7 +36,9 @@ import numpy as np
 
 Array = np.ndarray
 
-VARIANTS = ("adagrad-like", "adam-like", "diminishing-max", "diminishing-avg")
+VARIANTS = ("adagrad-like", "adam-like", "diminishing-max")
+#: the adam-like rules' decay factor
+BETA2 = 0.9
 
 
 @dataclass(frozen=True)
@@ -40,10 +46,7 @@ class ScalingRule:
     variant: str
     mu: float = 0.5
     nu: float = 0.1
-    theta: float = 1.0
-    vartheta: float = 1.0
     sigma: float = 0.01
-    beta2: float = 0.9
     aggregated: bool = False
     theta_auto: bool = False
 
@@ -52,20 +55,14 @@ class ScalingRule:
             raise ValueError(f"unknown scaling variant '{self.variant}'")
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
-        if not 0.0 < self.vartheta <= 1.0:
-            raise ValueError("vartheta must lie in (0, 1]")
-        if not 0.0 < self.theta < math.inf:
-            raise ValueError("theta must be positive and finite")
-        if not 0.0 < self.beta2 < 1.0:
-            raise ValueError("beta2 must lie in (0, 1)")
         if not (isinstance(self.sigma, Real) and 0.0 < self.sigma <= 1.0):
             raise ValueError("sigma must lie in (0, 1]")
-        if self.variant.startswith("diminishing") and not 0.0 < self.nu <= self.mu:
+        if self.variant == "diminishing-max" and not 0.0 < self.nu <= self.mu:
             raise ValueError("diminishing rules need 0 < nu <= mu")
 
     def theta_at(self, n: int) -> float:
         """The weight factor theta at dimension n (sqrt(n) for ``theta_auto`` rules)."""
-        return float(np.sqrt(n)) if self.theta_auto else self.theta
+        return float(np.sqrt(n)) if self.theta_auto else 1.0
 
 
 @dataclass
@@ -112,12 +109,10 @@ def accumulate(state: ScalingState, rule: ScalingRule, mag) -> ScalingState:
     if rule.variant == "adagrad-like":
         acc += mag * mag
     elif rule.variant == "adam-like":
-        acc *= rule.beta2
+        acc *= BETA2
         acc += mag * mag
-    elif rule.variant == "diminishing-max":
+    else:  # diminishing-max
         np.maximum(acc, mag, out=acc)
-    else:  # diminishing-avg
-        acc += mag
     state.k += 1
     return state
 
@@ -128,12 +123,11 @@ def weights(state: ScalingState, rule: ScalingRule) -> Array:
         raise ValueError("weights requested before any scaling update")
     sig = state.sig
     if rule.variant == "adagrad-like":
-        w = state.theta * math.sqrt(rule.vartheta) * (sig + state.acc) ** rule.mu
+        w = state.theta * (sig + state.acc) ** rule.mu
     elif rule.variant == "adam-like":
         w = state.theta * np.sqrt(sig + state.acc)
     else:
-        v = state.acc if rule.variant == "diminishing-max" else state.acc / (state.k + 1)
-        w = state.theta * np.maximum(sig, v) * (state.k + 1) ** rule.nu
+        w = state.theta * np.maximum(sig, state.acc) * (state.k + 1) ** rule.nu
     return w
 
 
@@ -141,7 +135,7 @@ def as4_floor(rule: ScalingRule, n: int = 1) -> float:
     """Analytic positive lower bound on every weight the rule can produce."""
     theta, sigma = rule.theta_at(n), rule.sigma
     if rule.variant == "adagrad-like":
-        return theta * np.sqrt(rule.vartheta) * sigma**rule.mu
+        return theta * sigma**rule.mu
     if rule.variant == "adam-like":
         return theta * np.sqrt(sigma)
     return theta * sigma

@@ -235,8 +235,6 @@ def _replay_rule(seq: SharpSequence) -> ScalingRule:
         return ScalingRule(
             "adagrad-like",
             mu=seq.params["mu"],
-            theta=1.0,
-            vartheta=1.0,
             sigma=seq.params["sigma"],
         )
     # The prescribed steps satisfy w_k * s_k = |g_k| with w_k = (k+1)^(omega - nu)
@@ -248,7 +246,6 @@ def _replay_rule(seq: SharpSequence) -> ScalingRule:
         "diminishing-max",
         mu=power,
         nu=power,
-        theta=1.0,
         sigma=seq.params["sigma"],
     )
 

@@ -14,17 +14,20 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
-from .hessian import check_kappa_B, check_model, make_model
+from .hessian import KAPPA_B, check_kappa_B, check_model, make_model
 from .problems import NonFiniteError, Oracle, base_problem, fresh_stream
 from .scaling import ScalingRule, accumulate, new_state, weights
 
 Array = np.ndarray
 
 GEOMETRIES = ("box", "ball")
+#: a step must achieve at least this fraction of the Cauchy point's model decrease
+TAU = 0.1
 #: truncated CG stops once its residual is below max(_CG_ABS, _CG_REL * ||g||)
 _CG_REL = 1e-5
 _CG_ABS = 1e-12
@@ -34,7 +37,7 @@ def check_stopping(eps: float, max_iter: int) -> None:
     """ValueError unless the stopping tolerance and iteration budget are positive."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    if max_iter < 1:
+    if not (isinstance(max_iter, Integral) and max_iter >= 1):
         raise ValueError("max_iter must be positive")
 
 
@@ -43,16 +46,13 @@ class Astr1Config:
     scaling: ScalingRule
     model: str = "none"
     geometry: str = "box"
-    tau: float = 0.1
-    kappa_B: float = 1e5
+    kappa_B: float = KAPPA_B
     eps: float = 1e-6
     max_iter: int = 100_000
     instrument_f: bool = False
     record_vectors: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
         check_kappa_B(self.kappa_B)
         check_model(self.model)
         if self.geometry not in GEOMETRIES:
@@ -89,7 +89,7 @@ class IterationTrace:
     ``normg``/``f`` have one entry per gradient evaluation; the step-indexed
     arrays (weights, radii, model values, residuals) have one entry per step
     taken.  ``sbound_resid`` is max_i (|s_i| - Delta_i) / (1 + Delta_i) (the
-    ball analogue uses norms); ``gcp_resid`` is q(s) - tau * q(s_Q).
+    ball analogue uses norms); ``gcp_resid`` is q(s) - TAU * q(s_Q).
 
     A run builds its trace with :meth:`open`, records each step with
     :meth:`add_step` and ends it with :meth:`close`.  The columns are
@@ -482,7 +482,7 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
     aggregated = rule.aggregated
     geometry = cfg.geometry
     box = geometry == "box"
-    eps, tau, instrument_f = cfg.eps, cfg.tau, cfg.instrument_f
+    eps, instrument_f = cfg.eps, cfg.instrument_f
     state = new_state(rule, n)
     model = make_model(cfg.model, kappa_B=cfg.kappa_B)
     tr = IterationTrace.open(eps, state.acc.size, n if box else 1, cfg.record_vectors)
@@ -517,7 +517,7 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
             else:
                 cs = cauchy_step(g, model.matvec, radii, geometry)
                 tol = max(_CG_ABS, _CG_REL * normg)
-                s, q_s = solve_subproblem(g, model, radii, geometry, cs, tau, tol)
+                s, q_s = solve_subproblem(g, model, radii, geometry, cs, TAU, tol)
                 gamma, q_Q = cs.gamma, cs.q_Q
             step_norm = math.sqrt(float(s.dot(s)))  # as g.dot(g) in Oracle.grad
             # a finite norm means a finite step; an infinite one may still come
@@ -526,7 +526,7 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
                 status = "overflow"
                 break
             tr.add_step(w, radii, s if box else step_norm, gamma, q_s, q_Q,
-                        model.norm_estimate(), q_s - tau * q_Q, step_norm)
+                        model.norm_estimate(), q_s - TAU * q_Q, step_norm)
             x = x + s
             prev_g, prev_s = g, s
     tr.close(status, x, oracle)

@@ -15,7 +15,7 @@ import numpy as np
 from .hessian import check_kappa_B
 from .problems import ProblemInstance, make_problem
 from .scaling import ScalingRule, as4_floor, rule_from_name
-from .solver import Astr1Config, IterationTrace, astr1_run
+from .solver import TAU, Astr1Config, IterationTrace, astr1_run
 
 Array = np.ndarray
 
@@ -36,7 +36,7 @@ class TheoryParams:
     L: float
     gamma0: float
     n: int
-    tau: float = 0.1
+    tau: float = TAU
     kappa_B: float = 1.0
     theta: float = 1.0
     vartheta: float = 1.0
@@ -55,7 +55,6 @@ class TheoryParams:
 def params_for_run(
     problem: ProblemInstance,
     rule: ScalingRule,
-    tau: float,
     trace: Optional[IterationTrace] = None,
 ) -> TheoryParams:
     """Assemble bound constants for a finished run.
@@ -74,10 +73,8 @@ def params_for_run(
         L=problem.lipschitz_hint,
         gamma0=problem.value(problem.x0) - problem.f_low,
         n=problem.n,
-        tau=tau,
         kappa_B=kappa_B,
         theta=rule.theta_at(problem.n),
-        vartheta=rule.vartheta,
         sigma=rule.sigma,
     )
 
@@ -423,7 +420,7 @@ def run_envelope_suite() -> dict:
     results = {}
     ok = True
     for prob, rule, cfg, trace in _exact_l_traces():
-        p = params_for_run(prob, rule, cfg.tau, trace)
+        p = params_for_run(prob, rule, trace)
         kappa = envelope_constant(p, rule.mu)
         rep = check_envelope(trace, kappa)
         results[prob.name] = rep.max_ratio
@@ -435,7 +432,7 @@ def run_decrease_suite() -> dict:
     results = {}
     ok = True
     for prob, rule, cfg, trace in _exact_l_traces(max_iter=5000, instrument=True):
-        p = params_for_run(prob, rule, cfg.tau, trace)
+        p = params_for_run(prob, rule, trace)
         viol = check_decrease(trace, p, as4_floor(rule, prob.n))
         results[prob.name] = viol
         ok = ok and viol <= 1e-8
@@ -447,7 +444,7 @@ def run_bracket_suite() -> dict:
     rule = rule_from_name("maxg")
     cfg = Astr1Config(scaling=rule, eps=1e-6, max_iter=5000)
     trace = astr1_run(prob, cfg)
-    p = params_for_run(prob, rule, cfg.tau, trace)
+    p = params_for_run(prob, rule, trace)
     eta = 0.5 * p.tau * min(p.sigma, 1.0)
     rep = check_bracket(trace, p, eta, rule.nu)
     return {

@@ -98,7 +98,7 @@ def test_criterion_03_decrease_inequality():
             cfg = Astr1Config(scaling=rule, eps=1e-6, max_iter=3000,
                               instrument_f=True, record_vectors=True)
             trace = astr1_run(problem, cfg)
-            p = params_for_run(problem, rule, cfg.tau, trace)
+            p = params_for_run(problem, rule, trace)
             viol = check_decrease(trace, p, as4_floor(rule, problem.n))
             worst = max(worst, viol)
             cases += 1
@@ -115,7 +115,7 @@ def test_criterion_04_complexity_envelope():
         rule = rule_from_name("adagrad")  # mu=1/2, theta=vartheta=1, sigma=1/100
         cfg = Astr1Config(scaling=rule, eps=1e-6, max_iter=20_000)
         trace = astr1_run(problem, cfg)
-        p = params_for_run(problem, rule, cfg.tau, trace)
+        p = params_for_run(problem, rule, trace)
         kappa = envelope_constant(p, rule.mu)
         rep = check_envelope(trace, kappa)
         worst = max(worst, rep.max_ratio)

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -154,3 +155,11 @@ def test_problem_dump():
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert data == {"name": "rosenbr", "n": 2, "x0": [-1.2, 1.0], "f_low": 0.0}
+
+
+def test_readme_python_examples_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -507,7 +507,7 @@ def test_exact_model_trace_norms_are_exact(kappa_B):
     pad = (prob.n + 1) * np.finfo(float).eps
     assert np.all(truth <= trace.norm_B)
     assert np.all(trace.norm_B <= np.minimum(kappa_B, rows * (1 + 2 * pad)))
-    assert params_for_run(prob, rule, cfg.tau, trace).kappa_B >= truth.max()
+    assert params_for_run(prob, rule, trace).kappa_B >= truth.max()
 
 
 def test_make_model_parsing():

@@ -8,8 +8,9 @@ import pytest
 from offo import bench, problems, sharpness, solver
 from offo.hessian import Bands, LbfgsModel, make_model
 from offo.problems import NoisyOracle, ProblemInstance, base_problem, fresh_stream, make_problem
-from offo.scaling import ScalingRule, rule_from_name
+from offo.scaling import BETA2, ScalingRule, rule_from_name
 from offo.solver import (
+    TAU,
     Astr1Config,
     astr1_run,
     cauchy_step,
@@ -993,12 +994,11 @@ _STEP_COLUMNS = ("w_min", "w_max", "delta_min", "delta_max", "gamma", "q_step",
 def _reference_weights(rule, acc, k, n, theta):
     sig = np.full(acc.size, rule.sigma)
     if rule.variant == "adagrad-like":
-        w = theta * np.sqrt(rule.vartheta) * (sig + acc) ** rule.mu
+        w = theta * (sig + acc) ** rule.mu
     elif rule.variant == "adam-like":
         w = theta * np.sqrt(sig + acc)
     else:
-        v = acc if rule.variant == "diminishing-max" else acc / (k + 1)
-        w = theta * np.maximum(sig, v) * (k + 1) ** rule.nu
+        w = theta * np.maximum(sig, acc) * (k + 1) ** rule.nu
     return np.full(n, w[0]) if rule.aggregated else w
 
 
@@ -1012,7 +1012,7 @@ def reference_run(problem, cfg):
     x = np.array(base_problem(problem).x0, dtype=float)
     n = x.size
     rule = cfg.scaling
-    theta = float(np.sqrt(n)) if rule.theta_auto else rule.theta
+    theta = float(np.sqrt(n)) if rule.theta_auto else 1.0
     acc, k = np.zeros(1 if rule.aggregated else n), -1
     model = make_model(cfg.model, kappa_B=cfg.kappa_B)
     normgs, cols = [], {c: [] for c in _STEP_COLUMNS + ("w",)}
@@ -1035,11 +1035,9 @@ def reference_run(problem, cfg):
         if rule.variant == "adagrad-like":
             acc = acc + mag**2
         elif rule.variant == "adam-like":
-            acc = rule.beta2 * acc + mag**2
-        elif rule.variant == "diminishing-max":
-            acc = np.maximum(acc, mag)
+            acc = BETA2 * acc + mag**2
         else:
-            acc = acc + mag
+            acc = np.maximum(acc, mag)
         k += 1
         w = _reference_weights(rule, acc, k, n, theta)
         radii = np.abs(g) / w if cfg.geometry == "box" else float(np.linalg.norm(g) / w[0])
@@ -1048,7 +1046,7 @@ def reference_run(problem, cfg):
             s, q_s = zero_model_step(g, radii, cfg.geometry)
         else:
             tol = max(solver._CG_ABS, solver._CG_REL * normg)
-            s, q_s = solve_subproblem(g, model, radii, cfg.geometry, cs, cfg.tau, tol)
+            s, q_s = solve_subproblem(g, model, radii, cfg.geometry, cs, TAU, tol)
         s = s.copy()
         if cfg.geometry == "box":
             sbound = float(np.max((np.abs(s) - radii) / (1.0 + radii)))
@@ -1056,7 +1054,7 @@ def reference_run(problem, cfg):
             sbound = float((np.linalg.norm(s) - radii) / (1.0 + radii))
         row = (float(w.min()), float(w.max()), float(np.min(radii)), float(np.max(radii)),
                cs.gamma, q_s, cs.q_Q, model.norm_estimate(), sbound,
-               q_s - cfg.tau * cs.q_Q, float(np.linalg.norm(s)))
+               q_s - TAU * cs.q_Q, float(np.linalg.norm(s)))
         for c, v in zip(_STEP_COLUMNS, row):
             cols[c].append(v)
         cols["w"].append(w)
@@ -1165,7 +1163,6 @@ def test_block_seeded_noise_gives_the_reference_traces(monkeypatch):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: ScalingRule("adagrad-like", theta=np.nan), "theta must be positive"),
     (lambda: ScalingRule("adagrad-like", sigma=np.nan), "sigma must lie in (0, 1]"),
     (lambda: ScalingRule("adagrad-like", sigma=np.array([])), "sigma must lie in (0, 1]"),
     (lambda: Astr1Config(scaling=rule_from_name("adagrad"), kappa_B=np.nan),
@@ -1179,11 +1176,25 @@ def test_block_seeded_noise_gives_the_reference_traces(monkeypatch):
     (lambda: make_model("none", kappa_B=np.nan), "kappa_B must be >= 1"),
     (lambda: make_model("lbfgsx"), "unknown model kind 'lbfgsx'"),
     (lambda: make_problem("rosenbr", 10.7), "problem 'rosenbr' requires n >= 2, got n=10.7"),
-    (lambda: ScalingRule("adagrad-like", theta=np.inf), "theta must be positive and finite"),
     (lambda: ScalingRule("adagrad-like", sigma=np.array([0.01, 0.04])), "sigma must lie in (0, 1]"),
     (lambda: Astr1Config(scaling=rule_from_name("adagrad"), model="sr1"),
      "unknown model kind 'sr1'"),
+    (lambda: Astr1Config(scaling=rule_from_name("adagrad"), max_iter=2.5), "max_iter must be positive"),
+    (lambda: Astr1Config(scaling=rule_from_name("adagrad"), max_iter=3.0), "max_iter must be positive"),
+    (lambda: sdba_run(make_problem("rosenbr", 4), max_iter=2.5), "max_iter must be positive"),
+    (lambda: NoisyOracle(make_problem("rosenbr", 4), 0.1, seed=1.5),
+     "seed must be a non-negative integer"),
+    (lambda: bench.run_matrix(["adagrad"], [("rosenbr", 4)], [0.1], [1.5], eps=1e-3, max_iter=10),
+     "seed must be a non-negative integer"),
 ])
 def test_nan_empty_and_non_integral_settings_are_rejected(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+def test_numpy_integer_budget_and_seed_run_as_python_integers():
+    p = make_problem("rosenbr", 4)
+    rule = rule_from_name("adagrad")
+    runs = [astr1_run(NoisyOracle(p, 0.1, seed=seed), Astr1Config(scaling=rule, max_iter=budget))
+            for seed, budget in ((2, 30), (np.int64(2), np.int64(30)))]
+    assert _trace_fields(runs[0]) == _trace_fields(runs[1])

@@ -10,6 +10,7 @@ from offo.problems import CapabilityError, ProblemInstance, make_problem
 from offo.scaling import as4_floor, rule_from_name
 from offo.solver import Astr1Config, astr1_run
 from offo.theory import (
+    VERIFY_SUITES,
     TheoryParams,
     _decrease_margins,
     _exact_l_traces,
@@ -235,7 +236,7 @@ def test_envelope_check_on_tridia_run():
     rule = rule_from_name("adagrad")
     cfg = Astr1Config(scaling=rule, eps=1e-6, max_iter=20_000)
     trace = astr1_run(prob, cfg)
-    p = params_for_run(prob, rule, cfg.tau, trace)
+    p = params_for_run(prob, rule, trace)
     kappa = envelope_constant(p, rule.mu)
     rep = check_envelope(trace, kappa)
     assert rep.passed
@@ -248,7 +249,7 @@ def test_envelope_check_single_eval_trace():
     cfg = Astr1Config(scaling=rule, eps=1e6, max_iter=10)  # converges at k=0
     trace = astr1_run(prob, cfg)
     assert len(trace.normg) == 1
-    p = params_for_run(prob, rule, cfg.tau, trace)
+    p = params_for_run(prob, rule, trace)
     rep = check_envelope(trace, envelope_constant(p, rule.mu))
     assert rep.passed
 
@@ -269,7 +270,7 @@ def test_envelope_and_bracket_checks_pass_on_a_trace_with_no_gradient():
 def test_params_require_exact_lipschitz():
     prob = make_problem("rosenbr", 4)
     with pytest.raises(CapabilityError):
-        params_for_run(prob, rule_from_name("adagrad"), 0.1)
+        params_for_run(prob, rule_from_name("adagrad"))
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +289,14 @@ def run_instrumented(name, rule_name, model="none", max_iter=3000):
 @pytest.mark.parametrize("rule_name", ["adagrad", "adam", "maxg", "adagnorm"])
 def test_decrease_inequality_on_quadratic(rule_name):
     prob, rule, cfg, trace = run_instrumented("tridia", rule_name)
-    p = params_for_run(prob, rule, cfg.tau, trace)
+    p = params_for_run(prob, rule, trace)
     viol = check_decrease(trace, p, as4_floor(rule, prob.n))
     assert viol <= 1e-8
 
 
 def test_decrease_inequality_with_curvature_model():
     prob, rule, cfg, trace = run_instrumented("hilbert", "adagrad", model="bb")
-    p = params_for_run(prob, rule, cfg.tau, trace)
+    p = params_for_run(prob, rule, trace)
     assert p.kappa_B >= 1.0
     viol = check_decrease(trace, p, as4_floor(rule, prob.n))
     assert viol <= 1e-8
@@ -319,7 +320,7 @@ def reference_decrease(trace, p, sigma_floor):
 
 def test_decrease_margins_equal_the_per_step_loop_bitwise():
     for prob, rule, cfg, trace in _exact_l_traces(max_iter=5000, instrument=True):
-        p = params_for_run(prob, rule, cfg.tau, trace)
+        p = params_for_run(prob, rule, trace)
         floor = as4_floor(rule, prob.n)
         ref, worst = reference_decrease(trace, p, floor)
         got = _decrease_margins(trace, p, floor)
@@ -331,7 +332,7 @@ def test_decrease_margins_equal_the_per_step_loop_bitwise():
 @pytest.mark.parametrize("rule_name", ["adagrad", "adagnorm"])
 def test_decrease_check_keeps_the_loops_maximum_over_positive_and_nan_margins(rule_name):
     prob, rule, cfg, trace = run_instrumented("tridia", rule_name, max_iter=40)
-    p = params_for_run(prob, rule, cfg.tau, trace)
+    p = params_for_run(prob, rule, trace)
     f = trace.f.copy()
     for edit in ({}, {5: np.nan}, {3: f[3] + 1e4, 9: f[9] + 1e3}, {3: f[3] + 1e4, 4: np.nan}):
         trace.f = f.copy()
@@ -348,7 +349,7 @@ def test_decrease_requires_vectors_and_f():
     rule = rule_from_name("adagrad")
     cfg = Astr1Config(scaling=rule, eps=1e-4, max_iter=50)
     trace = astr1_run(prob, cfg)
-    p = params_for_run(prob, rule, cfg.tau, trace)
+    p = params_for_run(prob, rule, trace)
     with pytest.raises(ValueError):
         check_decrease(trace, p, 0.1)
 
@@ -395,7 +396,7 @@ def test_bracket_check_vacuous_on_short_trace():
     rule = rule_from_name("maxg")
     cfg = Astr1Config(scaling=rule, eps=1e-6, max_iter=2000)
     trace = astr1_run(prob, cfg)
-    p = params_for_run(prob, rule, cfg.tau, trace)
+    p = params_for_run(prob, rule, trace)
     rep = check_bracket(trace, p, eta=0.5 * p.tau * p.sigma, nu=rule.nu)
     assert rep.vacuous and rep.passed
 
@@ -436,6 +437,16 @@ def test_bracket_check_starts_past_an_integral_threshold(steps, checked):
     assert rep.j_eta == 4.0 and rep.checked == checked and rep.vacuous == (checked == 0)
 
 
+@pytest.mark.parametrize("suite", sorted(VERIFY_SUITES))
+def test_verify_suite_passes(suite):
+    report = VERIFY_SUITES[suite]()
+    assert report["passed"] is True
+    if suite == "ming":
+        # nu = 0.1 raises the threshold to the 10th power: j_eta ~ 4.4e74 on
+        # tridia:10, so at the package's settings the suite checks no iterate
+        assert report["vacuous"] is True and report["checked"] == 0
+
+
 @pytest.mark.parametrize("mu, gamma0", [(0.5, 1e6), (0.45, 1e40), (0.55, 1e300)])
 def test_envelope_constant_that_overflows_is_inf(mu, gamma0):
     # warnings are errors in this suite, so an overflow warning fails here too
@@ -455,7 +466,7 @@ def test_envelope_constant_whose_lambert_argument_underflows_is_inf(L):
 ])
 def test_criterion_4_envelope_constants_keep_their_bits(name, expected):
     # criterion 4's zero-model runs have kappa_B = 1, so the trace is not needed
-    p = params_for_run(make_problem(name, 10), rule_from_name("adagrad"), 0.1)
+    p = params_for_run(make_problem(name, 10), rule_from_name("adagrad"))
     assert envelope_constant(p, 0.5).hex() == expected
 
 
