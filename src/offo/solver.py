@@ -34,7 +34,7 @@ _CG_ABS = 1e-12
 
 
 def check_stopping(eps: float, max_iter: int) -> None:
-    """ValueError unless the stopping tolerance and iteration budget are positive."""
+    """ValueError unless eps is positive and max_iter a positive integer."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     if not (isinstance(max_iter, Integral) and max_iter >= 1):
