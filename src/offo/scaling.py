@@ -118,16 +118,25 @@ def accumulate(state: ScalingState, rule: ScalingRule, mag) -> ScalingState:
 
 
 def weights(state: ScalingState, rule: ScalingRule) -> Array:
-    """Current weight vector w_k (length n; one entry when aggregated)."""
+    """Current weight vector w_k (length n; one entry when aggregated).
+
+    A theta of 1.0 is not multiplied in (x * 1.0 is x), so the bits are
+    those of the module docstring's formulas, theta first.
+    """
     if state.k < 0:
         raise ValueError("weights requested before any scaling update")
-    sig = state.sig
     if rule.variant == "adagrad-like":
-        w = state.theta * (sig + state.acc) ** rule.mu
+        w = state.sig + state.acc
+        w **= rule.mu
     elif rule.variant == "adam-like":
-        w = state.theta * np.sqrt(sig + state.acc)
+        w = state.sig + state.acc
+        np.sqrt(w, w)
     else:
-        w = state.theta * np.maximum(sig, state.acc) * (state.k + 1) ** rule.nu
+        w = np.maximum(state.sig, state.acc)
+    if state.theta != 1.0:
+        w *= state.theta
+    if rule.variant == "diminishing-max":
+        w *= (state.k + 1) ** rule.nu
     return w
 
 

@@ -14,6 +14,7 @@ norms 1 / (k+1)^omega).
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -147,28 +148,29 @@ class HermiteInterpolant:
     c2: Array
     c3: Array
 
+    def __post_init__(self):
+        # read per evaluation: a memoryview item is a Python float, which
+        # costs less per operation than a numpy scalar and no list of floats
+        self._views = tuple(memoryview(np.ascontiguousarray(a, dtype=float))
+                            for a in (self.xs, self.fs, self.gs, self.c2, self.c3))
+
     def evaluate(self, t: float):
         """Value, slope and curvature at t, as (f, g, H).
 
-        The coefficients are read with ``item``, so the arithmetic runs on
-        Python floats, which cost less per operation than numpy scalars; the
-        operations and their order are those on numpy scalars, so the bits
-        are too.
+        The coefficients are read as Python floats; the operations and their
+        order are those on numpy scalars, so the bits are too.
         """
-        xs, fs, gs, c2, c3 = self.xs, self.fs, self.gs, self.c2, self.c3
+        xs, fs, gs, c2, c3 = self._views
         K = len(xs) - 1
-        if t < xs.item(0):
-            d = t - xs.item(0)
-            return self._quad(fs.item(0), gs.item(0), c2.item(0), d)
-        if t >= xs.item(K):
-            d = t - xs.item(K)
-            h = xs.item(K) - xs.item(K - 1)
-            c_end = c2.item(K - 1) + 3.0 * c3.item(K - 1) * h
-            return self._quad(fs.item(K), gs.item(K), c_end, d)
-        i = int(xs.searchsorted(t, side="right")) - 1
-        d = t - xs.item(i)
-        a2, a3, g_i = c2.item(i), c3.item(i), gs.item(i)
-        f = fs.item(i) + d * (g_i + d * (a2 + d * a3))
+        if t < xs[0]:
+            return self._quad(fs[0], gs[0], c2[0], t - xs[0])
+        if t >= xs[K]:
+            h = xs[K] - xs[K - 1]
+            return self._quad(fs[K], gs[K], c2[K - 1] + 3.0 * c3[K - 1] * h, t - xs[K])
+        i = bisect_right(xs, t) - 1
+        d = t - xs[i]
+        a2, a3, g_i = c2[i], c3[i], gs[i]
+        f = fs[i] + d * (g_i + d * (a2 + d * a3))
         g = g_i + d * (2.0 * a2 + 3.0 * a3 * d)
         H = 2.0 * a2 + 6.0 * a3 * d
         return f, g, H
@@ -262,9 +264,9 @@ def replay(seq: SharpSequence, interp: HermiteInterpolant) -> ReplayReport:
         record_vectors=True,
     )
     trace = astr1_run(problem, cfg)
-    xs = np.array([xv[0] for xv in trace.x_hist])
-    upto = min(len(xs), seq.K + 1)
-    x_dev = np.abs(xs[:upto] - seq.x[:upto]) / (1.0 + np.abs(seq.x[:upto]))
+    upto = min(len(trace.x_hist), seq.K + 1)
+    xs = trace.x_hist[:upto, 0]
+    x_dev = np.abs(xs - seq.x[:upto]) / (1.0 + np.abs(seq.x[:upto]))
     g_dev = np.abs(trace.normg[:upto] - np.abs(seq.g[:upto])) / np.abs(seq.g[:upto])
     bad = np.where((x_dev > REPLAY_RTOL) | (g_dev > REPLAY_RTOL))[0]
     return ReplayReport(

@@ -75,10 +75,11 @@ _STEP_COLS = (
     "w_min", "w_max", "delta_min", "delta_max", "gamma", "q_step",
     "q_cauchy", "norm_B", "sbound_resid", "gcp_resid", "step_norm",
 )
-#: elements of each of a trace's three step blocks: a block holds
-#: max(1, _BLOCK // n) steps, n the wider of the weight and step widths
-#: (32 KB up to n = _BLOCK, one step above it).  A block reduction costs
-#: about twice a per-step one, so n = 1000 needs several steps to gain
+#: elements of each of a trace's blocks: a step block holds max(1, _BLOCK // m)
+#: steps, m the wider of the weight and step widths, and a block of recorded x
+#: or g max(1, _BLOCK // n) rows (32 KB up to a width of _BLOCK, one row above
+#: it).  A block reduction costs about twice a per-step one, so n = 1000 needs
+#: several steps to gain
 _BLOCK = 4096
 
 
@@ -89,20 +90,25 @@ class IterationTrace:
     ``normg``/``f`` have one entry per gradient evaluation; the step-indexed
     arrays (weights, radii, model values, residuals) have one entry per step
     taken.  ``sbound_resid`` is max_i (|s_i| - Delta_i) / (1 + Delta_i) (the
-    ball analogue uses norms); ``gcp_resid`` is q(s) - TAU * q(s_Q).
+    ball analogue uses norms); ``gcp_resid`` is q(s) - TAU * q(s_Q).  With
+    ``record_vectors``, ``x_hist`` and ``g_hist`` are (evaluations, n) float64
+    arrays, one row per recorded gradient, and ``w_hist`` is (steps, n_w),
+    n_w = 1 for an aggregated rule; otherwise they are None.
 
-    A run builds its trace with :meth:`open`, records each step with
-    :meth:`add_step` and ends it with :meth:`close`.  The columns are
-    ``array("d")`` buffers (8 bytes per value, no float object) until
-    ``close`` turns each into a numpy column without a copy.  ``add_step``
-    appends the scalar columns and copies w, the radii and s into rows of
-    three blocks of ``max(1, _BLOCK // n)`` rows, 96 KB in all up to
-    n = ``_BLOCK``; a full block, and the partial one at ``close``, is
-    reduced once per column into the buffers.  min and max are exact and the
-    elementwise operations are those of one step, so every value is the
-    per-step one bit for bit.  An aggregated rule's weight block is one
-    column wide, and so are a ball's radius and step blocks, holding the
-    radius and the step norm.
+    A run builds its trace with :meth:`open`, records each gradient with
+    :meth:`add_eval` and each step with :meth:`add_step`, and ends it with
+    :meth:`close`.  The columns are ``array("d")`` buffers (8 bytes per
+    value, no float object) until ``close`` turns each into a numpy column
+    without a copy.  ``add_step`` appends the scalar columns and copies w,
+    the radii and s into rows of three blocks of ``max(1, _BLOCK // n)``
+    rows, 96 KB in all up to n = ``_BLOCK``; a full block, and the partial
+    one at ``close``, is reduced once per column into the buffers.  min and
+    max are exact and the elementwise operations are those of one step, so
+    every value is the per-step one bit for bit.  An aggregated rule's weight
+    block is one column wide, and so are a ball's radius and step blocks,
+    holding the radius and the step norm.  Recorded x and g go into blocks
+    of their own, and a full weight block is kept rather than reused; the
+    histories are lists of blocks until ``close`` concatenates each once.
     """
 
     status: str
@@ -125,15 +131,16 @@ class IterationTrace:
     f_evals: int
     g_evals: int
     h_evals: int
-    x_hist: Optional[list] = None
-    g_hist: Optional[list] = None
-    w_hist: Optional[list] = None
+    x_hist: Optional[Array] = None
+    g_hist: Optional[Array] = None
+    w_hist: Optional[Array] = None
 
     @classmethod
-    def open(cls, eps: float, n_w: int, width: int, record_vectors: bool = False) -> "IterationTrace":
-        """An empty trace of a run whose steps have ``n_w`` weights (1 for an
-        aggregated rule) and ``width`` radii and step entries (1 for a ball);
-        ``record_vectors`` keeps x, g and w."""
+    def open(cls, eps: float, n: int, n_w: int, width: int,
+             record_vectors: bool = False) -> "IterationTrace":
+        """An empty trace of a run in dimension ``n`` whose steps have ``n_w``
+        weights (1 for an aggregated rule) and ``width`` radii and step
+        entries (1 for a ball); ``record_vectors`` keeps x, g and w."""
         hist = [[] for _ in range(3)] if record_vectors else [None] * 3
         tr = cls("running", eps, array("d"), array("d"), *(array("d") for _ in _STEP_COLS),
                  None, np.nan, 0, 0, 0, *hist)
@@ -142,14 +149,24 @@ class IterationTrace:
         tr._w = np.empty((rows, n_w))
         tr._radii, tr._s = np.empty((2, rows, width))
         tr._row = 0
+        if record_vectors:
+            tr._x, tr._g = np.empty((2, max(1, _BLOCK // n), n))
+            tr._erow = 0
         return tr
 
     def add_eval(self, normg, f_val, x=None, g=None):
         self.normg.append(normg)
         self.f.append(np.nan if f_val is None else f_val)
         if self.x_hist is not None:
-            self.x_hist.append(x.copy())
-            self.g_hist.append(g.copy())
+            i = self._erow
+            self._x[i] = x
+            self._g[i] = g
+            self._erow = i = i + 1
+            if i == len(self._x):
+                self.x_hist.append(self._x)
+                self.g_hist.append(self._g)
+                self._x, self._g = np.empty_like(self._x), np.empty_like(self._g)
+                self._erow = 0
 
     def add_step(self, w, radii, s, gamma, q_step, q_cauchy, norm_B, gcp_resid, step_norm):
         """Record one step: ``radii`` and ``s`` are the box radii and step, or
@@ -167,11 +184,10 @@ class IterationTrace:
         self.norm_B.append(norm_B)
         self.gcp_resid.append(gcp_resid)
         self.step_norm.append(step_norm)
-        if self.w_hist is not None:
-            self.w_hist.append(w.copy())
 
     def _flush(self):
-        """Reduce the block's filled rows into the buffers and empty it."""
+        """Reduce the block's filled rows into the buffers and empty it; a
+        recorded weight block is kept and replaced by a fresh one."""
         k, self._row = self._row, 0
         w, radii, s = self._w[:k], self._radii[:k], self._s[:k]
         self.w_min.frombytes(w.min(axis=1).tobytes())
@@ -183,10 +199,19 @@ class IterationTrace:
         radii += 1.0
         s /= radii
         self.sbound_resid.frombytes(s.max(axis=1).tobytes())
+        if self.w_hist is not None:
+            self.w_hist.append(w)
+            self._w = np.empty_like(self._w)
 
     def close(self, status, x_final, oracle) -> "IterationTrace":
         self._flush()
         del self._w, self._radii, self._s, self._row
+        if self.x_hist is not None:
+            k = self._erow
+            self.x_hist = np.concatenate(self.x_hist + [self._x[:k]])
+            self.g_hist = np.concatenate(self.g_hist + [self._g[:k]])
+            self.w_hist = np.concatenate(self.w_hist)
+            del self._x, self._g, self._erow
         self.status = status
         # read from the buffer, so that it is a Python float
         self.final_normg = self.normg[-1] if self.normg else np.nan
@@ -485,7 +510,7 @@ def astr1_run(problem, cfg: Astr1Config) -> IterationTrace:
     eps, instrument_f = cfg.eps, cfg.instrument_f
     state = new_state(rule, n)
     model = make_model(cfg.model, kappa_B=cfg.kappa_B)
-    tr = IterationTrace.open(eps, state.acc.size, n if box else 1, cfg.record_vectors)
+    tr = IterationTrace.open(eps, n, state.acc.size, n if box else 1, cfg.record_vectors)
     prev_g = None
     prev_s = None
     status = "max_iter"
@@ -550,7 +575,7 @@ def sdba_run(problem, eps: float = 1e-6, max_iter: int = 100_000) -> IterationTr
     base = base_problem(problem)
     oracle = Oracle(fresh_stream(problem))
     x = np.array(base.x0, dtype=float)
-    tr = IterationTrace.open(eps, 1, 1)
+    tr = IterationTrace.open(eps, base.n, 1, 1)
     status = "max_iter"
     f = None
     with np.errstate(all="ignore"):

@@ -276,10 +276,10 @@ def check_decrease(trace: IterationTrace, p: TheoryParams, sigma_floor: float) -
 def _decrease_margins(trace: IterationTrace, p: TheoryParams, sigma_floor: float) -> Array:
     """Per-step margins f_{j+1} - rhs_j of :func:`check_decrease`'s bound.
 
-    The steps' g and w are stacked into (steps, n) rows: every elementwise
-    operation is a step's own and each row sum is that step's sum.  The
-    stack and its temporaries take O(steps * n) memory, a few times the
-    size of ``g_hist``.
+    The steps' g and w are the (steps, n) and (steps, n_w) rows of the
+    recorded histories: every elementwise operation is a step's own and each
+    row sum is that step's sum.  The temporaries take O(steps * n) memory, a
+    few times the size of ``g_hist``.
     """
     if trace.g_hist is None or trace.w_hist is None:
         raise ValueError("decrease check requires record_vectors=True")
@@ -292,7 +292,7 @@ def _decrease_margins(trace: IterationTrace, p: TheoryParams, sigma_floor: float
     if steps <= 0:
         return np.empty(0)
     g2 = np.square(trace.g_hist[:steps])
-    w = np.array(trace.w_hist[:steps])
+    w = trace.w_hist[:steps]
     drop = (p.tau * s_min * g2 / (2.0 * p.kappa_B * w)).sum(axis=1)
     rise = 0.5 * (p.kappa_B + p.L) * (g2 / w**2).sum(axis=1)
     return f[1:steps + 1] - (f[:steps] - drop + rise)

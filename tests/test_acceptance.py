@@ -80,6 +80,16 @@ def test_every_step_lies_inside_its_trust_region_exactly(gcp_matrix_traces):
         assert np.all(tr.sbound_resid <= 0.0), (prob_name, variant, geometry)
 
 
+def test_every_step_achieves_its_decrease_exactly(gcp_matrix_traces):
+    # criterion 1 allows 1e-12 (1 + |q(s_Q)|); every step, box or ball, meets
+    # q(s) <= TAU q(s_Q) exactly
+    steps = 0
+    for prob_name, variant, geometry, tr in gcp_matrix_traces:
+        assert np.all(tr.gcp_resid <= 0.0), (prob_name, variant, geometry)
+        steps += tr.steps
+    assert steps > 0
+
+
 def test_criterion_02_zero_objective_calls(gcp_matrix_traces):
     for prob_name, variant, geometry, tr in gcp_matrix_traces:
         assert tr.f_evals == 0, (prob_name, variant, geometry)

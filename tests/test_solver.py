@@ -10,6 +10,7 @@ from offo.hessian import Bands, LbfgsModel, make_model
 from offo.problems import NoisyOracle, ProblemInstance, base_problem, fresh_stream, make_problem
 from offo.scaling import BETA2, ScalingRule, rule_from_name
 from offo.solver import (
+    GEOMETRIES,
     TAU,
     Astr1Config,
     astr1_run,
@@ -116,7 +117,7 @@ def _assert_zero_model_box_steps(tr):
     """Each step of a box zero-model run is copysign(radii, -g), its model
     value g.s and its bound residual 0, as read from the recorded vectors."""
     assert tr.steps > 0
-    xs = tr.x_hist[1:] + [tr.x_final]
+    xs = np.vstack([tr.x_hist[1:], tr.x_final])
     for k in range(tr.steps):
         g = tr.g_hist[k]
         s = np.copysign(np.abs(g) / tr.w_hist[k], -g)
@@ -1006,7 +1007,8 @@ def reference_run(problem, cfg):
     """The ASTR1 loop written plainly, as a yardstick for the optimized one.
 
     Out-of-place scaling recurrence, the Cauchy step through the model's
-    matvec, ``np.linalg.norm`` and a copy of every step.
+    matvec, ``np.linalg.norm`` and a copy of every step.  ``cols`` holds the
+    step columns and w per step, and x and g per recorded gradient.
     """
     oracle = fresh_stream(problem)
     x = np.array(base_problem(problem).x0, dtype=float)
@@ -1015,7 +1017,7 @@ def reference_run(problem, cfg):
     theta = float(np.sqrt(n)) if rule.theta_auto else 1.0
     acc, k = np.zeros(1 if rule.aggregated else n), -1
     model = make_model(cfg.model, kappa_B=cfg.kappa_B)
-    normgs, cols = [], {c: [] for c in _STEP_COLUMNS + ("w",)}
+    normgs, cols = [], {c: [] for c in _STEP_COLUMNS + ("w", "x", "g")}
     prev_g = prev_s = None
     status = "max_iter"
     for _ in range(cfg.max_iter):
@@ -1026,6 +1028,8 @@ def reference_run(problem, cfg):
             break
         normg = float(np.linalg.norm(g))
         normgs.append(normg)
+        cols["x"].append(x)
+        cols["g"].append(g.copy())
         if normg <= cfg.eps:
             status = "converged"
             break
@@ -1079,6 +1083,7 @@ def _assert_matches_reference(tr, reference, tag):
 @pytest.mark.parametrize("model", ["none", "bb"])
 @pytest.mark.parametrize("rule_name,geometry", [
     ("adagrad", "box"), ("adagnorm", "box"), ("adagnorm", "ball"), ("adam", "box"), ("maxg", "box"),
+    ("adagrads", "box"), ("adams", "box"), ("maxgs", "box"),
 ])
 def test_loop_matches_reference_loop_bitwise(rule_name, geometry, model, monkeypatch):
     default_block = solver._BLOCK
@@ -1109,6 +1114,66 @@ def test_trace_block_left_partly_filled_is_reduced_at_the_end(case, monkeypatch)
     _assert_matches_reference(tr, reference, (case,))
     if case == "vectors":
         assert [w.tobytes() for w in tr.w_hist] == [w.tobytes() for w in reference[2]["w"]]
+
+
+def _assert_history_shapes(tr, n, n_w):
+    """x and g have one row of n per recorded gradient, w one of n_w per step."""
+    evals = len(tr.normg)
+    assert tr.x_hist.dtype == tr.g_hist.dtype == tr.w_hist.dtype == np.float64
+    assert tr.x_hist.shape == tr.g_hist.shape == (evals, n)
+    assert tr.w_hist.shape == (tr.steps, n_w)
+
+
+def test_recorded_histories_have_their_shapes_at_the_edges():
+    def run(target, rule_name, geometry="box"):
+        return astr1_run(target, Astr1Config(scaling=rule_from_name(rule_name), geometry=geometry,
+                                             eps=1e-3, max_iter=200, record_vectors=True))
+
+    # a gradient that overflows at x0 is not recorded
+    tr = run(ramp("grad", at=0.0), "adagrad")
+    assert tr.status == "overflow" and tr.g_evals == 1
+    _assert_history_shapes(tr, 2, 2)
+    assert tr.x_hist.shape == (0, 2) and tr.w_hist.shape == (0, 2)
+    # a run that converges at x0 records x0 and g(x0), and takes no step
+    tr = run(quad1d(x0=0.0), "adagrad")
+    assert tr.status == "converged"
+    _assert_history_shapes(tr, 1, 1)
+    assert tr.x_hist.shape == (1, 1) and tr.w_hist.shape == (0, 1)
+    assert tr.x_hist.tobytes() == tr.g_hist.tobytes() == np.zeros(1).tobytes()
+    # an aggregated rule's weights are one column wide, in a box and in a ball
+    p = make_problem("rosenbr", 10)
+    for geometry in GEOMETRIES:
+        tr = run(p, "adagnorm", geometry)
+        assert tr.steps > 0
+        _assert_history_shapes(tr, 10, 1)
+    _assert_history_shapes(run(p, "adagrad"), 10, 10)
+    assert run(p, "adagrad").w_hist.shape[0] > 0
+    for tr in (astr1_run(p, Astr1Config(scaling=rule_from_name("adagrad"), max_iter=5)),
+               sdba_run(p, max_iter=5)):
+        assert tr.x_hist is tr.g_hist is tr.w_hist is None
+
+
+@pytest.mark.parametrize("rule_name,geometry", [("adagrad", "box"), ("adagnorm", "ball")])
+def test_recorded_histories_match_the_reference_across_block_edges(rule_name, geometry,
+                                                                    monkeypatch):
+    target = NoisyOracle(make_problem("woods", 12), 0.15, seed=0)
+    cfg = Astr1Config(scaling=rule_from_name(rule_name), geometry=geometry, eps=1e-3,
+                      max_iter=300, record_vectors=True)
+    reference = reference_run(target, cfg)
+    n = 12
+    # the reference repeats an aggregated weight n times; the trace keeps one
+    expected = {name: np.array(reference[2][name]) for name in ("x", "g", "w")}
+    expected["w"] = expected["w"][:, :1] if cfg.scaling.aggregated else expected["w"]
+    # blocks of one row; of 7 n elements, 7 rows of x and g and of a box's
+    # steps, which the run leaves partly filled; and of the default size
+    for block in (1, 7 * n, solver._BLOCK):
+        monkeypatch.setattr(solver, "_BLOCK", block)
+        tr = astr1_run(target, cfg)
+        _assert_matches_reference(tr, reference, (rule_name, block))
+        assert len(tr.normg) % 7 and tr.steps % 7, block
+        for name, ref in expected.items():
+            hist = getattr(tr, f"{name}_hist")
+            assert hist.shape == ref.shape and hist.tobytes() == ref.tobytes(), (block, name)
 
 
 def test_sdba_trace_is_the_same_across_block_edges(monkeypatch):
@@ -1153,13 +1218,22 @@ def test_block_seeded_noise_gives_the_reference_traces(monkeypatch):
     runs = [(m, name, n, seed) for m in methods for name, n in (("rosenbr", 10), ("woods", 12), ("beale", 2))
             for seed in (0, 1)]
     fast = {r: methods[r[0]](NoisyOracle(make_problem(r[1], r[2]), 0.15, seed=r[3])) for r in runs}
-    monkeypatch.setattr(problems, "apply_noise", _reference_apply_noise)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _reference_apply_noise(*args)
+
+    monkeypatch.setattr(problems, "apply_noise", counted)
     longest = 0
     for r in runs:
         ref = methods[r[0]](NoisyOracle(make_problem(r[1], r[2]), 0.15, seed=r[3]))
         assert _trace_fields(fast[r]) == _trace_fields(ref), r
         longest = max(longest, ref.f_evals + ref.g_evals)
     assert longest > 1024  # one stream crosses a block boundary
+    # the reference runs drew through the reference, not the fast path again
+    assert calls > 0
 
 
 @pytest.mark.parametrize("build, message", [

@@ -74,10 +74,30 @@ _BANDS = hessian.Bands([np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0])])
      "[1] float32 array (3,) -> float64 array (3,)"),
 ])
 def test_a_change_of_form_is_a_difference(a, b, change, capsys):
-    assert trace_compare.field_difference(a, b) == change
+    # the bands' two diagonals hold 5 entries and their dense form 9; every
+    # other pair holds the same entries in another form
+    report = change if change.startswith("list of 2") else f"{change}, values equal"
+    assert trace_compare.field_difference(a, b) == report
     run = {"status": "converged", "g_evals": 3, "final_normg": a}
     assert trace_compare.compare({"r": run}, {"r": dict(run, final_normg=b)}) == (1, 0, 0, 0, 0)
-    assert capsys.readouterr().out.splitlines()[-1] == f"    final_normg: {change}"
+    assert capsys.readouterr().out.splitlines()[-1] == f"    final_normg: {report}"
+
+
+def test_a_change_of_form_says_whether_the_values_keep_their_bits(capsys):
+    diff = trace_compare.field_difference
+    rows = [np.array([0.5]), np.array([-0.0]), np.array([np.nan])]
+    block = np.array([[0.5], [-0.0], [np.nan]])
+    assert diff(rows, block) == "list of 3 -> float64 array (3, 1), values equal"
+    assert diff([], np.empty((0, 2))) == "list of 0 -> float64 array (0, 2), values equal"
+    # a sign of zero is a difference of bits, as in a field of one form
+    nudged = block.copy()
+    nudged[1] = 0.0
+    assert diff(rows, nudged) == "list of 3 -> float64 array (3, 1), 1 of 3 differ"
+    assert diff(None, np.array([1.0])) == "NoneType -> float64 array (1,), 1 of 1 differ"
+    run = {"status": "converged", "g_evals": 3, "final_normg": 1e-4, "x_hist": rows}
+    assert trace_compare.compare({"r": run}, {"r": dict(run, x_hist=block)}) == (1, 0, 0, 0, 0)
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "    x_hist: list of 3 -> float64 array (3, 1), values equal")
 
 
 def test_compare_counts_direct_evaluations_apart(capsys):

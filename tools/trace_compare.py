@@ -11,9 +11,10 @@ evaluation's.  For each entry that differs the script prints the status,
 ``g_evals`` and ``final_normg`` (the stream position, for a direct
 evaluation) of the other checkout, then of this one, and per field that
 differs its change of form (Python type, and dtype and shape for an array,
-element by element inside a list) or else the number of entries that differ
-and the largest difference: in ulps for a float field (``nan`` when a NaN
-meets a number), absolute for an integer one.  Entries compare bit for bit.
+element by element inside a list) and, where both forms hold as many entries,
+whether the flattened entries keep their bits; or else the number of entries
+that differ and the largest difference: in ulps for a float field (``nan``
+when a NaN meets a number), absolute for an integer one.  Entries compare bit for bit.
 The last line counts the runs that differ, of those the ones whose status
 or ``g_evals`` changed, that differ in ``norm_B`` alone and whose
 ``x_final`` changed, and the direct evaluations that differ.  The script
@@ -64,9 +65,17 @@ def _ordered(x: np.ndarray) -> list:
 
 
 def _as_array(value) -> np.ndarray:
+    """The value's entries, flattened (a list's elements one after another)."""
     if isinstance(value, list):
         return np.concatenate([np.ravel(v) for v in value]) if value else np.empty(0)
-    return np.atleast_1d(np.asarray(value))
+    return np.ravel(value)
+
+
+def _differ(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Where two flat arrays of one size differ, floats compared as float64 bits."""
+    if x.dtype.kind == y.dtype.kind == "f":
+        return x.astype(np.float64).view(np.int64) != y.astype(np.float64).view(np.int64)
+    return x != y
 
 
 def _form(value) -> str:
@@ -91,23 +100,25 @@ def field_difference(a, b):
     """``None`` if two field values are equal in form and bit for bit, else
     what differs: their change of form, or the entries that differ and the
     largest difference: a float field's in ulps (``nan`` where a NaN meets a
-    number), an integer field's absolute."""
-    if form := _form_change(a, b):
-        return form
+    number), an integer field's absolute.  A change of form between values
+    with as many entries also says whether the flattened entries keep their
+    bits (``values equal``) or how many differ."""
     x, y = _as_array(a), _as_array(b)
-    if x.dtype.kind == "f":
-        x, y = x.astype(np.float64), y.astype(np.float64)
-        differ = x.view(np.int64) != y.view(np.int64)
-    else:
-        differ = x != y
+    form = _form_change(a, b)
+    if form and x.size != y.size:
+        return form
+    differ = _differ(x, y)
+    count = f"{int(differ.sum())} of {x.size} differ"
+    if form:
+        return f"{form}, {count if differ.any() else 'values equal'}"
     if not differ.any():
         return None
-    count = f"{int(differ.sum())} of {x.size} differ"
     x, y = x[differ], y[differ]
     if x.dtype.kind not in "fiub":
         return count
     if x.dtype.kind != "f":
         return f"{count}, max difference {np.abs(x.astype(object) - y.astype(object)).max()}"
+    x, y = x.astype(np.float64), y.astype(np.float64)
     if np.isnan(x).any() or np.isnan(y).any():
         ulps = float("nan")
     else:
