@@ -149,10 +149,13 @@ class HermiteInterpolant:
     c3: Array
 
     def __post_init__(self):
-        # read per evaluation: a memoryview item is a Python float, which
-        # costs less per operation than a numpy scalar and no list of floats
-        self._views = tuple(memoryview(np.ascontiguousarray(a, dtype=float))
-                            for a in (self.xs, self.fs, self.gs, self.c2, self.c3))
+        # read per evaluation: a memoryview's item is a Python float, cheaper
+        # per operation than a numpy scalar, and a view holds no float objects
+        self._views = tuple(map(memoryview, (self.xs, self.fs, self.gs, self.c2, self.c3)))
+
+    def __reduce__(self):
+        # a memoryview does not pickle or copy; the fields build new ones
+        return type(self), (self.xs, self.fs, self.gs, self.c2, self.c3)
 
     def evaluate(self, t: float):
         """Value, slope and curvature at t, as (f, g, H).

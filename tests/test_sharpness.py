@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -166,6 +168,14 @@ def test_hermite_evaluate_equals_the_numpy_scalar_reference_bitwise(kind):
         got = interp.evaluate(t)
         ref = reference_evaluate(interp, t)
         assert [float(v).hex() for v in got] == [float(v).hex() for v in ref], t
+
+
+def test_hermite_interpolant_pickles_and_copies():
+    interp = hermite_build(build_sequence("thm31", 20))
+    t = float(interp.xs[7] + 0.25 * (interp.xs[8] - interp.xs[7]))
+    for other in (pickle.loads(pickle.dumps(interp)), copy.deepcopy(interp), copy.copy(interp)):
+        assert other.xs.tobytes() == interp.xs.tobytes()
+        assert other.evaluate(t) == interp.evaluate(t)
 
 
 def test_hermite_extension_is_c1():

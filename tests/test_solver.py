@@ -1146,8 +1146,9 @@ def test_recorded_histories_have_their_shapes_at_the_edges():
         tr = run(p, "adagnorm", geometry)
         assert tr.steps > 0
         _assert_history_shapes(tr, 10, 1)
-    _assert_history_shapes(run(p, "adagrad"), 10, 10)
-    assert run(p, "adagrad").w_hist.shape[0] > 0
+    tr = run(p, "adagrad")
+    assert tr.steps > 0
+    _assert_history_shapes(tr, 10, 10)
     for tr in (astr1_run(p, Astr1Config(scaling=rule_from_name("adagrad"), max_iter=5)),
                sdba_run(p, max_iter=5)):
         assert tr.x_hist is tr.g_hist is tr.w_hist is None
